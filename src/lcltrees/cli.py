@@ -3,7 +3,7 @@
 Ties the library into classify / solve / verify / gen / decompose /
 classes / oracle workflows with machine-readable reports.  Exit codes:
 0 definitive success, 1 definitive negative verification, 2 input error,
-3 inconclusive.
+3 inconclusive, 4 internal error (a bug in lcltrees).
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .pathstates import (
     serialize_report,
 )
 from .problems import (
+    InternalError,
     LclProblem,
     ProblemFormatError,
     VertexConfig,
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 BUDGET_ENV = "LCLTREES_BUDGET"
 DEFAULT_BUDGET = 4096
@@ -344,6 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ProblemFormatError, TreeFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,17 +7,27 @@ configs on the interior.  Walking a path one interior vertex at a time only
 needs the previous vertex's forward label, so interior feasibility is a
 walk in a finite state graph and long-path behavior is settled by the
 eventual periodicity of its boolean adjacency powers.
+
+Whether a state may follow a vertex depends only on the label that vertex
+sent, never on the subset.  So each problem tabulates that relation once
+over all of its states (StateTable, cached on the problem), and a subset's
+state graph, entry rows and exit vectors are index slices of the table.
+The ell-full test then makes one pass over the power cycle: for each
+exponent m up to index + period - 1 it records whether entry . step^m .
+exit is all-true, and every ell is decided from the all-true suffix of
+those flags.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .problems import LclProblem, VertexConfig
+from .problems import InternalError, LclProblem, VertexConfig
 
 VERDICT_LOGN = "IN LOCAL(O(log n)) = BAIRE"
 VERDICT_NOT = "NOT in LOCAL(O(log n))"
@@ -44,51 +54,69 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.int32) @ b.astype(np.int32)) > 0
 
 
+class StateTable:
+    """Every path state of a problem, in sorted-config order, with its transitions.
+
+    admit[p, i] holds when some in-label of state i's config matches label
+    p across an edge and leaves room for the state's out-label; out[i] is
+    that out-label, span[c] the indices of config c's states, and edge the
+    problem's edge matrix.  Build it through problem.state_table.
+    """
+
+    def __init__(self, problem: LclProblem):
+        states: list[PathState] = []
+        self.span: dict[VertexConfig, range] = {}
+        for c in problem.sorted_configs():
+            start = len(states)
+            states.extend(PathState(c, a) for a in c.distinct())
+            self.span[c] = range(start, len(states))
+        self.states = tuple(states)
+        self.out = np.array([s.out_label for s in states], dtype=np.intp)
+        # inlet[i, a]: state i may take label a in and still send its out-label
+        inlet = np.zeros((len(states), problem.num_labels), dtype=bool)
+        for i, s in enumerate(states):
+            for a in s.config.distinct():
+                inlet[i, a] = s.config.count(a) >= (2 if a == s.out_label else 1)
+        self.edge = problem.edge_matrix
+        self.admit = _bool_matmul(self.edge, inlet.T)
+
+
 class PathStateGraph:
     """States (config, out_label) over a config subset, with step relation.
 
     step[(c, a) -> (c', a')] holds when some in-label of c' matches a across
     an edge and leaves room for a' in c'.  Entry rows share the same formula
     with the endpoint's facing label in place of a; exit only checks the
-    edge relation against the far endpoint's facing label.
+    edge relation against the far endpoint's facing label.  All three are
+    slices of the problem's StateTable at the subset's state indices.
     """
 
     def __init__(self, problem: LclProblem, subset: Iterable[VertexConfig]):
         self.problem = problem
+        self.table = problem.state_table
         self.subset = tuple(sorted(set(subset)))
+        picked: list[int] = []
         for c in self.subset:
-            if c not in problem.vertex_configs:
+            span = self.table.span.get(c)
+            if span is None:
                 raise ValueError(f"config {c.labels} not in the problem")
-        self.states = tuple(
-            PathState(c, a) for c in self.subset for a in c.distinct()
-        )
-        self.index = {(s.config, s.out_label): i for i, s in enumerate(self.states)}
-        n = len(self.states)
-        step = np.zeros((n, n), dtype=bool)
-        for j, s in enumerate(self.states):
-            for i in range(n):
-                step[i, j] = self._admits(self.states[i].out_label, s)
-        self.step = step
+            picked.extend(span)
+        self.picked = np.array(picked, dtype=np.intp)
+        self.states = tuple(self.table.states[i] for i in picked)
+        self.out = self.table.out[self.picked]
+        self.step = self.table.admit[self.out[:, None], self.picked]
         self._powers: Optional[list[np.ndarray]] = None
         self._cert: Optional[PeriodicityCertificate] = None
 
-    def _admits(self, prev_out: int, state: PathState) -> bool:
-        c = state.config
-        for a_in in c.distinct():
-            if not self.problem.edge_ok(prev_out, a_in):
-                continue
-            need = 2 if a_in == state.out_label else 1
-            if c.count(a_in) >= need:
-                return True
-        return False
+    @cached_property
+    def index(self) -> dict[tuple[VertexConfig, int], int]:
+        return {(s.config, s.out_label): i for i, s in enumerate(self.states)}
 
     def entry_row(self, a1: int) -> np.ndarray:
-        return np.array([self._admits(a1, s) for s in self.states], dtype=bool)
+        return self.table.admit[a1, self.picked]
 
     def exit_vector(self, a2: int) -> np.ndarray:
-        return np.array(
-            [self.problem.edge_ok(s.out_label, a2) for s in self.states], dtype=bool
-        )
+        return self.table.edge[self.out, a2]
 
     def certificate(self) -> PeriodicityCertificate:
         if self._cert is None:
@@ -173,33 +201,36 @@ def connects(
     return bool(np.any(reach & exit_))
 
 
-def _pair_labels(graph: PathStateGraph) -> tuple[int, ...]:
-    return tuple(sorted({s.out_label for s in graph.states}))
+def _ell_scan(graph: PathStateGraph) -> tuple[bool, int]:
+    """The one pass behind every ell-full test of a graph.
+
+    With L the labels the subset's states send and K, P the certificate's
+    index and period, full[m] says whether entry . step^m . exit is all-true
+    over L x L, for m in 0..K+P-1; every larger m repeats a matrix of the
+    cycle K..K+P-1.  Returns whether every pair in L may share an edge (the
+    2-vertex paths) and the start of full's all-true suffix.
+    """
+    cert = graph.certificate()
+    labels = np.flatnonzero(np.bincount(graph.out))
+    edge = graph.table.edge
+    pairs_ok = bool(edge[labels[:, None], labels].all())
+    entry = graph.table.admit[labels[:, None], graph.picked]
+    exit_ = edge[graph.out[:, None], labels]
+    tables = _bool_matmul(_bool_matmul(entry, np.stack(graph._powers)), exit_)
+    full = tables.reshape(cert.index + cert.period, -1).all(axis=1)
+    bad = np.flatnonzero(~full)
+    return pairs_ok, int(bad[-1]) + 1 if bad.size else 0
 
 
 def _is_ell_full(graph: PathStateGraph, ell: int) -> bool:
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    labels = _pair_labels(graph)
-    if not labels:
-        return True  # empty subset is vacuously full
-    problem = graph.problem
-    if ell == 2 and not all(
-        problem.edge_ok(a1, a2) for a1 in labels for a2 in labels
-    ):
+    pairs_ok, start = _ell_scan(graph)
+    if ell == 2 and not pairs_ok:
         return False
-    cert = graph.certificate()
-    entry = np.stack([graph.entry_row(a) for a in labels])
-    exit_ = np.stack([graph.exit_vector(a) for a in labels], axis=1)
-    m0 = max(0, ell - 3)
-    # exponents m >= m0 realize exactly the matrices at m0..K+P-1 plus, when
-    # m0 lands inside the cycle, the wrapped block up to m0+P-1
-    m_hi = max(cert.index + cert.period - 1, m0 + cert.period - 1)
-    for m in range(m0, m_hi + 1):
-        table = _bool_matmul(_bool_matmul(entry, graph.power(m)), exit_)
-        if not table.all():
-            return False
-    return True
+    # the exponents m >= max(0, ell-3) reach exactly the powers from
+    # min(ell-3, K) to the end of the cycle, since m >= K repeats K..K+P-1
+    return min(max(0, ell - 3), graph.certificate().index) >= start
 
 
 def is_ell_full(problem: LclProblem, subset: Iterable[VertexConfig], ell: int) -> bool:
@@ -207,14 +238,15 @@ def is_ell_full(problem: LclProblem, subset: Iterable[VertexConfig], ell: int) -
 
 
 def _minimal_ell(graph: PathStateGraph) -> Optional[int]:
-    cert = graph.certificate()
-    # for ell >= K+P+2 the exponent window is the full power cycle no matter
-    # the ell, so fullness is constant from there on; checking up to K+P+2
-    # therefore decides every larger ell as well
-    for ell in range(2, cert.index + cert.period + 3):
-        if _is_ell_full(graph, ell):
-            return ell
-    return None
+    # the smallest ell that _is_ell_full accepts: ell = 2 needs the whole
+    # cycle and every edge pair, ell >= 3 needs ell-3 >= start, and no ell
+    # does once the suffix misses the cycle's start K
+    pairs_ok, start = _ell_scan(graph)
+    if start == 0 and pairs_ok:
+        return 2
+    if start > graph.certificate().index:
+        return None
+    return start + 3
 
 
 def minimal_ell(problem: LclProblem, subset: Iterable[VertexConfig]) -> Optional[int]:
@@ -303,7 +335,8 @@ def extend_path(
             if c.count(cand) >= (2 if cand == state.out_label else 1):
                 in_label = cand
                 break
-        assert in_label is not None, "backtrack picked an inadmissible state"
+        if in_label is None:
+            raise InternalError("path witness backtrack picked an inadmissible state")
         rest = c.minus(in_label, state.out_label)
         witness.append((c, (in_label, state.out_label) + rest))
         prev_out = state.out_label

@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .pathstates import StateTable
 
 
 class ProblemFormatError(ValueError):
     """Malformed problem or labeling document."""
+
+
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in lcltrees, never bad input."""
 
 
 @dataclass(frozen=True, order=True)
@@ -115,8 +125,30 @@ class LclProblem:
                 return lab
         raise KeyError(f"no label named {name!r}")
 
+    @cached_property
+    def _edge_pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            pair for e in self.edge_configs for pair in (e.labels, e.labels[::-1])
+        )
+
     def edge_ok(self, a: int, b: int) -> bool:
-        return EdgeConfig.of(a, b) in self.edge_configs
+        return (a, b) in self._edge_pairs
+
+    @cached_property
+    def edge_matrix(self) -> np.ndarray:
+        """edge_matrix[a, b] holds when labels a and b may share an edge."""
+        m = np.zeros((self.num_labels, self.num_labels), dtype=bool)
+        for a, b in self._edge_pairs:
+            m[a, b] = True
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def state_table(self) -> "StateTable":
+        """Every path state of the problem with its transitions, built once."""
+        from .pathstates import StateTable  # pathstates imports this module
+
+        return StateTable(self)
 
     def sorted_configs(self) -> list[VertexConfig]:
         return sorted(self.vertex_configs)

@@ -184,10 +184,12 @@ def _ordered_path(tree: PortTree, comp: frozenset[int]) -> list[int]:
 
 
 def _layer_components(tree: PortTree, layer: frozenset[int]) -> list[list[int]]:
+    """Path components of the layer, ordered by their smallest vertex."""
     comps = []
     left = set(layer)
-    while left:
-        seed = min(left)
+    for seed in sorted(layer):
+        if seed not in left:
+            continue
         comp = {seed}
         stack = [seed]
         left.discard(seed)
@@ -199,7 +201,7 @@ def _layer_components(tree: PortTree, layer: frozenset[int]) -> list[list[int]]:
                     comp.add(u)
                     stack.append(u)
         comps.append(_ordered_path(tree, frozenset(comp)))
-    return sorted(comps, key=min)
+    return comps
 
 
 def solve_log(

@@ -10,7 +10,14 @@ import pytest
 from lcltrees.cli import main
 from lcltrees.fixtures import random_problem, three_coloring
 from lcltrees.pathstates import classify, parse_report
-from lcltrees.problems import EdgeConfig, Label, LclProblem, VertexConfig, serialize_problem
+from lcltrees.problems import (
+    EdgeConfig,
+    InternalError,
+    Label,
+    LclProblem,
+    VertexConfig,
+    serialize_problem,
+)
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +49,17 @@ def test_classify_json_report_round_trips(capsys):
     )
     assert code == 0
     assert parse_report(out) == classify(three_coloring(), 4096)
+
+
+def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise InternalError("path witness backtrack picked an inadmissible state")
+
+    monkeypatch.setattr("lcltrees.cli.classify", broken)
+    code, out, err = run_cli(capsys, "classify", "--problem", "three-coloring")
+    assert code == 4
+    assert err == "internal error: path witness backtrack picked an inadmissible state\n"
+    assert "Traceback" not in out + err
 
 
 def test_classify_reads_problem_files(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcltrees.pathstates as pathstates
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
 from lcltrees.oracle import UNKNOWN, brute_force_connects
 from lcltrees.pathstates import (
@@ -10,6 +11,7 @@ from lcltrees.pathstates import (
     VERDICT_LOGN,
     VERDICT_NOT,
     ClassificationReport,
+    PathState,
     PeriodicityCertificate,
     build_state_graph,
     classify,
@@ -24,7 +26,14 @@ from lcltrees.pathstates import (
     serialize_report,
     verify_periodicity,
 )
-from lcltrees.problems import HalfEdgeLabeling, VertexConfig, is_valid_labeling
+from lcltrees.problems import (
+    EdgeConfig,
+    HalfEdgeLabeling,
+    InternalError,
+    LclProblem,
+    VertexConfig,
+    is_valid_labeling,
+)
 
 from conftest import path_tree
 
@@ -250,6 +259,21 @@ def test_extend_path_k2_edge_cases(matching):
     assert extend_path(matching, [MUU], 0, MUU, 1, MUU, 2) is None
 
 
+def test_extend_path_raises_when_backtrack_breaks_the_step_relation(matching, monkeypatch):
+    # an all-true step lets the backtrack put (MUU, M) after (MUU, M), which
+    # no in-label admits; that must raise even under python -O
+    build = pathstates.build_state_graph
+
+    def corrupted(problem, subset):
+        g = build(problem, subset)
+        g.step = np.ones_like(g.step)
+        return g
+
+    monkeypatch.setattr(pathstates, "build_state_graph", corrupted)
+    with pytest.raises(InternalError, match="inadmissible"):
+        extend_path(matching, [MUU], 0, MUU, 0, MUU, 5)
+
+
 def test_classify_three_coloring_report(coloring3):
     report = classify(coloring3)
     assert report.verdict == VERDICT_LOGN
@@ -286,3 +310,121 @@ def test_report_mentions_certificate(matching):
     human = render_report(classify(matching))
     assert "minimal ell: 4" in human
     assert "index 2" in human and "period 1" in human
+
+
+# --- reference: the per-pair state graph and per-ell scan the table replaced ---
+
+
+def _ref_admits(problem, prev_out, state):
+    c = state.config
+    for a_in in c.distinct():
+        if not problem.edge_ok(prev_out, a_in):
+            continue
+        need = 2 if a_in == state.out_label else 1
+        if c.count(a_in) >= need:
+            return True
+    return False
+
+
+class _RefGraph:
+    """The state graph built pair by pair, with its own power sequence."""
+
+    def __init__(self, problem, subset):
+        self.problem = problem
+        self.states = tuple(
+            PathState(c, a) for c in sorted(set(subset)) for a in c.distinct()
+        )
+        n = len(self.states)
+        self.step = np.zeros((n, n), dtype=bool)
+        for j, s in enumerate(self.states):
+            for i in range(n):
+                self.step[i, j] = _ref_admits(problem, self.states[i].out_label, s)
+        self.powers = [np.eye(n, dtype=bool)]
+        seen = {self.powers[0].tobytes(): 0}
+        while True:
+            nxt = (self.powers[-1].astype(int) @ self.step.astype(int)) > 0
+            if nxt.tobytes() in seen:
+                first = seen[nxt.tobytes()]
+                self.cert = PeriodicityCertificate(first, len(self.powers) - first)
+                break
+            seen[nxt.tobytes()] = len(self.powers)
+            self.powers.append(nxt)
+
+    def power(self, m):
+        if m < len(self.powers):
+            return self.powers[m]
+        k, p = self.cert.index, self.cert.period
+        return self.powers[k + (m - k) % p]
+
+    def entry_row(self, a1):
+        return np.array([_ref_admits(self.problem, a1, s) for s in self.states], dtype=bool)
+
+    def exit_vector(self, a2):
+        return np.array(
+            [self.problem.edge_ok(s.out_label, a2) for s in self.states], dtype=bool
+        )
+
+    def is_ell_full(self, ell):
+        labels = sorted({s.out_label for s in self.states})
+        if not labels:
+            return True
+        if ell == 2 and not all(
+            self.problem.edge_ok(a1, a2) for a1 in labels for a2 in labels
+        ):
+            return False
+        entry = np.stack([self.entry_row(a) for a in labels]).astype(int)
+        exit_ = np.stack([self.exit_vector(a) for a in labels], axis=1).astype(int)
+        k, p = self.cert.index, self.cert.period
+        m0 = max(0, ell - 3)
+        for m in range(m0, max(k + p - 1, m0 + p - 1) + 1):
+            if not ((entry @ self.power(m).astype(int) @ exit_) > 0).all():
+                return False
+        return True
+
+    def minimal_ell(self):
+        for ell in range(2, self.cert.index + self.cert.period + 3):
+            if self.is_ell_full(ell):
+                return ell
+        return None
+
+
+def _assert_matches_reference(problem, subset):
+    g = build_state_graph(problem, subset)
+    ref = _RefGraph(problem, subset)
+    assert g.states == ref.states
+    assert np.array_equal(g.step, ref.step)
+    for a in range(problem.num_labels):
+        assert np.array_equal(g.entry_row(a), ref.entry_row(a)), a
+        assert np.array_equal(g.exit_vector(a), ref.exit_vector(a)), a
+    assert g.certificate() == ref.cert
+    k, p = ref.cert.index, ref.cert.period
+    for ell in range(2, k + p + 4):
+        assert is_ell_full(problem, subset, ell) == ref.is_ell_full(ell), ell
+    assert minimal_ell(problem, subset) == ref.minimal_ell()
+    return g
+
+
+def test_table_slices_match_pairwise_reference_on_every_subset():
+    problems = [three_coloring(), two_coloring(), perfect_matching()]
+    problems += [random_problem(seed) for seed in range(50)]
+    for problem in problems:
+        for subset in all_nonempty_subsets(problem):
+            _assert_matches_reference(problem, subset)
+
+
+def test_table_belongs_to_its_problem_not_to_its_configs():
+    # same labels and configs, different edge sets: each problem must slice
+    # its own table, whichever of the two builds its table first
+    every_pair = frozenset(EdgeConfig.of(a, b) for a in range(3) for b in range(a, 3))
+    for loose_first in (False, True):
+        proper = three_coloring()
+        loose = LclProblem(proper.delta, proper.labels, proper.vertex_configs, every_pair)
+        for problem in (loose, proper) if loose_first else (proper, loose):
+            for subset in all_nonempty_subsets(problem):
+                _assert_matches_reference(problem, subset)
+        full = proper.sorted_configs()
+        assert not np.array_equal(
+            build_state_graph(proper, full).step, build_state_graph(loose, full).step
+        )
+        assert minimal_ell(proper, full) == 3
+        assert minimal_ell(loose, full) == 2

@@ -75,6 +75,18 @@ def test_fixture_shapes():
     assert m.edge_ok(0, 0) and m.edge_ok(1, 1) and not m.edge_ok(0, 1)
 
 
+def test_edge_ok_is_a_bool_lookup_of_the_edge_configs():
+    for seed in range(40):
+        for num_labels in (3, 4, 5):
+            problem = random_problem(seed, num_labels=num_labels)
+            for a in range(num_labels):
+                for b in range(num_labels):
+                    ok = problem.edge_ok(a, b)
+                    assert type(ok) is bool
+                    assert ok == (EdgeConfig.of(a, b) in problem.edge_configs)
+                    assert problem.edge_matrix[a, b] == ok
+
+
 def test_random_problem_reproducible_and_bounded():
     a = random_problem(6)
     b = random_problem(6)
