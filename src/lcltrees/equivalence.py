@@ -16,8 +16,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
 
-from .problems import LclProblem, VertexConfig
-from .trees import PortTree, TreeBuilder, TreeGenSpec, gen_tree
+from .problems import LclProblem
+from .trees import PortTree, TreeBuilder, TreeGenSpec, bfs_tree, gen_tree
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +115,17 @@ class EquivClass:
 
 
 def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
-    """Extendability of every pole-interface choice, by bottom-up DP."""
+    """Extendability of every pole-interface choice, in one bottom-up pass.
+
+    The tree is rooted at the first pole.  Each vertex maps the interfaces
+    of the poles in its subtree to the set of labels it can show its parent.
+    The map is held inverted, as label set (a bitmask) -> offsets of those
+    interfaces in the table's enumeration, and interfaces whose set is empty
+    are dropped since no labeling completes them.  A subtree without poles
+    thus holds one entry at offset 0, computed once for every interface, and
+    a vertex combines the product of its children's entries with its own
+    interface space if it is a pole.
+    """
     tree = poled.tree
     if tree.delta != problem.delta:
         raise ValueError("tree delta differs from problem delta")
@@ -124,85 +134,141 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
             raise ValueError(f"fixed label id {lab} out of range")
     arities = poled.arities()
     nl = problem.num_labels
-    bits = 0
     spaces = [_multisets(nl, size) for size in arities]
-    for idx, interfaces in enumerate(product(*spaces)):
-        if _extendable(problem, poled, interfaces):
-            bits |= 1 << idx
-    return HTable(nl, arities, bits)
-
-
-def _extendable(
-    problem: LclProblem,
-    poled: PoledTree,
-    interfaces: tuple[tuple[int, ...], ...],
-) -> bool:
-    """One DP pass: can the whole tree be labeled with these pole interfaces?"""
-    tree = poled.tree
+    # offset of an interface tuple = sum of index * stride over the poles
+    strides = [1] * len(spaces)
+    for i in range(len(spaces) - 2, -1, -1):
+        strides[i] = strides[i + 1] * len(spaces[i + 1])
     root = poled.poles[0]
     pole_of = {v: i for i, v in enumerate(poled.poles)}
     fixed_at: dict[int, list[tuple[int, int]]] = {}
     for v, p, lab in poled.fixed:
         fixed_at.setdefault(v, []).append((p, lab))
 
-    order, parent = _bfs_orientation(tree, root)
+    order, parent = bfs_tree(tree, [root])
     children: dict[int, list[int]] = {v: [] for v in order}
-    for v in order:
-        if parent[v] is not None:
-            children[parent[v]].append(v)
+    for v in order[1:]:
+        children[parent[v]].append(v)
 
-    # feasible_up[v] = labels v can show on its parent port
-    feasible_up: dict[int, set[int]] = {}
+    step = _VertexStep(problem)
+    every = (1 << nl) - 1
+    # reach[v]: feasible up-label mask -> offsets of the interfaces giving it
+    reach: dict[int, dict[int, list[int]]] = {}
     for v in reversed(order):
         kids = children[v]
-        # per-kid labels acceptable on v's side of that edge
-        kid_ok = [
-            {m for m in range(problem.num_labels)
-             if any(problem.edge_ok(m, b) for b in feasible_up[c])}
-            for c in kids
-        ]
-        forced_kid: list[Optional[int]] = [None] * len(kids)
-        forced_parent: Optional[int] = None
-        fixed_virtual: list[int] = []
+        kid_mask = [every] * len(kids)  # a fixed real port narrows its child
+        parent_mask = every
+        fixed_virtual = []
         for p, lab in fixed_at.get(v, ()):  # route fixed ports to their role
             target = tree.ports[v][p]
             if target is None:
                 fixed_virtual.append(lab)
-            elif parent[v] is not None and target[0] == parent[v]:
-                forced_parent = lab
+            elif target[0] == parent[v]:
+                parent_mask = 1 << lab
             else:
-                forced_kid[kids.index(target[0])] = lab
-        want_virtual = (
-            Counter(interfaces[pole_of[v]]) if v in pole_of else None
-        )
-        need_virtual = Counter(fixed_virtual)
-        if want_virtual is not None and not _contains(want_virtual, need_virtual):
-            # the interface contradicts the fixed labels: nothing fits here
-            feasible_up[v] = set()
-            if v == root:
-                return False
-            continue
+                kid_mask[kids.index(target[0])] = 1 << lab
+        need = tuple(sorted(fixed_virtual))
+        if v in pole_of:
+            i = pole_of[v]
+            # an interface that contradicts the fixed labels fits nowhere
+            wants = [
+                (want, j * strides[i])
+                for j, want in enumerate(spaces[i])
+                if _contains(Counter(want), Counter(need))
+            ]
+        else:
+            wants = [(None, 0)]
+        is_root = v == root
+        here: dict[int, list[int]] = {}
+        for combo in product(*(reach.pop(c).items() for c in kids)):
+            kid_ok = tuple(sorted(
+                step.kid_ok(child_ups) & narrow
+                for (child_ups, _), narrow in zip(combo, kid_mask)
+            ))
+            offsets = None
+            for want, base in wants:
+                ups = step(kid_ok, want, need, is_root) & parent_mask
+                if not ups:
+                    continue
+                if offsets is None:
+                    offsets = [0]
+                    for _child_ups, offs in combo:
+                        offsets = [a + b for a in offsets for b in offs]
+                here.setdefault(ups, []).extend(base + o for o in offsets)
+        reach[v] = here
+    bits = 0
+    for offs in reach[root].values():
+        for o in offs:
+            bits |= 1 << o
+    return HTable(nl, arities, bits)
 
-        def fits(config: VertexConfig, up: Optional[int]) -> bool:
-            pool = Counter(config.labels)
-            if up is not None:
-                if pool[up] == 0:
-                    return False
-                pool[up] -= 1
-            return _assign_children(
-                pool, kid_ok, forced_kid, 0, want_virtual, need_virtual
-            )
 
-        if v == root:
-            return any(fits(c, None) for c in problem.vertex_configs)
-        ok = set()
-        for up in range(problem.num_labels):
-            if forced_parent is not None and up != forced_parent:
+class _VertexStep:
+    """The per-vertex step of h_table, memoized for the length of one call.
+
+    Called with the label sets each child edge admits on this vertex's side
+    (fixed child labels already applied), the wanted virtual multiset of a
+    pole or None, the fixed virtual labels, and whether this is the root.
+    Returns the mask of labels the vertex can show its parent, or at the
+    root 1 when some configuration fits and 0 otherwise.  Child order does
+    not matter, so callers pass the child sets sorted.
+    """
+
+    def __init__(self, problem: LclProblem):
+        self.configs = [Counter(c.labels) for c in problem.vertex_configs]
+        self.partners = [
+            sum(1 << m for m in range(problem.num_labels) if problem.edge_ok(m, b))
+            for b in range(problem.num_labels)
+        ]
+        self.memo: dict[tuple, int] = {}
+        self.kid_ok_memo: dict[int, int] = {}
+
+    def kid_ok(self, child_ups: int) -> int:
+        """Labels this side of an edge may take, given the child's label mask."""
+        ok = self.kid_ok_memo.get(child_ups)
+        if ok is None:
+            ok = 0
+            for b, partners in enumerate(self.partners):
+                if child_ups >> b & 1:
+                    ok |= partners
+            self.kid_ok_memo[child_ups] = ok
+        return ok
+
+    def __call__(
+        self,
+        kid_ok: tuple[int, ...],
+        want: Optional[tuple[int, ...]],
+        need: tuple[int, ...],
+        is_root: bool,
+    ) -> int:
+        key = (kid_ok, want, need, is_root)
+        ups = self.memo.get(key)
+        if ups is None:
+            ups = self._compute(kid_ok, want, need, is_root)
+            self.memo[key] = ups
+        return ups
+
+    def _compute(self, kid_ok, want, need, is_root) -> int:
+        choices = [
+            [m for m in range(mask.bit_length()) if mask >> m & 1] for mask in kid_ok
+        ]
+        want_c = Counter(want) if want is not None else None
+        need_c = Counter(need)
+        ups = 0
+        for config in self.configs:
+            pool = Counter(config)
+            if is_root:
+                if _assign_children(pool, choices, 0, want_c, need_c):
+                    return 1
                 continue
-            if any(fits(c, up) for c in problem.vertex_configs):
-                ok.add(up)
-        feasible_up[v] = ok
-    raise AssertionError("root must terminate the walk")
+            for up in config:
+                if ups >> up & 1:
+                    continue
+                pool[up] -= 1
+                if _assign_children(pool, choices, 0, want_c, need_c):
+                    ups |= 1 << up
+                pool[up] += 1
+        return ups
 
 
 def _contains(big: Counter, small: Counter) -> bool:
@@ -211,40 +277,25 @@ def _contains(big: Counter, small: Counter) -> bool:
 
 def _assign_children(
     pool: Counter,
-    kid_ok: list[set[int]],
-    forced: list[Optional[int]],
+    choices: list[list[int]],
     j: int,
     want_virtual: Optional[Counter],
     need_virtual: Counter,
 ) -> bool:
     """Give each child edge a label from pool; leftovers are the virtuals."""
-    if j == len(kid_ok):
+    if j == len(choices):
         leftover = +pool
         if want_virtual is not None:
             return leftover == want_virtual
         return _contains(leftover, need_virtual)
-    choices = [forced[j]] if forced[j] is not None else sorted(kid_ok[j])
-    for m in choices:
-        if pool[m] > 0 and m in kid_ok[j]:
+    for m in choices[j]:
+        if pool[m] > 0:
             pool[m] -= 1
-            if _assign_children(pool, kid_ok, forced, j + 1, want_virtual, need_virtual):
+            if _assign_children(pool, choices, j + 1, want_virtual, need_virtual):
                 pool[m] += 1
                 return True
             pool[m] += 1
     return False
-
-
-def _bfs_orientation(
-    tree: PortTree, root: int
-) -> tuple[list[int], dict[int, Optional[int]]]:
-    order = [root]
-    parent: dict[int, Optional[int]] = {root: None}
-    for v in order:
-        for u in tree.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    return order, parent
 
 
 # --- concatenation ----------------------------------------------------------------

@@ -260,6 +260,7 @@ class SubsetSearchResult:
     ell: Optional[int]
     exhaustive: bool
     subsets_examined: int
+    certificate: Optional[PeriodicityCertificate] = None  # the found subset's
 
 
 def find_ell_full_set(problem: LclProblem, max_subsets: int = 4096) -> SubsetSearchResult:
@@ -281,7 +282,9 @@ def find_ell_full_set(problem: LclProblem, max_subsets: int = 4096) -> SubsetSea
             graph = build_state_graph(problem, combo)
             ell = _minimal_ell(graph)
             if ell is not None:
-                return SubsetSearchResult(tuple(combo), ell, True, examined)
+                return SubsetSearchResult(
+                    tuple(combo), ell, True, examined, graph.certificate()
+                )
     return SubsetSearchResult(None, None, True, examined)
 
 
@@ -360,12 +363,17 @@ class ClassificationReport:
 def classify(problem: LclProblem, max_subsets: int = 4096) -> ClassificationReport:
     result = find_ell_full_set(problem, max_subsets)
     if result.subset is not None:
-        cert = build_state_graph(problem, result.subset).certificate()
         names = tuple(
             tuple(problem.name_of(x) for x in c) for c in result.subset
         )
         return ClassificationReport(
-            VERDICT_LOGN, names, result.ell, cert, True, result.subsets_examined, max_subsets
+            VERDICT_LOGN,
+            names,
+            result.ell,
+            result.certificate,
+            True,
+            result.subsets_examined,
+            max_subsets,
         )
     verdict = VERDICT_NOT if result.exhaustive else VERDICT_INCONCLUSIVE
     return ClassificationReport(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .problems import InternalError
 from .trees import PortTree
 
 
@@ -132,7 +133,8 @@ class _Residual:
             if len(comp) == 1:
                 comps.append([v])
                 continue
-            assert len(ends) == 2, "degree-<=2 component in a tree must be a path"
+            if len(ends) != 2:
+                raise InternalError("degree-<=2 component in a tree must be a path")
             cur, prev = min(ends), None
             ordered = []
             while cur is not None:
@@ -143,7 +145,8 @@ class _Residual:
                         nxt = u
                         break
                 prev, cur = cur, nxt
-            assert len(ordered) == len(comp)
+            if len(ordered) != len(comp):
+                raise InternalError("degree-<=2 component in a tree must be a path")
             comps.append(ordered)
         return comps
 

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .pathstates import extend_path
-from .problems import HalfEdgeLabeling, LclProblem, VertexConfig
+from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
 from .rakecompress import (
     LayeredDecomposition,
     decompose,
     post_process,
     simulated_rounds,
 )
-from .trees import PortTree, ball, distances_from
+from .trees import PortTree, ball, bfs_tree, distances_from
 
 class NotEllFullError(Exception):
     """Carries a concrete counterexample to the subset being ell-full."""
@@ -159,7 +159,8 @@ class _Assigner:
             self.place(v, {before: wports[0], after: wports[1]}, config)
 
     def result(self) -> HalfEdgeLabeling:
-        assert all(row is not None for row in self.ports)
+        if any(row is None for row in self.ports):
+            raise InternalError("a vertex was left unlabeled")
         return HalfEdgeLabeling(tuple(tuple(row) for row in self.ports))
 
 
@@ -168,7 +169,8 @@ def _ordered_path(tree: PortTree, comp: frozenset[int]) -> list[int]:
     if len(comp) == 1:
         return list(comp)
     ends = [v for v in comp if sum(1 for u in tree.neighbors(v) if u in comp) == 1]
-    assert len(ends) == 2, "compress component must be a path"
+    if len(ends) != 2:
+        raise InternalError("compress component must be a path")
     cur, prev = min(ends), None
     out = []
     while cur is not None:
@@ -179,7 +181,8 @@ def _ordered_path(tree: PortTree, comp: frozenset[int]) -> list[int]:
                 nxt = u
                 break
         prev, cur = cur, nxt
-    assert len(out) == len(comp)
+    if len(out) != len(comp):
+        raise InternalError("compress component must be a path")
     return out
 
 
@@ -235,7 +238,8 @@ def solve_on_decomposition(
         if kind == "R":
             for v in sorted(verts):
                 done = [u for u in tree.neighbors(v) if asg.labeled(u)]
-                assert len(done) <= 1, "rake vertex sees several labeled neighbors"
+                if len(done) > 1:
+                    raise InternalError("rake vertex sees several labeled neighbors")
                 if done:
                     asg.place_answering(v, done[0])
                 else:
@@ -250,10 +254,15 @@ def solve_on_decomposition(
                     for u in tree.neighbors(v)
                     if u not in in_comp and asg.labeled(u)
                 ]
-                assert len(contacts) == 2, (
-                    "compress block must touch exactly two labeled vertices"
-                )
-                assert contacts[0][0] == comp[0] and contacts[-1][0] == comp[-1]
+                if (
+                    len(contacts) != 2
+                    or contacts[0][0] != comp[0]
+                    or contacts[-1][0] != comp[-1]
+                ):
+                    raise InternalError(
+                        "compress block must touch exactly two labeled vertices, "
+                        "one at each end"
+                    )
                 asg.fill_path(contacts[0][1], comp, contacts[1][1])
     return asg.result()
 
@@ -461,7 +470,18 @@ def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
                 contacts.append((v, b))
     if len(contacts) <= 1:
         root = contacts[0][0] if contacts else min(comp)
-        order, parent = _bfs(tree, comp, [root])
+    else:
+        # two or more finished pieces touch this component: reserve an
+        # ell-segment behind each contact and fill those by path witnesses,
+        # greedy elsewhere
+        mindist = _bfs_dist(tree, comp, [v for v, _ in contacts])
+        root = max(comp, key=lambda v: (mindist[v], -v))
+        if mindist[root] < ell:
+            raise InternalError("q-gap should leave room for every reservation")
+    order, parent = bfs_tree(tree, [root], comp)
+    if len(order) != len(comp):
+        raise InternalError("region component must be connected")
+    if len(contacts) <= 1:
         for v in order:
             if v == root:
                 if contacts:
@@ -472,13 +492,6 @@ def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
                 asg.place_answering(v, parent[v])
         return
 
-    # two or more finished pieces touch this component: reserve an ell-segment
-    # behind each contact and fill those by path witnesses, greedy elsewhere
-    sources = [v for v, _ in contacts]
-    mindist = _bfs_dist(tree, comp, sources)
-    root = max(comp, key=lambda v: (mindist[v], -v))
-    assert mindist[root] >= ell, "q-gap should leave room for every reservation"
-    order, parent = _bfs(tree, comp, [root])
     segment_of: dict[int, int] = {}
     segments: list[list[int]] = []
     for i, (v, _b) in enumerate(contacts):
@@ -486,9 +499,9 @@ def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
         while len(seg) < ell:
             seg.append(parent[seg[-1]])
         for x in seg:
-            assert x not in segment_of, "reserved segments must not overlap"
+            if x in segment_of or x == root:
+                raise InternalError("reserved segments must not overlap or hold the root")
             segment_of[x] = i
-        assert root not in seg
         segments.append(seg)
     for v in order:
         if asg.labeled(v):
@@ -503,25 +516,9 @@ def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
             seg = segments[i]
             # v is the segment vertex nearest the root, so its parent is done
             path = list(reversed(seg))
-            assert path[0] == v and asg.labeled(parent[v])
+            if path[0] != v or not asg.labeled(parent[v]):
+                raise InternalError("a reserved segment must hang off a labeled vertex")
             asg.fill_path(parent[v], path, contacts[i][1])
-
-
-def _bfs(tree: PortTree, comp: set[int], roots: list[int]) -> tuple[list[int], dict[int, int]]:
-    order = []
-    parent: dict[int, int] = {}
-    seen = set(roots)
-    queue = deque(roots)
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for u in tree.neighbors(v):
-            if u in comp and u not in seen:
-                seen.add(u)
-                parent[u] = v
-                queue.append(u)
-    assert seen == comp
-    return order, parent
 
 
 def _bfs_dist(tree: PortTree, comp: set[int], sources: list[int]) -> dict[int, int]:

@@ -10,7 +10,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 PortTarget = Optional[tuple[int, int]]  # (neighbor, neighbor's port) or None
 
@@ -181,6 +181,24 @@ def distances_from(tree: PortTree, v: int) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def bfs_tree(
+    tree: PortTree, roots: Iterable[int], within: Optional[Collection[int]] = None
+) -> tuple[list[int], dict[int, Optional[int]]]:
+    """Breadth-first order from roots, and the vertex each was reached from.
+
+    Roots map to None.  With within given, the walk stays inside that vertex
+    set; the caller checks that it reached all of it.
+    """
+    parent: dict[int, Optional[int]] = dict.fromkeys(roots)
+    order = list(parent)
+    for v in order:
+        for u in tree.neighbors(v):
+            if u not in parent and (within is None or u in within):
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def distance(tree: PortTree, u: int, v: int) -> int:

@@ -1,9 +1,10 @@
-"""Poled-tree extendability tables: the bottom-up builder against an
-exhaustive labeling enumerator, concatenation, replacement splicing,
-pumping decompositions, and the sampled class census."""
+"""Poled-tree extendability tables: the one-pass builder against an
+exhaustive labeling enumerator and a per-interface tree DP, concatenation,
+replacement splicing, pumping decompositions, and the sampled class census."""
 
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,12 @@ from lcltrees.equivalence import (
     h_table,
     pumping_decompose,
 )
-from lcltrees.fixtures import perfect_matching, three_coloring, two_coloring
+from lcltrees.fixtures import (
+    perfect_matching,
+    random_problem,
+    three_coloring,
+    two_coloring,
+)
 from lcltrees.trees import TreeBuilder, TreeGenSpec, gen_tree
 
 from conftest import path_tree, star_tree
@@ -112,6 +118,99 @@ def brute_table(problem, poled):
     return HTable(problem.num_labels, poled.arities(), bits)
 
 
+# --- reference: one tree DP per interface tuple -----------------------------------
+
+
+def reference_table(problem, poled):
+    """Table built by a full-tree DP for every interface tuple in turn."""
+    shape = HTable(problem.num_labels, poled.arities(), 0)
+    bits = 0
+    for idx, interfaces in enumerate(shape.interface_space()):
+        if reference_extendable(problem, poled, interfaces):
+            bits |= 1 << idx
+    return HTable(problem.num_labels, poled.arities(), bits)
+
+
+def reference_extendable(problem, poled, interfaces):
+    """One DP pass rooted at the first pole: can the whole tree be labeled?"""
+    tree = poled.tree
+    root = poled.poles[0]
+    pole_of = {v: i for i, v in enumerate(poled.poles)}
+    fixed_at = {}
+    for v, p, lab in poled.fixed:
+        fixed_at.setdefault(v, []).append((p, lab))
+    order = [root]
+    parent = {root: None}
+    for v in order:
+        for u in tree.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    children = {v: [u for u in order if parent[u] == v] for v in order}
+
+    def contains(big, small):
+        return all(big[k] >= n for k, n in small.items())
+
+    def assign(pool, kid_ok, forced, j, want, need):
+        if j == len(kid_ok):
+            leftover = +pool
+            return leftover == want if want is not None else contains(leftover, need)
+        choices = [forced[j]] if forced[j] is not None else sorted(kid_ok[j])
+        for m in choices:
+            if pool[m] > 0 and m in kid_ok[j]:
+                pool[m] -= 1
+                found = assign(pool, kid_ok, forced, j + 1, want, need)
+                pool[m] += 1
+                if found:
+                    return True
+        return False
+
+    feasible_up = {}
+    for v in reversed(order):
+        kids = children[v]
+        kid_ok = [
+            {m for m in range(problem.num_labels)
+             if any(problem.edge_ok(m, b) for b in feasible_up[c])}
+            for c in kids
+        ]
+        forced_kid = [None] * len(kids)
+        forced_parent = None
+        fixed_virtual = []
+        for p, lab in fixed_at.get(v, ()):
+            target = tree.ports[v][p]
+            if target is None:
+                fixed_virtual.append(lab)
+            elif target[0] == parent[v]:
+                forced_parent = lab
+            else:
+                forced_kid[kids.index(target[0])] = lab
+        want = Counter(interfaces[pole_of[v]]) if v in pole_of else None
+        need = Counter(fixed_virtual)
+        if want is not None and not contains(want, need):
+            if v == root:
+                return False
+            feasible_up[v] = set()
+            continue
+
+        def fits(labels, up):
+            pool = Counter(labels)
+            if up is not None:
+                if pool[up] == 0:
+                    return False
+                pool[up] -= 1
+            return assign(pool, kid_ok, forced_kid, 0, want, need)
+
+        if v == root:
+            return any(fits(c.labels, None) for c in problem.vertex_configs)
+        feasible_up[v] = {
+            up
+            for up in range(problem.num_labels)
+            if forced_parent in (None, up)
+            and any(fits(c.labels, up) for c in problem.vertex_configs)
+        }
+    raise AssertionError("the root ends the walk")
+
+
 GRID_TREES = [
     ("single", lambda: single_vertex()),
     ("path2", lambda: path_tree(2)),
@@ -152,6 +251,61 @@ def test_table_matches_enumeration_on_random_trees(seed):
         poles = (eligible[0],)
     poled = PoledTree(tree, poles)
     assert h_table(problem, poled) == brute_table(problem, poled)
+
+
+def random_poled_tree(rng):
+    """1-24 vertices, 1-3 poles anywhere eligible, up to 3 fixed ports."""
+    n = rng.randint(1, 24)
+    tree = random_tree(n, seed=rng.randrange(10**6))
+    eligible = [v for v in range(n) if tree.real_degree(v) < tree.delta]
+    poles = tuple(rng.sample(eligible, rng.randint(1, min(3, len(eligible)))))
+    ports = rng.sample([(v, p) for v in range(n) for p in range(tree.delta)], 3)
+    fixed = tuple((v, p, rng.randrange(3)) for v, p in ports[: rng.randint(0, 3)])
+    return PoledTree(tree, poles, fixed)
+
+
+def test_one_pass_table_matches_the_per_interface_dp():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for seed in range(60):
+        problem = random_problem(seed, num_labels=3, max_vertex_configs=6)
+        for _ in range(3):
+            poled = random_poled_tree(rng)
+            table = h_table(problem, poled)
+            assert table == reference_table(problem, poled), (seed, poled)
+            if poled.tree.n <= 4:  # enumeration grows too fast beyond
+                assert table == brute_table(problem, poled), (seed, poled)
+            tree = poled.tree
+            seen["interior pole"] += any(tree.real_degree(v) >= 2 for v in poled.poles)
+            seen["poles=3"] += len(poled.poles) == 3
+            seen["fixed real"] += any(tree.ports[v][p] for v, p, _ in poled.fixed)
+            seen["fixed virtual at a pole"] += any(
+                tree.ports[v][p] is None and v in poled.poles for v, p, _ in poled.fixed
+            )
+            seen["some yes, some no"] += 0 < table.bits < (1 << len(table.interface_space())) - 1
+    # the sweep must reach every case it is meant to cover
+    assert min(seen.values()) >= 5, seen
+    assert len(seen) == 5, seen
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["root-pole", "other-pole"])
+def test_pole_interface_contradicting_a_fixed_virtual_label(coloring3, at):
+    tree = path_tree(3)
+    poles = (0, 2)
+    pole = poles[at]
+    spare = [p for p in range(3) if tree.ports[pole][p] is None]
+    poled = PoledTree(tree, poles, fixed=((pole, spare[0], 1),))
+    table = h_table(coloring3, poled)
+    assert table == reference_table(coloring3, poled)
+    assert table == brute_table(coloring3, poled)
+    # a colouring vertex is monochrome, so the pinned pole shows (1, 1) only;
+    # the middle vertex avoids 1, and the other pole takes any colour
+    want = set()
+    for c in range(3):
+        pair = [(c, c), (c, c)]
+        pair[at] = (1, 1)
+        want.add(tuple(pair))
+    assert set(table.yes_interfaces()) == want
 
 
 # --- frozen small tables -----------------------------------------------------------
@@ -480,9 +634,10 @@ def test_pumping_works_on_mixed_piece_lists(matching):
 # --- census -------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("max_size", [12, 20])
 @pytest.mark.parametrize("make_problem", FIXTURES)
-def test_census_saturates_on_three_rooted_classes(make_problem):
-    report = class_census(make_problem(), max_size=12, seed=0, samples_per_size=5)
+def test_census_saturates_on_three_rooted_classes(make_problem, max_size):
+    report = class_census(make_problem(), max_size=max_size, seed=0, samples_per_size=5)
     assert report.class1_count == 3
     assert report.class2_count == 4
     assert report.ell_pump_bound == 5

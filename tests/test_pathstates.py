@@ -274,6 +274,29 @@ def test_extend_path_raises_when_backtrack_breaks_the_step_relation(matching, mo
         extend_path(matching, [MUU], 0, MUU, 0, MUU, 5)
 
 
+def test_classify_builds_one_state_graph_per_examined_subset(monkeypatch):
+    built = []
+    build = pathstates.build_state_graph
+
+    def counting(problem, subset):
+        built.append(tuple(subset))
+        return build(problem, subset)
+
+    monkeypatch.setattr(pathstates, "build_state_graph", counting)
+    problems = [three_coloring(), two_coloring(), perfect_matching()]
+    problems += [random_problem(seed) for seed in range(20)]
+    verdicts = set()
+    for problem in problems:
+        built.clear()
+        report = classify(problem)
+        verdicts.add(report.verdict)
+        assert len(built) == report.subsets_examined
+        if report.verdict == VERDICT_LOGN:
+            # the certificate is the found subset's, built once during the search
+            assert report.certificate == build(problem, built[-1]).certificate()
+    assert verdicts == {VERDICT_LOGN, VERDICT_NOT}
+
+
 def test_classify_three_coloring_report(coloring3):
     report = classify(coloring3)
     assert report.verdict == VERDICT_LOGN

@@ -2,7 +2,11 @@
 refutations, rounds accounting, and the toast extension algorithm."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from lcltrees.fixtures import random_problem, three_coloring, two_coloring
 from lcltrees.oracle import brute_force_connects, brute_force_solve
 from lcltrees.problems import (
     EdgeConfig,
+    InternalError,
     Label,
     LclProblem,
     VertexConfig,
@@ -18,6 +23,7 @@ from lcltrees.problems import (
 from lcltrees.rakecompress import decompose, post_process
 from lcltrees.solver import (
     NotEllFullError,
+    _ordered_path,
     Toast,
     build_partner_table,
     build_toast,
@@ -385,3 +391,30 @@ def test_solve_toast_generated_sweep(matching, coloring3):
         assert_solved(problem, tree, labeling, full_subset(problem))
         solved += 1
     assert seed < 200
+
+
+def test_ordered_path_on_a_star_raises_internal_error():
+    star = star_tree(4)
+    with pytest.raises(InternalError, match="must be a path"):
+        _ordered_path(star, frozenset(range(star.n)))
+
+
+def test_ordered_path_raises_under_python_O():
+    # a plain assert would vanish under -O and hand back a partial path
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from lcltrees.problems import InternalError\n"
+        "from lcltrees.solver import _ordered_path\n"
+        "from lcltrees.trees import TreeGenSpec, gen_tree\n"
+        "star = gen_tree(TreeGenSpec(n=4, delta=3, seed=0, model='star'))\n"
+        "try:\n"
+        "    _ordered_path(star, frozenset(range(4)))\n"
+        "except InternalError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

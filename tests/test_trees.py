@@ -8,6 +8,7 @@ from lcltrees.trees import (
     TreeFormatError,
     TreeGenSpec,
     ball,
+    bfs_tree,
     distance,
     gen_tree,
     parse_tree,
@@ -78,6 +79,19 @@ def test_distance_and_ball():
     assert distance(t, 2, 2) == 0
     assert ball(t, 2, 1) == frozenset({1, 2, 3})
     assert ball(t, 0, 10) == frozenset(range(6))
+
+
+def test_bfs_tree_orders_by_distance_and_records_parents():
+    t = path_tree(5)
+    order, parent = bfs_tree(t, [2])
+    assert order == [2, 1, 3, 0, 4]
+    assert parent == {2: None, 1: 2, 3: 2, 0: 1, 4: 3}
+    # confined to a vertex set, the walk stops at its edge
+    order, parent = bfs_tree(t, [3], within={2, 3, 4})
+    assert order == [3, 2, 4]
+    assert parent == {3: None, 2: 3, 4: 3}
+    order, _ = bfs_tree(star_tree(4), [1, 2])
+    assert order == [1, 2, 0, 3]
 
 
 def test_tree_roundtrip():
