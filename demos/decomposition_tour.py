@@ -7,11 +7,11 @@ two already-labeled anchors.  Depth tracks log(n), which is the whole point.
 """
 import math
 
-from lcltrees import TreeGenSpec, check_layered_invariants, decompose, gen_tree, post_process
+from lcltrees import TreeGenSpec, check_layered_invariants, gen_tree, post_process
 
 
 def dump(name, tree, ell_prime):
-    decomp = post_process(decompose(tree, 1, ell_prime), ell_prime)
+    decomp = post_process(tree, ell_prime)
     print(f"--- {name}, ell' = {ell_prime} ---")
     for i, layer in enumerate(decomp.rake_layers, start=1):
         print(f"  rake {i}:     {sorted(layer)}")
@@ -30,10 +30,7 @@ def main():
     for k in range(6, 14):
         n = 2**k
         depths = [
-            post_process(
-                decompose(gen_tree(TreeGenSpec(n, 3, s)), 1, 2), 2
-            ).depth
-            for s in range(10)
+            post_process(gen_tree(TreeGenSpec(n, 3, s)), 2).depth for s in range(10)
         ]
         mean = sum(depths) / len(depths)
         print(f"  n = {n:6d}: mean depth {mean:5.1f}   (4*log2 n + 4 = {4 * math.log2(n) + 4:.0f})")

@@ -8,7 +8,6 @@ graph between their two labeled anchors.
 from lcltrees import (
     TreeGenSpec,
     classify,
-    decompose,
     gen_tree,
     is_valid_labeling,
     post_process,
@@ -37,7 +36,7 @@ def main():
     print(f"{matched // 2} real matched edges; the rest lean on virtual ports")
 
     ell_prime = max(1, report.minimal_ell - 2)
-    decomp = post_process(decompose(tree, 1, ell_prime), ell_prime)
+    decomp = post_process(tree, ell_prime)
     print(round_report(problem, tree, decomp).describe())
 
 

@@ -81,8 +81,8 @@ def load_problem(source: str) -> LclProblem:
 def load_subset(path: str, problem: LclProblem) -> tuple[VertexConfig, ...]:
     """Subset file: JSON array of size-delta arrays of label names."""
     doc = json.loads(_read(path))
-    if not isinstance(doc, list) or not doc:
-        raise ValueError("subset file must be a nonempty JSON array")
+    if not isinstance(doc, list) or not doc or any(not isinstance(r, list) for r in doc):
+        raise ValueError("subset file must be a nonempty JSON array of label-name arrays")
     return tuple(_config_of_names(row, problem) for row in doc)
 
 

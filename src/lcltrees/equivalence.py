@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
 
 from .problems import LclProblem
-from .trees import PortTree, TreeBuilder, TreeGenSpec, bfs_tree, gen_tree
+from .trees import PortTree, TreeBuilder, TreeGenSpec, bfs_tree, components, gen_tree
 
 
 @lru_cache(maxsize=None)
@@ -406,14 +406,7 @@ def _splice(
     inside_deg = {
         v: sum(1 for w in tree.neighbors(v) if w in u_set) for v in u_set
     }
-    reached = {min(u_set)}
-    stack = [min(u_set)]
-    while stack:
-        for w in tree.neighbors(stack.pop()):
-            if w in u_set and w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if reached != u_set:
+    if len(components(tree, u_set)) > 1:
         raise ValueError("u must induce a connected subtree")
     boundary = [
         (v, w)

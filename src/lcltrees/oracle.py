@@ -6,13 +6,18 @@ with an explicit UNKNOWN when a budget runs out instead of guessing.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Union
 
-from .problems import HalfEdgeLabeling, LclProblem, VertexConfig, is_valid_labeling
-from .trees import PortTree
+from .problems import (
+    HalfEdgeLabeling,
+    InternalError,
+    LclProblem,
+    VertexConfig,
+    is_valid_labeling,
+)
+from .trees import PortTree, bfs_tree
 
 
 class _Unknown:
@@ -76,16 +81,7 @@ def brute_force_solve(
 
     # BFS order guarantees each later vertex has exactly one earlier neighbor,
     # so pruning only ever needs the edge back to it.
-    order = []
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for u in tree.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
+    order, _ = bfs_tree(tree, [0])
 
     assigned: dict[int, tuple[int, ...]] = {}
     counter = _Counter(budget.max_steps)
@@ -119,8 +115,8 @@ def brute_force_solve(
         return OracleResult("unknown")
     if labeling is None:
         return OracleResult("none")
-    report = is_valid_labeling(problem, tree, labeling)
-    assert report.ok, "oracle produced an invalid labeling"
+    if not is_valid_labeling(problem, tree, labeling).ok:
+        raise InternalError("oracle produced an invalid labeling")
     return OracleResult("found", labeling)
 
 

@@ -258,6 +258,9 @@ def parse_problem(text: str) -> LclProblem:
             raise ProblemFormatError(f"{where}: unknown label {s!r}")
         return by_name[s]
 
+    for key in ("vertex_configs", "edge_configs"):
+        if not isinstance(doc[key], list):
+            raise ProblemFormatError(f"{key} must be a list")
     vcfgs = set()
     for row in doc["vertex_configs"]:
         if not isinstance(row, list) or len(row) != delta:

@@ -2,8 +2,9 @@
 
 Rake removes leaves and isolated vertices; compress removes runs (components
 of the residual degree-<=2 subgraph) of at least ell vertices.  decompose
-records that process verbatim.  post_process re-runs it with gamma=1 and
-three extra rules so the layer structure supports sequential labeling:
+records that process verbatim.  post_process runs it on its own, with one
+rake per layer, compress runs of at least ell' vertices, and three extra
+rules so the layer structure supports sequential labeling:
 
   * of two adjacent rake candidates the higher id waits one layer, so rake
     layers are independent sets;
@@ -15,11 +16,10 @@ three extra rules so the layer structure supports sequential labeling:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .problems import InternalError
-from .trees import PortTree
+from .trees import PortTree, components, ordered_path
 
 
 @dataclass(frozen=True)
@@ -48,34 +48,35 @@ class LayeredDecomposition:
     ell_prime: int
     rake_layers: tuple[frozenset[int], ...]
     compress_layers: tuple[frozenset[int], ...]
+    # vertex -> rank: 2i-1 in rake layer R_i, 2i in compress layer C_i
+    _rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.compress_layers) != len(self.rake_layers) - 1:
             raise ValueError("expected one fewer compress layer than rake layers")
-        seen: set[int] = set()
-        for layer in (*self.rake_layers, *self.compress_layers):
-            if seen & layer:
-                raise ValueError("layers overlap")
-            seen |= layer
-        if seen != set(range(self.tree.n)):
+        rank: dict[int, int] = {}
+        for first, layers in ((1, self.rake_layers), (2, self.compress_layers)):
+            for i, layer in enumerate(layers):
+                for v in layer:
+                    if v in rank:
+                        raise ValueError("layers overlap")
+                    rank[v] = first + 2 * i
+        if rank.keys() != set(range(self.tree.n)):
             raise ValueError("layers do not partition the tree's vertices")
+        object.__setattr__(self, "_rank", rank)
 
     @property
     def depth(self) -> int:
         return len(self.rake_layers)
 
     def layer_of(self, v: int) -> tuple[str, int]:
-        for i, layer in enumerate(self.rake_layers, start=1):
-            if v in layer:
-                return ("R", i)
-        for i, layer in enumerate(self.compress_layers, start=1):
-            if v in layer:
-                return ("C", i)
-        raise ValueError(f"vertex {v} in no layer")
+        r = self.rank_of(v)
+        return ("R", (r + 1) // 2) if r % 2 else ("C", r // 2)
 
     def rank_of(self, v: int) -> int:
-        kind, i = self.layer_of(v)
-        return 2 * i - 1 if kind == "R" else 2 * i
+        if v not in self._rank:
+            raise ValueError(f"vertex {v} in no layer")
+        return self._rank[v]
 
     def labeling_order(self) -> Iterator[tuple[str, int, frozenset[int]]]:
         """Layers from last removed to first: R_L, C_{L-1}, R_{L-1}, ..., R_1."""
@@ -115,40 +116,7 @@ class _Residual:
         """Components of the degree-<=2 residual subgraph, each ordered as a
         path starting from its smaller-id endpoint."""
         pool = self.low_degree(2)
-        comps = []
-        visited: set[int] = set()
-        for v in sorted(pool):
-            if v in visited:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for u in self.alive_neighbors(x):
-                    if u in pool and u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            visited |= comp
-            ends = [x for x in comp if sum(1 for u in self.alive_neighbors(x) if u in comp) <= 1]
-            if len(comp) == 1:
-                comps.append([v])
-                continue
-            if len(ends) != 2:
-                raise InternalError("degree-<=2 component in a tree must be a path")
-            cur, prev = min(ends), None
-            ordered = []
-            while cur is not None:
-                ordered.append(cur)
-                nxt = None
-                for u in self.alive_neighbors(cur):
-                    if u in comp and u != prev:
-                        nxt = u
-                        break
-                prev, cur = cur, nxt
-            if len(ordered) != len(comp):
-                raise InternalError("degree-<=2 component in a tree must be a path")
-            comps.append(ordered)
-        return comps
+        return [ordered_path(self.tree, c) for c in components(self.tree, pool)]
 
 
 def decompose(tree: PortTree, gamma: int, ell: int) -> RawDecomposition:
@@ -185,13 +153,10 @@ def decompose(tree: PortTree, gamma: int, ell: int) -> RawDecomposition:
     return RawDecomposition(tree, gamma, ell, tuple(layers), depth)
 
 
-def post_process(raw: RawDecomposition, ell_prime: int) -> LayeredDecomposition:
+def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
     """Layered decomposition satisfying the solver's three invariants."""
-    if raw.gamma != 1:
-        raise ValueError("post-processing expects a gamma=1 decomposition")
-    if raw.ell != ell_prime:
-        raise ValueError(f"raw decomposition used ell={raw.ell}, not {ell_prime}")
-    tree = raw.tree
+    if ell_prime < 1:
+        raise ValueError("ell_prime must be positive")
     res = _Residual(tree)
     rake_layers: list[frozenset[int]] = []
     compress_layers: list[frozenset[int]] = []
@@ -248,9 +213,7 @@ def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
     """Empty list when all three structural invariants hold."""
     tree = decomp.tree
     bad: list[str] = []
-    rank = {}
-    for v in range(tree.n):
-        rank[v] = decomp.rank_of(v)
+    rank = decomp._rank
 
     for i, layer in enumerate(decomp.rake_layers, start=1):
         for v in layer:
@@ -263,7 +226,7 @@ def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
 
     lo, hi = decomp.ell_prime, 2 * decomp.ell_prime
     for i, layer in enumerate(decomp.compress_layers, start=1):
-        for comp in _components(tree, layer):
+        for comp in map(set, components(tree, layer)):
             k = len(comp)
             inner_deg = {v: sum(1 for u in tree.neighbors(v) if u in comp) for v in comp}
             if any(d > 2 for d in inner_deg.values()) or sum(
@@ -302,21 +265,3 @@ def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
                     f"neighbors attach to the same endpoint"
                 )
     return bad
-
-
-def _components(tree: PortTree, vertices: frozenset[int]) -> list[set[int]]:
-    comps = []
-    left = set(vertices)
-    while left:
-        v = left.pop()
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for u in tree.neighbors(x):
-                if u in left:
-                    left.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-    return comps

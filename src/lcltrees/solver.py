@@ -11,19 +11,15 @@ ell-full, and both only ever read the subset, never the full config list.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .pathstates import extend_path
 from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
-from .rakecompress import (
-    LayeredDecomposition,
-    decompose,
-    post_process,
-    simulated_rounds,
-)
-from .trees import PortTree, ball, bfs_tree, distances_from
+from .rakecompress import LayeredDecomposition, post_process, simulated_rounds
+# unused here; kept because bench/worker.py wraps solver.decompose when tracing
+from .rakecompress import decompose  # noqa: F401
+from .trees import PortTree, ball, bfs_tree, components, distances, ordered_path
 
 class NotEllFullError(Exception):
     """Carries a concrete counterexample to the subset being ell-full."""
@@ -164,49 +160,6 @@ class _Assigner:
         return HalfEdgeLabeling(tuple(tuple(row) for row in self.ports))
 
 
-def _ordered_path(tree: PortTree, comp: frozenset[int]) -> list[int]:
-    """Order a path-shaped vertex set from its smaller-id endpoint."""
-    if len(comp) == 1:
-        return list(comp)
-    ends = [v for v in comp if sum(1 for u in tree.neighbors(v) if u in comp) == 1]
-    if len(ends) != 2:
-        raise InternalError("compress component must be a path")
-    cur, prev = min(ends), None
-    out = []
-    while cur is not None:
-        out.append(cur)
-        nxt = None
-        for u in tree.neighbors(cur):
-            if u in comp and u != prev:
-                nxt = u
-                break
-        prev, cur = cur, nxt
-    if len(out) != len(comp):
-        raise InternalError("compress component must be a path")
-    return out
-
-
-def _layer_components(tree: PortTree, layer: frozenset[int]) -> list[list[int]]:
-    """Path components of the layer, ordered by their smallest vertex."""
-    comps = []
-    left = set(layer)
-    for seed in sorted(layer):
-        if seed not in left:
-            continue
-        comp = {seed}
-        stack = [seed]
-        left.discard(seed)
-        while stack:
-            x = stack.pop()
-            for u in tree.neighbors(x):
-                if u in left:
-                    left.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(_ordered_path(tree, frozenset(comp)))
-    return comps
-
-
 def solve_log(
     problem: LclProblem,
     subset: Iterable[VertexConfig],
@@ -222,7 +175,7 @@ def solve_log(
     """
     cfgs = _check_solver_inputs(problem, subset, ell, tree)
     ell_prime = max(1, ell - 2)
-    decomp = post_process(decompose(tree, 1, ell_prime), ell_prime)
+    decomp = post_process(tree, ell_prime)
     return solve_on_decomposition(problem, cfgs, decomp)
 
 
@@ -245,7 +198,7 @@ def solve_on_decomposition(
                 else:
                     asg.place_free(v)
         else:
-            for comp in _layer_components(tree, verts):
+            for comp in (ordered_path(tree, c) for c in components(tree, verts)):
                 in_comp = set(comp)
                 ends = [comp[0]] if len(comp) == 1 else [comp[0], comp[-1]]
                 contacts = [
@@ -335,17 +288,7 @@ def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
     if len(set(pieces)) != len(pieces):
         bad.append("duplicate piece")
     for idx, piece in enumerate(pieces):
-        left = set(piece)
-        seed = min(left)
-        stack = [seed]
-        left.discard(seed)
-        while stack:
-            x = stack.pop()
-            for u in tree.neighbors(x):
-                if u in left:
-                    left.discard(u)
-                    stack.append(u)
-        if left:
+        if len(components(tree, piece)) > 1:
             bad.append(f"piece {idx} is disconnected")
     if everything not in pieces:
         bad.append("no piece covers the whole tree, so some pair is uncovered")
@@ -358,28 +301,13 @@ def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
                 continue
             if not boundaries[i] or not boundaries[j]:
                 continue
-            dist = distances_from_set(tree, boundaries[i])
+            dist = distances(tree, boundaries[i])
             gap = min(dist[v] for v in boundaries[j])
             if gap < toast.q:
                 bad.append(
                     f"pieces {i} and {j} have boundary gap {gap}, want >= {toast.q}"
                 )
     return bad
-
-
-def distances_from_set(tree: PortTree, sources: frozenset[int]) -> list[int]:
-    dist = [-1] * tree.n
-    queue = deque()
-    for v in sources:
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in tree.neighbors(v):
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 def build_toast(tree: PortTree, q: int, centers: Iterable[int]) -> Toast:
@@ -416,7 +344,7 @@ def _pieces_clash(
     ba, bb = piece_boundary(tree, a), piece_boundary(tree, b)
     if not ba or not bb:
         return False
-    dist = distances_from_set(tree, bb)
+    dist = distances(tree, bb)
     return min(dist[v] for v in ba) < q
 
 
@@ -441,24 +369,10 @@ def solve_toast(
     asg = _Assigner(problem, tree, cfgs)
 
     for piece in sorted(toast.pieces, key=lambda p: (len(p), sorted(p))):
-        region = {v for v in piece if not asg.labeled(v)}
-        while region:
-            comp = _component_of(tree, region, min(region))
-            region -= comp
-            _label_region_component(asg, ell, comp)
+        region = [v for v in piece if not asg.labeled(v)]
+        for comp in components(tree, region):
+            _label_region_component(asg, ell, set(comp))
     return asg.result()
-
-
-def _component_of(tree: PortTree, pool: set[int], seed: int) -> set[int]:
-    comp = {seed}
-    stack = [seed]
-    while stack:
-        x = stack.pop()
-        for u in tree.neighbors(x):
-            if u in pool and u not in comp:
-                comp.add(u)
-                stack.append(u)
-    return comp
 
 
 def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
@@ -474,7 +388,7 @@ def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
         # two or more finished pieces touch this component: reserve an
         # ell-segment behind each contact and fill those by path witnesses,
         # greedy elsewhere
-        mindist = _bfs_dist(tree, comp, [v for v, _ in contacts])
+        mindist = distances(tree, [v for v, _ in contacts], comp)
         root = max(comp, key=lambda v: (mindist[v], -v))
         if mindist[root] < ell:
             raise InternalError("q-gap should leave room for every reservation")
@@ -519,15 +433,3 @@ def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
             if path[0] != v or not asg.labeled(parent[v]):
                 raise InternalError("a reserved segment must hang off a labeled vertex")
             asg.fill_path(parent[v], path, contacts[i][1])
-
-
-def _bfs_dist(tree: PortTree, comp: set[int], sources: list[int]) -> dict[int, int]:
-    dist = {v: 0 for v in sources}
-    queue = deque(sources)
-    while queue:
-        v = queue.popleft()
-        for u in tree.neighbors(v):
-            if u in comp and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Collection, Iterable, Iterator, Optional
 
+from .problems import InternalError
+
 PortTarget = Optional[tuple[int, int]]  # (neighbor, neighbor's port) or None
 
 
@@ -170,19 +172,6 @@ def gen_tree(spec: TreeGenSpec) -> PortTree:
     return b.build()
 
 
-def distances_from(tree: PortTree, v: int) -> list[int]:
-    dist = [-1] * tree.n
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in tree.neighbors(u):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def bfs_tree(
     tree: PortTree, roots: Iterable[int], within: Optional[Collection[int]] = None
 ) -> tuple[list[int], dict[int, Optional[int]]]:
@@ -199,6 +188,55 @@ def bfs_tree(
                 parent[u] = v
                 order.append(u)
     return order, parent
+
+
+def components(tree: PortTree, vertices: Iterable[int]) -> list[list[int]]:
+    """Components of the subgraph the vertices induce, ordered by their
+    smallest vertex; each lists its vertices breadth-first from that one."""
+    left = set(vertices)
+    comps = []
+    for v in sorted(left):
+        if v in left:
+            order, _ = bfs_tree(tree, [v], left)
+            left.difference_update(order)
+            comps.append(order)
+    return comps
+
+
+def ordered_path(tree: PortTree, vertices: Collection[int]) -> list[int]:
+    """The vertices along the path they induce, from its smaller-id endpoint.
+
+    Raises InternalError when they induce no path: callers pass sets that
+    the tree's shape makes paths.
+    """
+    within = set(vertices)
+    order, _ = bfs_tree(tree, [min(within)], within)
+    # the vertex reached last is an endpoint, and a walk from an endpoint
+    # reaches each vertex of a path from the one before it
+    order, parent = bfs_tree(tree, [order[-1]], within)
+    if len(order) != len(within) or any(
+        parent[v] != u for u, v in zip(order, order[1:])
+    ):
+        raise InternalError("vertex set must induce a path")
+    return order if order[0] < order[-1] else order[::-1]
+
+
+def distances(
+    tree: PortTree, sources: Iterable[int], within: Optional[Collection[int]] = None
+) -> dict[int, int]:
+    """Distance from the nearest source to each vertex the walk reaches,
+    staying inside within when it is given."""
+    order, parent = bfs_tree(tree, sources, within)
+    dist: dict[int, int] = {}
+    for v in order:
+        p = parent[v]
+        dist[v] = 0 if p is None else dist[p] + 1
+    return dist
+
+
+def distances_from(tree: PortTree, v: int) -> list[int]:
+    dist = distances(tree, [v])
+    return [dist[u] for u in range(tree.n)]
 
 
 def distance(tree: PortTree, u: int, v: int) -> int:

@@ -20,7 +20,7 @@ from lcltrees.pathstates import (
     verify_periodicity,
 )
 from lcltrees.problems import is_valid_labeling
-from lcltrees.rakecompress import check_layered_invariants, decompose, post_process
+from lcltrees.rakecompress import check_layered_invariants, post_process
 from lcltrees.solver import build_toast, solve_log, solve_toast, verify_toast
 from lcltrees.trees import TreeGenSpec, gen_tree
 
@@ -142,7 +142,7 @@ def test_criterion_5_decomposition_invariants_and_depth():
         delta = rng.choice([3, 4])
         tree = _grown(n, seed=rng.randrange(10**9), delta=delta)
         ell_prime = i % 3 + 1
-        decomp = post_process(decompose(tree, 1, ell_prime), ell_prime)
+        decomp = post_process(tree, ell_prime)
         if check_layered_invariants(decomp):
             bad_invariants += 1
         if decomp.depth > 4 * math.log2(n) + 4:
@@ -154,7 +154,7 @@ def test_criterion_5_decomposition_invariants_and_depth():
         depths = []
         for s in range(10):
             tree = _grown(2**k, seed=s)
-            decomp = post_process(decompose(tree, 1, 2), 2)
+            decomp = post_process(tree, 2)
             depths.append(decomp.depth)
             if decomp.depth > 4 * k + 4:
                 depth_breaks += 1

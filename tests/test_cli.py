@@ -171,6 +171,35 @@ def test_solve_with_explicit_subset_skips_classification(tmp_path, capsys):
     assert "labeling is valid" in out
 
 
+@pytest.mark.parametrize("rows", ["[5]", '["aaa"]'])
+def test_solve_rejects_subset_rows_that_are_not_arrays(tmp_path, capsys, rows):
+    tree = tmp_path / "tree.json"
+    sub = tmp_path / "subset.json"
+    run_cli(capsys, "gen", "--n", "10", "--output", str(tree))
+    sub.write_text(rows)
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--problem", "three-coloring", "--tree", str(tree),
+        "--subset", str(sub), "--ell", "3",
+    )
+    assert code == 2
+    assert "label-name arrays" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("value", ["5", "null", "false", "1.5"])
+def test_classify_rejects_config_lists_that_are_not_arrays(tmp_path, capsys, value):
+    for key in ("vertex_configs", "edge_configs"):
+        doc = {"delta": 3, "labels": ["a"], "vertex_configs": [], "edge_configs": []}
+        doc[key] = json.loads(value)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "classify", "--problem", str(path))
+        assert code == 2
+        assert f"{key} must be a list" in err
+        assert "Traceback" not in out + err
+
+
 def test_solve_requires_subset_and_ell_together(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     run_cli(capsys, "gen", "--n", "10", "--output", str(tree))

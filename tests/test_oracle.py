@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +43,30 @@ def test_solve_empty_vertex_configs_has_no_solution():
         frozenset({EdgeConfig.of(0, 0)}),
     )
     assert brute_force_solve(empty, path_tree(2)) == OracleResult("none")
+
+
+def test_solve_raises_on_an_invalid_result_under_python_O():
+    # the oracle's check of its own answer must survive -O, which strips asserts
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from types import SimpleNamespace\n"
+        "import lcltrees.oracle as oracle\n"
+        "from lcltrees.fixtures import three_coloring\n"
+        "from lcltrees.problems import InternalError\n"
+        "from lcltrees.trees import TreeGenSpec, gen_tree\n"
+        "oracle.is_valid_labeling = lambda *args: SimpleNamespace(ok=False)\n"
+        "path = gen_tree(TreeGenSpec(n=3, delta=3, seed=0, model='path'))\n"
+        "try:\n"
+        "    oracle.brute_force_solve(three_coloring(), path)\n"
+        "except InternalError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_solve_matching_single_vertex(matching):

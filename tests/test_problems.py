@@ -1,5 +1,12 @@
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
@@ -17,7 +24,7 @@ from lcltrees.problems import (
     serialize_problem,
 )
 
-from conftest import path_tree
+from conftest import json_documents, names, path_tree
 
 
 def test_vertex_config_canonical_order():
@@ -128,6 +135,22 @@ def test_parse_problem_reports_position_on_syntax_error():
             '{"delta": 3, "labels": ["a"], "vertex_configs": [], "edge_configs": [["a"]]}',
             "exactly two",
         ),
+        (
+            '{"delta": 3, "labels": ["a"], "vertex_configs": 5, "edge_configs": []}',
+            "vertex_configs must be a list",
+        ),
+        (
+            '{"delta": 3, "labels": ["a"], "vertex_configs": null, "edge_configs": []}',
+            "vertex_configs must be a list",
+        ),
+        (
+            '{"delta": 3, "labels": ["a"], "vertex_configs": [], "edge_configs": false}',
+            "edge_configs must be a list",
+        ),
+        (
+            '{"delta": 3, "labels": ["a"], "vertex_configs": [], "edge_configs": 1.5}',
+            "edge_configs must be a list",
+        ),
     ],
 )
 def test_parse_problem_semantic_errors(text, match):
@@ -195,3 +218,54 @@ def test_labeling_roundtrip(matching):
 def test_parse_labeling_errors(matching, text, match):
     with pytest.raises(ProblemFormatError, match=match):
         parse_labeling(text, matching)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    json_documents(
+        "delta",
+        "labels",
+        "vertex_configs",
+        "edge_configs",
+        delta=st.integers(3, 4),
+        labels=st.lists(names, min_size=1, max_size=3, unique=True),
+        vertex_configs=st.lists(st.lists(names, min_size=3, max_size=3), max_size=3),
+        edge_configs=st.lists(st.lists(names, min_size=2, max_size=2), max_size=3),
+    )
+)
+def test_parse_problem_raises_only_format_errors(doc):
+    try:
+        parse_problem(json.dumps(doc))
+    except ProblemFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        json_documents(
+            "vertex",
+            "ports",
+            vertex=st.integers(0, 3),
+            ports=st.lists(st.sampled_from(["M", "U"]), min_size=3, max_size=3),
+        ),
+        max_size=4,
+    )
+)
+def test_parse_labeling_raises_only_format_errors(doc):
+    try:
+        parse_labeling(json.dumps(doc), perfect_matching())
+    except ProblemFormatError:
+        pass
+
+
+def test_package_source_holds_no_assert_statements():
+    # python -O strips asserts, so runtime invariants raise InternalError
+    src = Path(__file__).resolve().parents[1] / "src" / "lcltrees"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

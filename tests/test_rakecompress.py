@@ -15,13 +15,9 @@ from lcltrees.rakecompress import (
     post_process,
     simulated_rounds,
 )
-from lcltrees.trees import TreeBuilder, TreeGenSpec, gen_tree
+from lcltrees.trees import TreeBuilder, TreeGenSpec, components, gen_tree
 
 from conftest import path_tree, star_tree
-
-
-def layered(tree, ell_prime):
-    return post_process(decompose(tree, 1, ell_prime), ell_prime)
 
 
 # --- raw process ----------------------------------------------------------------
@@ -84,7 +80,7 @@ def test_raw_layers_must_partition():
 
 
 def test_layered_path10_trims_the_run_ends():
-    decomp = layered(path_tree(10), 4)
+    decomp = post_process(path_tree(10), 4)
     assert decomp.rake_layers == (frozenset({0, 9}), frozenset({1, 8}))
     assert decomp.compress_layers == (frozenset(range(2, 8)),)
     assert decomp.depth == 2
@@ -93,18 +89,16 @@ def test_layered_path10_trims_the_run_ends():
 
 def test_layered_nine_vertex_run_splits_four_four():
     # interior run of 9 -> blocks {2..5} and {7..10} with separator 6 promoted
-    decomp = layered(path_tree(13), 4)
+    decomp = post_process(path_tree(13), 4)
     assert decomp.compress_layers == (frozenset({2, 3, 4, 5, 7, 8, 9, 10}),)
     assert decomp.rake_layers == (frozenset({0, 12}), frozenset({1, 6, 11}))
-    comps = sorted(
-        sorted(c) for c in _compress_components(decomp, layer_index=0)
-    )
+    comps = sorted(sorted(c) for c in components(decomp.tree, decomp.compress_layers[0]))
     assert comps == [[2, 3, 4, 5], [7, 8, 9, 10]]
     assert check_layered_invariants(decomp) == []
 
 
 def test_layered_adjacent_low_pair_promotes_one():
-    decomp = layered(path_tree(2), 4)
+    decomp = post_process(path_tree(2), 4)
     assert decomp.rake_layers == (frozenset({0}), frozenset({1}))
     assert decomp.compress_layers == (frozenset(),)
 
@@ -113,14 +107,14 @@ def test_layered_pendant_singleton_erodes():
     # at ell'=1 a lone degree-1 run vertex has one alive anchor, not two;
     # it must be left for later rakes rather than compressed
     spec = TreeGenSpec(n=10, delta=4, seed=1, model="uniform-attachment-capped")
-    decomp = layered(gen_tree(spec), 1)
+    decomp = post_process(gen_tree(spec), 1)
     assert decomp.compress_layers[0] == frozenset({1})
     assert check_layered_invariants(decomp) == []
 
 
 def test_layered_short_run_erodes_instead_of_compressing():
     # the trimmed core {2,3} is below ell', so the path erodes rake by rake
-    decomp = layered(path_tree(6), 4)
+    decomp = post_process(path_tree(6), 4)
     assert decomp.rake_layers == (
         frozenset({0, 5}),
         frozenset({1, 4}),
@@ -131,13 +125,10 @@ def test_layered_short_run_erodes_instead_of_compressing():
     assert check_layered_invariants(decomp) == []
 
 
-def test_post_process_rejects_mismatched_params():
-    raw = decompose(path_tree(10), gamma=2, ell=4)
-    with pytest.raises(ValueError, match="gamma"):
-        post_process(raw, 4)
-    raw = decompose(path_tree(10), gamma=1, ell=3)
-    with pytest.raises(ValueError, match="ell=3"):
-        post_process(raw, 4)
+def test_post_process_rejects_nonpositive_ell_prime():
+    for ell_prime in (0, -1):
+        with pytest.raises(ValueError, match="ell_prime must be positive"):
+            post_process(path_tree(10), ell_prime)
 
 
 def test_layered_shape_validation():
@@ -155,7 +146,7 @@ def test_layered_shape_validation():
 
 
 def test_layer_lookup_and_ranks():
-    decomp = layered(path_tree(10), 4)
+    decomp = post_process(path_tree(10), 4)
     assert decomp.layer_of(0) == ("R", 1)
     assert decomp.layer_of(2) == ("C", 1)
     assert decomp.layer_of(1) == ("R", 2)
@@ -164,8 +155,17 @@ def test_layer_lookup_and_ranks():
     assert decomp.rank_of(1) == 3
 
 
+def test_layer_lookup_rejects_vertices_outside_the_tree():
+    decomp = post_process(path_tree(10), 4)
+    for v in (10, -1):
+        with pytest.raises(ValueError, match="in no layer"):
+            decomp.layer_of(v)
+        with pytest.raises(ValueError, match="in no layer"):
+            decomp.rank_of(v)
+
+
 def test_labeling_order_walks_outward():
-    decomp = layered(path_tree(13), 4)
+    decomp = post_process(path_tree(13), 4)
     order = [(kind, i) for kind, i, _ in decomp.labeling_order()]
     assert order == [("R", 2), ("C", 1), ("R", 1)]
     layers = [layer for _, _, layer in decomp.labeling_order()]
@@ -178,8 +178,8 @@ def test_labeling_order_walks_outward():
 
 def test_determinism():
     spec = TreeGenSpec(n=400, delta=3, seed=11, model="uniform-attachment-capped")
-    a = layered(gen_tree(spec), 4)
-    b = layered(gen_tree(spec), 4)
+    a = post_process(gen_tree(spec), 4)
+    b = post_process(gen_tree(spec), 4)
     assert a.rake_layers == b.rake_layers
     assert a.compress_layers == b.compress_layers
 
@@ -228,9 +228,9 @@ def test_checker_flags_too_many_later_neighbors():
 def test_checker_accepts_every_post_processed_output():
     for n in (1, 2, 3, 7, 24, 90):
         for ell_prime in (1, 2, 4):
-            decomp = layered(path_tree(n), ell_prime)
+            decomp = post_process(path_tree(n), ell_prime)
             assert check_layered_invariants(decomp) == []
-            decomp = layered(star_tree(min(n, 4)), ell_prime)
+            decomp = post_process(star_tree(min(n, 4)), ell_prime)
             assert check_layered_invariants(decomp) == []
 
 
@@ -243,7 +243,7 @@ def test_checker_accepts_every_post_processed_output():
 )
 def test_invariants_hold_on_random_trees(n, delta, seed, ell_prime):
     spec = TreeGenSpec(n=n, delta=delta, seed=seed, model="uniform-attachment-capped")
-    decomp = layered(gen_tree(spec), ell_prime)
+    decomp = post_process(gen_tree(spec), ell_prime)
     assert check_layered_invariants(decomp) == []
 
 
@@ -251,9 +251,9 @@ def test_invariants_hold_on_random_trees(n, delta, seed, ell_prime):
 
 
 def test_simulated_rounds_formula():
-    decomp = layered(path_tree(10), 4)
+    decomp = post_process(path_tree(10), 4)
     assert simulated_rounds(decomp) == (1 + 4 + 4) * 2 == 18
-    single = layered(path_tree(1), 1)
+    single = post_process(path_tree(1), 1)
     assert single.depth == 1
     assert simulated_rounds(single) == 6
 
@@ -264,7 +264,7 @@ def test_complete_binary_tree_depth():
     for v in range(n // 2):
         builder.add_edge(v, 2 * v + 1)
         builder.add_edge(v, 2 * v + 2)
-    decomp = layered(builder.build(), 4)
+    decomp = post_process(builder.build(), 4)
     assert decomp.depth <= 4 * math.log2(n)
     assert decomp.depth == 10  # regression pin; any <= bound value is acceptable
     assert check_layered_invariants(decomp) == []
@@ -282,29 +282,9 @@ def test_depth_grows_logarithmically():
             spec = TreeGenSpec(
                 n=n, delta=3, seed=seed, model="uniform-attachment-capped"
             )
-            decomp = layered(gen_tree(spec), 4)
+            decomp = post_process(gen_tree(spec), 4)
             assert decomp.depth <= 4 * math.log2(n) + 4
             depths.append(decomp.depth)
         mean_depth.append(sum(depths) / len(depths))
     for smaller, bigger in zip(mean_depth, mean_depth[1:]):
         assert bigger - smaller <= 3
-
-
-def _compress_components(decomp, layer_index):
-    layer = decomp.compress_layers[layer_index]
-    tree = decomp.tree
-    left = set(layer)
-    comps = []
-    while left:
-        v = left.pop()
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for u in tree.neighbors(x):
-                if u in left:
-                    left.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-    return comps

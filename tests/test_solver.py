@@ -20,10 +20,9 @@ from lcltrees.problems import (
     VertexConfig,
     is_valid_labeling,
 )
-from lcltrees.rakecompress import decompose, post_process
+from lcltrees.rakecompress import post_process
 from lcltrees.solver import (
     NotEllFullError,
-    _ordered_path,
     Toast,
     build_partner_table,
     build_toast,
@@ -33,7 +32,7 @@ from lcltrees.solver import (
     solve_toast,
     verify_toast,
 )
-from lcltrees.trees import TreeGenSpec, ball, gen_tree
+from lcltrees.trees import TreeGenSpec, ball, gen_tree, ordered_path
 
 from conftest import path_tree, star_tree
 
@@ -203,7 +202,7 @@ def test_input_validation(coloring3):
 
 def test_round_report_single_vertex(coloring3):
     tree = path_tree(1)
-    decomp = post_process(decompose(tree, 1, 1), 1)
+    decomp = post_process(tree, 1)
     report = round_report(coloring3, tree, decomp)
     assert report.depth == 1
     assert report.n == 1
@@ -212,7 +211,7 @@ def test_round_report_single_vertex(coloring3):
 
 def test_round_report_path_ten(coloring3):
     tree = path_tree(10)
-    decomp = post_process(decompose(tree, 1, 4), 4)
+    decomp = post_process(tree, 4)
     report = round_report(coloring3, tree, decomp)
     assert report.depth == 2
     assert report.simulated_rounds == 18
@@ -222,7 +221,7 @@ def test_round_report_path_ten(coloring3):
 
 def test_round_report_validates_inputs(coloring3):
     tree = path_tree(10)
-    decomp = post_process(decompose(tree, 1, 4), 4)
+    decomp = post_process(tree, 4)
     with pytest.raises(ValueError, match="delta"):
         round_report(three_coloring(delta=4), tree, decomp)
     with pytest.raises(ValueError, match="different tree"):
@@ -233,7 +232,7 @@ def test_round_ratio_bounded_on_doubling_family(coloring3):
     ratios = []
     for k in range(7, 12):
         tree = uniform_tree(2**k, seed=0)
-        decomp = post_process(decompose(tree, 1, 4), 4)
+        decomp = post_process(tree, 4)
         ratios.append(round_report(coloring3, tree, decomp).ratio)
     assert all(r <= 25 for r in ratios)
 
@@ -395,8 +394,8 @@ def test_solve_toast_generated_sweep(matching, coloring3):
 
 def test_ordered_path_on_a_star_raises_internal_error():
     star = star_tree(4)
-    with pytest.raises(InternalError, match="must be a path"):
-        _ordered_path(star, frozenset(range(star.n)))
+    with pytest.raises(InternalError, match="must induce a path"):
+        ordered_path(star, range(star.n))
 
 
 def test_ordered_path_raises_under_python_O():
@@ -404,11 +403,10 @@ def test_ordered_path_raises_under_python_O():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from lcltrees.problems import InternalError\n"
-        "from lcltrees.solver import _ordered_path\n"
-        "from lcltrees.trees import TreeGenSpec, gen_tree\n"
+        "from lcltrees.trees import TreeGenSpec, gen_tree, ordered_path\n"
         "star = gen_tree(TreeGenSpec(n=4, delta=3, seed=0, model='star'))\n"
         "try:\n"
-        "    _ordered_path(star, frozenset(range(4)))\n"
+        "    ordered_path(star, range(4))\n"
         "except InternalError:\n"
         "    print('raised')\n"
     )

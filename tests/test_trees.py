@@ -1,7 +1,10 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcltrees.problems import InternalError
 from lcltrees.trees import (
     PortTree,
     TreeBuilder,
@@ -9,13 +12,16 @@ from lcltrees.trees import (
     TreeGenSpec,
     ball,
     bfs_tree,
+    components,
     distance,
+    distances,
     gen_tree,
+    ordered_path,
     parse_tree,
     serialize_tree,
 )
 
-from conftest import path_tree, star_tree
+from conftest import json_documents, path_tree, star_tree
 
 
 def test_single_vertex_tree():
@@ -94,6 +100,29 @@ def test_bfs_tree_orders_by_distance_and_records_parents():
     assert order == [1, 2, 0, 3]
 
 
+def test_components_order_by_smallest_vertex():
+    t = path_tree(8)
+    # a disconnected set, listed out of order, with a single-vertex component
+    assert components(t, [7, 3, 2, 5, 0, 1]) == [[0, 1, 2, 3], [5], [7]]
+    assert components(t, {4}) == [[4]]
+    assert components(t, []) == []
+    assert components(star_tree(4), [3, 0, 1]) == [[0, 1, 3]]
+
+
+def test_ordered_path_starts_at_the_smaller_endpoint():
+    assert ordered_path(path_tree(8), {5, 3, 4}) == [3, 4, 5]
+    assert ordered_path(path_tree(8), [6]) == [6]
+    assert ordered_path(star_tree(4), [2, 0, 1]) == [1, 0, 2]
+    with pytest.raises(InternalError, match="must induce a path"):
+        ordered_path(path_tree(8), {1, 3})
+
+
+def test_distances_from_several_sources_within_a_set():
+    t = path_tree(7)
+    assert distances(t, [0, 6]) == {0: 0, 6: 0, 1: 1, 5: 1, 2: 2, 4: 2, 3: 3}
+    assert distances(t, [2], within={1, 2, 3, 4}) == {2: 0, 1: 1, 3: 1, 4: 2}
+
+
 def test_tree_roundtrip():
     for spec in (
         TreeGenSpec(n=1, delta=3, seed=0, model="path"),
@@ -149,3 +178,27 @@ def test_builder_degree_cap():
         b.add_edge(0, v)
     with pytest.raises(TreeFormatError, match="delta"):
         b.add_edge(0, 4)
+
+
+_EDGE_KEYS = ("u", "pu", "v", "pv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    json_documents(
+        "n",
+        "delta",
+        "edges",
+        n=st.integers(1, 4),
+        delta=st.integers(3, 4),
+        edges=st.lists(
+            json_documents(*_EDGE_KEYS, **dict.fromkeys(_EDGE_KEYS, st.integers(0, 4))),
+            max_size=3,
+        ),
+    )
+)
+def test_parse_tree_raises_only_format_errors(doc):
+    try:
+        parse_tree(json.dumps(doc))
+    except TreeFormatError:
+        pass
