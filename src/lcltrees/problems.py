@@ -322,8 +322,18 @@ def parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
 
 
 def serialize_labeling(labeling: HalfEdgeLabeling, problem: LclProblem) -> str:
-    doc = [
-        {"vertex": v, "ports": [problem.name_of(x) for x in labeling.ports[v]]}
-        for v in range(labeling.n)
-    ]
-    return json.dumps(doc, indent=2) + "\n"
+    """The labeling as json.dumps(doc, indent=2) writes it, byte for byte,
+    built in one pass: each label name is escaped once and each distinct
+    port row is rendered once."""
+    names = [json.dumps(lab.name) for lab in problem.labels]
+    rows: dict[tuple[int, ...], str] = {}
+    parts = []
+    for v, row in enumerate(labeling.ports):
+        text = rows.get(row)
+        if text is None:
+            listed = ",\n      ".join(names[x] for x in row)
+            text = rows[row] = f"[\n      {listed}\n    ]" if row else "[]"
+        parts.append(f'  {{\n    "vertex": {v},\n    "ports": {text}\n  }}')
+    if not parts:
+        return "[]\n"
+    return "[\n" + ",\n".join(parts) + "\n]\n"

@@ -13,13 +13,18 @@ rules so the layer structure supports sequential labeling:
     every removed run ends at exactly two strictly-later vertices;
   * a run endpoint with no surviving outside neighbor waits too, and a run
     whose trimmed core drops under ell' is left to erode under later rakes.
+
+post_process hands the blocks it cut to the LayeredDecomposition, each as
+its path from the smaller-id endpoint, so the solver fills them without
+walking the tree to find them again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .trees import PortTree, components, ordered_path
+from .problems import InternalError
+from .trees import PortTree, bfs_tree, components, ordered_path
 
 
 @dataclass(frozen=True)
@@ -42,12 +47,33 @@ class RawDecomposition:
             raise ValueError("layers do not partition the tree's vertices")
 
 
+# A compress layer's blocks: each block's vertices along its path from the
+# smaller-id endpoint, blocks ordered by their smallest vertex.  None stands
+# for a component that is not a path, which check_layered_invariants reports
+# and the solver refuses.
+Blocks = tuple[Optional[tuple[int, ...]], ...]
+
+
+def _find_blocks(tree: PortTree, layer: frozenset[int]) -> Blocks:
+    """The blocks of a compress layer, found by walking the tree."""
+    blocks: list[Optional[tuple[int, ...]]] = []
+    for comp in components(tree, layer):
+        try:
+            blocks.append(tuple(ordered_path(tree, comp)))
+        except InternalError:
+            blocks.append(None)
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class LayeredDecomposition:
     tree: PortTree
     ell_prime: int
     rake_layers: tuple[frozenset[int], ...]
     compress_layers: tuple[frozenset[int], ...]
+    # one Blocks per compress layer; post_process hands over the blocks it
+    # cut, and a decomposition built by hand finds them once here
+    blocks: Optional[tuple[Blocks, ...]] = field(default=None, repr=False, compare=False)
     # vertex -> rank: 2i-1 in rake layer R_i, 2i in compress layer C_i
     _rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
@@ -64,6 +90,11 @@ class LayeredDecomposition:
         if rank.keys() != set(range(self.tree.n)):
             raise ValueError("layers do not partition the tree's vertices")
         object.__setattr__(self, "_rank", rank)
+        if self.blocks is None:
+            blocks = tuple(_find_blocks(self.tree, c) for c in self.compress_layers)
+            object.__setattr__(self, "blocks", blocks)
+        elif len(self.blocks) != len(self.compress_layers):
+            raise ValueError("expected one block tuple per compress layer")
 
     @property
     def depth(self) -> int:
@@ -114,9 +145,20 @@ class _Residual:
 
     def runs(self) -> list[list[int]]:
         """Components of the degree-<=2 residual subgraph, each ordered as a
-        path starting from its smaller-id endpoint."""
+        path starting from its smaller-id endpoint, ordered by their
+        smallest vertex."""
         pool = self.low_degree(2)
-        return [ordered_path(self.tree, c) for c in components(self.tree, pool)]
+        runs = []
+        far_ends: set[int] = set()
+        # every run is a path, and one walk from the first of its endpoints
+        # in id order lists it in path order
+        for v in sorted(pool):
+            if v not in far_ends and sum(u in pool for u in self.tree.neighbors(v)) <= 1:
+                run, _ = bfs_tree(self.tree, [v], pool)
+                far_ends.add(run[-1])
+                runs.append(run)
+        runs.sort(key=min)
+        return runs
 
 
 def decompose(tree: PortTree, gamma: int, ell: int) -> RawDecomposition:
@@ -160,6 +202,7 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
     res = _Residual(tree)
     rake_layers: list[frozenset[int]] = []
     compress_layers: list[frozenset[int]] = []
+    blocks: list[Blocks] = []
     while res.alive:
         low = res.low_degree(1)
         raked = set()
@@ -174,7 +217,7 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
         rake_layers.append(frozenset(raked))
         if not res.alive:
             break
-        compressed: set[int] = set()
+        cut: list[list[int]] = []
         for comp in res.runs():
             if len(comp) < ell_prime:
                 continue
@@ -190,12 +233,18 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
                 continue  # erodes under later rakes instead
             pos = 0
             while len(core) - pos > 2 * ell_prime:
-                compressed.update(core[pos : pos + ell_prime])
+                cut.append(core[pos : pos + ell_prime])
                 pos += ell_prime + 1  # the separator stays behind
-            compressed.update(core[pos:])
+            cut.append(core[pos:])
+        compressed = {v for block in cut for v in block}
         res.remove(compressed)
         compress_layers.append(frozenset(compressed))
-    return LayeredDecomposition(tree, ell_prime, tuple(rake_layers), tuple(compress_layers))
+        blocks.append(
+            tuple(sorted((tuple(b) if b[0] < b[-1] else tuple(b[::-1]) for b in cut), key=min))
+        )
+    return LayeredDecomposition(
+        tree, ell_prime, tuple(rake_layers), tuple(compress_layers), tuple(blocks)
+    )
 
 
 # accounts for the constant number of communication rounds a distributed

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .pathstates import extend_path
 from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
 from .rakecompress import LayeredDecomposition, post_process, simulated_rounds
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
-from .trees import PortTree, ball, bfs_tree, components, distances, ordered_path
+from .trees import PortTree, ball, bfs_tree, components, distances
 
 class NotEllFullError(Exception):
     """Carries a concrete counterexample to the subset being ell-full."""
@@ -94,6 +94,9 @@ class _Assigner:
         self.cfgs = cfgs
         self.partner = build_partner_table(problem, cfgs)
         self.ports: list[Optional[list[int]]] = [None] * tree.n
+        # extend_path results by (a1, c1, a2, c2, k), None included: a
+        # witness depends on nothing else, and blocks repeat a few keys
+        self.witnesses: dict[tuple, Optional[list]] = {}
 
     def labeled(self, v: int) -> bool:
         return self.ports[v] is not None
@@ -130,12 +133,16 @@ class _Assigner:
         config, b = self.partner[a]
         self.place(v, {u: b}, config)
 
-    def fill_path(self, prev: int, path: list[int], nxt: int) -> None:
+    def fill_path(self, prev: int, path: Sequence[int], nxt: int) -> None:
         """Witness-label the interior path between labeled prev and nxt."""
         a1, c1 = self.facing(prev, path[0]), self.config_of(prev)
         a2, c2 = self.facing(nxt, path[-1]), self.config_of(nxt)
         k = len(path) + 2
-        witness = extend_path(self.problem, self.cfgs, a1, c1, a2, c2, k)
+        key = (a1, c1, a2, c2, k)
+        if key in self.witnesses:
+            witness = self.witnesses[key]
+        else:
+            witness = self.witnesses[key] = extend_path(self.problem, self.cfgs, *key)
         if witness is None:
             raise NotEllFullError(
                 "path-extension",
@@ -187,7 +194,7 @@ def solve_on_decomposition(
     cfgs = sorted(set(subset))
     tree = decomp.tree
     asg = _Assigner(problem, tree, cfgs)
-    for kind, _i, verts in decomp.labeling_order():
+    for kind, i, verts in decomp.labeling_order():
         if kind == "R":
             for v in sorted(verts):
                 done = [u for u in tree.neighbors(v) if asg.labeled(u)]
@@ -197,26 +204,19 @@ def solve_on_decomposition(
                     asg.place_answering(v, done[0])
                 else:
                     asg.place_free(v)
-        else:
-            for comp in (ordered_path(tree, c) for c in components(tree, verts)):
-                in_comp = set(comp)
-                ends = [comp[0]] if len(comp) == 1 else [comp[0], comp[-1]]
-                contacts = [
-                    (v, u)
-                    for v in ends
-                    for u in tree.neighbors(v)
-                    if u not in in_comp and asg.labeled(u)
-                ]
-                if (
-                    len(contacts) != 2
-                    or contacts[0][0] != comp[0]
-                    or contacts[-1][0] != comp[-1]
-                ):
-                    raise InternalError(
-                        "compress block must touch exactly two labeled vertices, "
-                        "one at each end"
-                    )
-                asg.fill_path(contacts[0][1], comp, contacts[1][1])
+            continue
+        for block in decomp.blocks[i - 1]:
+            if block is None:
+                raise InternalError("compress block must induce a path")
+            # the block's own vertices are still unlabeled, so every labeled
+            # neighbor of an end lies outside the block
+            ends = block[:1] if len(block) == 1 else (block[0], block[-1])
+            contacts = [(v, u) for v in ends for u in tree.neighbors(v) if asg.labeled(u)]
+            if len(contacts) != 2 or contacts[0][0] != block[0] or contacts[1][0] != block[-1]:
+                raise InternalError(
+                    "compress block must touch exactly two labeled vertices, one at each end"
+                )
+            asg.fill_path(contacts[0][1], block, contacts[1][1])
     return asg.result()
 
 

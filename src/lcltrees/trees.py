@@ -9,12 +9,18 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Collection, Iterable, Iterator, Optional
 
 from .problems import InternalError
 
 PortTarget = Optional[tuple[int, int]]  # (neighbor, neighbor's port) or None
+
+# Largest delta a tree may be built with.  delta sizes every vertex's port
+# row before any edge is read, so without a cap a one-line document can ask
+# for gigabytes; 64 lies far above the 3..5 the bundled problems use.
+MAX_DELTA = 64
 
 
 class TreeFormatError(ValueError):
@@ -62,11 +68,16 @@ class PortTree:
     def n(self) -> int:
         return len(self.ports)
 
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors in port order, built on first use."""
+        return tuple(tuple(t[0] for t in row if t is not None) for row in self.ports)
+
     def neighbors(self, v: int) -> list[int]:
-        return [tgt[0] for tgt in self.ports[v] if tgt is not None]
+        return list(self._adjacency[v])
 
     def real_degree(self, v: int) -> int:
-        return sum(1 for tgt in self.ports[v] if tgt is not None)
+        return len(self._adjacency[v])
 
     def port_to(self, u: int, v: int) -> int:
         """Port index of u whose edge goes to v."""
@@ -87,6 +98,8 @@ class TreeBuilder:
     """Accumulates edges, assigning each endpoint its next free port."""
 
     def __init__(self, n: int, delta: int):
+        if delta > MAX_DELTA:
+            raise TreeFormatError(f"delta {delta} is above the maximum {MAX_DELTA}")
         self.n = n
         self.delta = delta
         self._ports: list[list[PortTarget]] = [[None] * delta for _ in range(n)]
@@ -269,8 +282,8 @@ def parse_tree(text: str) -> PortTree:
     n, delta = doc["n"], doc["delta"]
     if not isinstance(n, int) or n < 1:
         raise TreeFormatError("n must be a positive integer")
-    if not isinstance(delta, int) or delta < 3:
-        raise TreeFormatError("delta must be an integer >= 3")
+    if not isinstance(delta, int) or not 3 <= delta <= MAX_DELTA:
+        raise TreeFormatError(f"delta must be an integer in 3..{MAX_DELTA}")
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise TreeFormatError("edges must be a list")

@@ -200,6 +200,17 @@ def test_classify_rejects_config_lists_that_are_not_arrays(tmp_path, capsys, val
         assert "Traceback" not in out + err
 
 
+def test_tree_with_a_huge_delta_is_an_input_error(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"n": 1, "delta": 9223372036854775808, "edges": []}')
+    code, out, err = run_cli(
+        capsys, "solve", "--problem", "three-coloring", "--tree", str(tree)
+    )
+    assert code == 2
+    assert "delta must be an integer in 3..64" in err
+    assert "Traceback" not in out + err
+
+
 def test_solve_requires_subset_and_ell_together(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     run_cli(capsys, "gen", "--n", "10", "--output", str(tree))

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,47 @@ def test_labeling_size_mismatch_raises(coloring3):
         is_valid_labeling(coloring3, tree, HalfEdgeLabeling(((0, 0, 0),)))
     with pytest.raises(ValueError, match="ports"):
         is_valid_labeling(coloring3, tree, HalfEdgeLabeling(((0, 0), (0, 0), (0, 0))))
+
+
+def reference_labeling_text(labeling, problem):
+    """The labeling file as json.dumps has always written it."""
+    doc = [
+        {"vertex": v, "ports": [problem.name_of(x) for x in labeling.ports[v]]}
+        for v in range(labeling.n)
+    ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def random_labeling(problem, n, seed):
+    rng = random.Random(seed)
+    return HalfEdgeLabeling(
+        tuple(
+            tuple(rng.randrange(problem.num_labels) for _ in range(problem.delta))
+            for _ in range(n)
+        )
+    )
+
+
+def test_serialize_labeling_matches_json_dumps_byte_for_byte():
+    problems = [three_coloring(), two_coloring(), perfect_matching(), perfect_matching(5)]
+    problems += [random_problem(seed) for seed in range(20)]
+    odd_names = ['a"b', "c\\d", "é", "", "\u2713", "\U0001f600", "tab\there", "\n"]
+    problems.append(
+        LclProblem(
+            3,
+            tuple(Label(i, name) for i, name in enumerate(odd_names)),
+            frozenset({VertexConfig.of([0, 1, 2])}),
+            frozenset({EdgeConfig.of(0, 1)}),
+        )
+    )
+    for i, problem in enumerate(problems):
+        for n in (1, 2, 37):
+            lab = random_labeling(problem, n, seed=i * 100 + n)
+            text = serialize_labeling(lab, problem)
+            assert text.encode() == reference_labeling_text(lab, problem).encode()
+            assert parse_labeling(text, problem) == lab
+    for odd in (HalfEdgeLabeling(()), HalfEdgeLabeling(((), (0, 1, 2)))):
+        assert serialize_labeling(odd, problems[0]) == reference_labeling_text(odd, problems[0])
 
 
 def test_labeling_roundtrip(matching):

@@ -1,12 +1,14 @@
 """Rake-and-compress decompositions: the raw process, the post-processed
 layered form, its structural invariants, and the depth bounds."""
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcltrees.problems import InternalError
 from lcltrees.rakecompress import (
     LayeredDecomposition,
     RawDecomposition,
@@ -15,7 +17,8 @@ from lcltrees.rakecompress import (
     post_process,
     simulated_rounds,
 )
-from lcltrees.trees import TreeBuilder, TreeGenSpec, components, gen_tree
+from lcltrees.solver import solve_on_decomposition
+from lcltrees.trees import TreeBuilder, TreeGenSpec, components, gen_tree, ordered_path
 
 from conftest import path_tree, star_tree
 
@@ -182,6 +185,73 @@ def test_determinism():
     b = post_process(gen_tree(spec), 4)
     assert a.rake_layers == b.rake_layers
     assert a.compress_layers == b.compress_layers
+
+
+# --- carried blocks -------------------------------------------------------------
+
+HANDOVER_SIZES = (1, 2, 3, 7, 60, 613, 5000)
+HANDOVER_MODELS = ("path", "caterpillar", "uniform-attachment-capped")
+# sha256 of every layer of the sweep below, as the walk-based post_process
+# (before it handed over its blocks) produced them
+LAYER_DIGESTS = {
+    "path": "7bc8e5261113b679cd162fd7a58b0232330b7de2a3b0b8cfa572a418d78745eb",
+    "caterpillar": "06390933bd045864dda798a775770cab98602ea4af6afa2d4aaf850f22d02e07",
+    "uniform-attachment-capped": "b58305def67279fedf1c21b4cbec1e8dbb791e2d9ed2344cd880ef96e16f9e69",
+}
+
+
+@pytest.mark.parametrize("model", HANDOVER_MODELS)
+def test_post_process_hands_over_the_blocks_a_walk_finds(model):
+    digest = hashlib.sha256()
+    for n in HANDOVER_SIZES:
+        tree = gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
+        for ell_prime in (1, 2, 3, 4):
+            decomp = post_process(tree, ell_prime)
+            for layer in decomp.rake_layers + decomp.compress_layers:
+                digest.update(repr(sorted(layer)).encode())
+            assert len(decomp.blocks) == len(decomp.compress_layers)
+            for layer, blocks in zip(decomp.compress_layers, decomp.blocks):
+                walked = [ordered_path(tree, c) for c in components(tree, layer)]
+                assert [list(b) for b in blocks] == walked
+    assert digest.hexdigest() == LAYER_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", HANDOVER_MODELS)
+def test_hand_built_decomposition_finds_its_blocks_and_solves(model, coloring3):
+    # three-coloring is ell-full from ell = 3, so every ell' can be solved
+    tree = gen_tree(TreeGenSpec(n=900, delta=3, seed=2, model=model))
+    subset = sorted(coloring3.vertex_configs)
+    for ell_prime in (1, 2, 3, 4):
+        carried = post_process(tree, ell_prime)
+        by_hand = LayeredDecomposition(
+            tree, ell_prime, carried.rake_layers, carried.compress_layers
+        )
+        assert by_hand == carried
+        assert by_hand.blocks == carried.blocks
+        assert solve_on_decomposition(coloring3, subset, by_hand) == (
+            solve_on_decomposition(coloring3, subset, carried)
+        )
+
+
+def test_blocks_must_match_the_compress_layers():
+    carried = post_process(path_tree(13), 4)
+    with pytest.raises(ValueError, match="one block tuple per compress layer"):
+        LayeredDecomposition(
+            carried.tree, 4, carried.rake_layers, carried.compress_layers, ()
+        )
+
+
+def test_compress_layer_that_is_no_path_is_reported_and_refused(coloring3):
+    # the whole star as one compress layer: the checker says why, and the
+    # solver refuses it instead of filling a star as a path
+    star = star_tree(4)
+    decomp = LayeredDecomposition(
+        star, 2, (frozenset(), frozenset()), (frozenset(range(4)),)
+    )
+    assert decomp.blocks == ((None,),)
+    assert any("is not a path" in msg for msg in check_layered_invariants(decomp))
+    with pytest.raises(InternalError, match="must induce a path"):
+        solve_on_decomposition(coloring3, sorted(coloring3.vertex_configs), decomp)
 
 
 # --- invariant checker ----------------------------------------------------------

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from lcltrees import solver
 from lcltrees.fixtures import random_problem, three_coloring, two_coloring
 from lcltrees.oracle import brute_force_connects, brute_force_solve
+from lcltrees.pathstates import VERDICT_LOGN, classify
 from lcltrees.problems import (
     EdgeConfig,
     InternalError,
@@ -24,6 +26,7 @@ from lcltrees.rakecompress import post_process
 from lcltrees.solver import (
     NotEllFullError,
     Toast,
+    _Assigner,
     build_partner_table,
     build_toast,
     piece_boundary,
@@ -195,6 +198,139 @@ def test_input_validation(coloring3):
     wide = three_coloring(delta=4)
     with pytest.raises(ValueError, match="delta"):
         solve_log(wide, full_subset(wide), 3, tree)
+
+
+# --- witness memo -----------------------------------------------------------------
+
+
+class _Forgetful(dict):
+    """A witness memo that stores nothing, so every block asks extend_path."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def count_witness_calls(monkeypatch, forget=False):
+    calls = []
+    real = solver.extend_path
+
+    def counting(problem, subset, *key):
+        calls.append(key)
+        return real(problem, subset, *key)
+
+    monkeypatch.setattr(solver, "extend_path", counting)
+    if forget:
+        real_init = _Assigner.__init__
+
+        def init(self, *args):
+            real_init(self, *args)
+            self.witnesses = _Forgetful()
+
+        monkeypatch.setattr(_Assigner, "__init__", init)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["path", "caterpillar", "uniform-attachment-capped"])
+def test_witness_memo_asks_once_per_key_and_changes_nothing(
+    monkeypatch, matching, coloring3, model
+):
+    tree = gen_tree(TreeGenSpec(n=3000, delta=3, seed=8, model=model))
+    for problem, ell in ((matching, 4), (coloring3, 3)):
+        subset = full_subset(problem)
+        with monkeypatch.context() as m:
+            uncached = count_witness_calls(m, forget=True)
+            reference = solve_log(problem, subset, ell, tree)
+        blocks = post_process(tree, max(1, ell - 2)).blocks
+        assert len(uncached) == sum(len(layer) for layer in blocks)
+        with monkeypatch.context() as m:
+            cached = count_witness_calls(m)
+            labeling = solve_log(problem, subset, ell, tree)
+        assert len(cached) == len(set(cached))
+        assert set(cached) == set(uncached)
+        assert len(cached) < len(uncached)
+        assert labeling == reference
+
+
+def test_witness_memo_keeps_the_refutation(monkeypatch, coloring2):
+    subset = full_subset(coloring2)
+    tree = path_tree(40)
+    errors = []
+    for forget in (True, False):
+        with monkeypatch.context() as m:
+            count_witness_calls(m, forget=forget)
+            with pytest.raises(NotEllFullError) as err:
+                solve_log(coloring2, subset, 4, tree)
+        errors.append((err.value.kind, err.value.detail))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "path-extension"
+
+
+def test_witness_memo_remembers_a_missing_witness(monkeypatch, coloring2):
+    # a key without a witness is asked once; every later block with that
+    # key raises again from the memo
+    subset = full_subset(coloring2)
+    calls = count_witness_calls(monkeypatch)
+    asg = _Assigner(coloring2, path_tree(8), subset)
+    asg.place_free(0)
+    asg.place_free(3)
+    asg.place_free(4)
+    asg.place_free(7)
+    for prev, path, nxt in ((0, [1, 2], 3), (4, [5, 6], 7)):
+        with pytest.raises(NotEllFullError) as err:
+            asg.fill_path(prev, path, nxt)
+        assert err.value.kind == "path-extension"
+    assert len(calls) == 1
+
+
+# --- differential sweep -----------------------------------------------------------
+
+
+def sweep_trees():
+    for n in range(1, 7):
+        for model in ("path", "caterpillar", "uniform-attachment-capped"):
+            yield gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
+    for n in range(1, 5):
+        yield star_tree(n)
+    for n, model in ((45, "path"), (61, "caterpillar"), (120, "uniform-attachment-capped")):
+        yield gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
+
+
+def sweep_toast(tree, q):
+    """A toast with two balls when their gap allows, else one, else none."""
+    for centers in ([0, tree.n - 1], [tree.n // 2], []):
+        try:
+            return build_toast(tree, q, centers)
+        except ValueError:
+            continue
+    raise AssertionError("the whole tree alone is always a toast")
+
+
+def test_differential_sweep_over_random_problems():
+    solved = 0
+    for seed in range(60):
+        problem = random_problem(seed)
+        report = classify(problem)
+        if report.verdict != VERDICT_LOGN:
+            continue
+        subset = [
+            VertexConfig.of(problem.label_by_name(name).id for name in row)
+            for row in report.subset
+        ]
+        ell = report.minimal_ell
+        restricted = LclProblem(
+            problem.delta, problem.labels, frozenset(subset), problem.edge_configs
+        )
+        for tree in sweep_trees():
+            toast = sweep_toast(tree, 2 * ell + 2)
+            for labeling in (
+                solve_log(problem, report.subset, ell, tree),
+                solve_toast(problem, report.subset, ell, tree, toast),
+            ):
+                assert_solved(problem, tree, labeling, subset)
+            if tree.n <= 6:
+                assert brute_force_solve(restricted, tree).status == "found"
+            solved += 1
+    assert solved == 45 * 25
 
 
 # --- rounds accounting ------------------------------------------------------------

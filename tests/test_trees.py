@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lcltrees.problems import InternalError
 from lcltrees.trees import (
+    MAX_DELTA,
     PortTree,
     TreeBuilder,
     TreeFormatError,
@@ -155,6 +156,27 @@ def test_parse_tree_semantic_errors():
             '{"u": 0, "pu": 0, "v": 1, "pv": 0},'
             '{"u": 0, "pu": 0, "v": 2, "pv": 0}]}'
         )
+
+
+def test_parse_tree_caps_delta():
+    assert MAX_DELTA == 64
+    for delta in (MAX_DELTA + 1, 2**31, 2**63):
+        with pytest.raises(TreeFormatError, match=f"3..{MAX_DELTA}"):
+            parse_tree(json.dumps({"n": 1, "delta": delta, "edges": []}))
+    t = parse_tree(json.dumps({"n": 1, "delta": MAX_DELTA, "edges": []}))
+    assert t.delta == MAX_DELTA
+    with pytest.raises(TreeFormatError, match="above the maximum"):
+        gen_tree(TreeGenSpec(n=2, delta=2**63, seed=0, model="path"))
+
+
+def test_neighbors_are_fresh_lists_in_port_order():
+    t = gen_tree(TreeGenSpec(n=40, delta=4, seed=2))
+    for v in range(t.n):
+        expect = [tgt[0] for tgt in t.ports[v] if tgt is not None]
+        got = t.neighbors(v)
+        assert got == expect and t.real_degree(v) == len(expect)
+        got.append(-1)  # a caller's edit must not reach the tree
+        assert t.neighbors(v) == expect
 
 
 def test_port_tree_rejects_asymmetry_and_disconnection():
