@@ -157,7 +157,11 @@ def compute_periodicity(graph: PathStateGraph) -> PeriodicityCertificate:
 
 
 def verify_periodicity(graph: PathStateGraph, cert: PeriodicityCertificate) -> bool:
-    """Recompute powers from scratch and confirm the certified repetition."""
+    """Recompute powers from scratch and confirm the certified repetition.
+
+    Nothing in the package calls it: it is the independent reference that
+    certificates from compute_periodicity and classify are checked against.
+    """
     n = len(graph.states)
     a = np.eye(n, dtype=bool)
     prefix = []

@@ -14,17 +14,17 @@ rules so the layer structure supports sequential labeling:
   * a run endpoint with no surviving outside neighbor waits too, and a run
     whose trimmed core drops under ell' is left to erode under later rakes.
 
-post_process hands the blocks it cut to the LayeredDecomposition, each as
-its path from the smaller-id endpoint, so the solver fills them without
-walking the tree to find them again.
+A LayeredDecomposition stores each compress layer as the blocks
+post_process cut, each block its path from the smaller-id endpoint, so the
+solver fills them without walking the tree to find them again; the layer's
+vertex set, compress_layers, is derived from the blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .problems import InternalError
-from .trees import PortTree, bfs_tree, components, ordered_path
+from .trees import PortTree, bfs_tree, components
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,8 @@ class RawDecomposition:
 
 
 # A compress layer's blocks: each block's vertices along its path from the
-# smaller-id endpoint, blocks ordered by their smallest vertex.  None stands
-# for a component that is not a path, which check_layered_invariants reports
-# and the solver refuses.
-Blocks = tuple[Optional[tuple[int, ...]], ...]
-
-
-def _find_blocks(tree: PortTree, layer: frozenset[int]) -> Blocks:
-    """The blocks of a compress layer, found by walking the tree."""
-    blocks: list[Optional[tuple[int, ...]]] = []
-    for comp in components(tree, layer):
-        try:
-            blocks.append(tuple(ordered_path(tree, comp)))
-        except InternalError:
-            blocks.append(None)
-    return tuple(blocks)
+# smaller-id endpoint, blocks ordered by their smallest vertex.
+Blocks = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -70,18 +57,19 @@ class LayeredDecomposition:
     tree: PortTree
     ell_prime: int
     rake_layers: tuple[frozenset[int], ...]
-    compress_layers: tuple[frozenset[int], ...]
-    # one Blocks per compress layer; post_process hands over the blocks it
-    # cut, and a decomposition built by hand finds them once here
-    blocks: Optional[tuple[Blocks, ...]] = field(default=None, repr=False, compare=False)
+    # one Blocks per compress layer; the blocks are the layer
+    blocks: tuple[Blocks, ...]
+    # each compress layer's vertex set, derived from its blocks
+    compress_layers: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     # vertex -> rank: 2i-1 in rake layer R_i, 2i in compress layer C_i
     _rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.compress_layers) != len(self.rake_layers) - 1:
+        if len(self.blocks) != len(self.rake_layers) - 1:
             raise ValueError("expected one fewer compress layer than rake layers")
+        compress = [[v for block in blocks for v in block] for blocks in self.blocks]
         rank: dict[int, int] = {}
-        for first, layers in ((1, self.rake_layers), (2, self.compress_layers)):
+        for first, layers in ((1, self.rake_layers), (2, compress)):
             for i, layer in enumerate(layers):
                 for v in layer:
                     if v in rank:
@@ -89,12 +77,8 @@ class LayeredDecomposition:
                     rank[v] = first + 2 * i
         if rank.keys() != set(range(self.tree.n)):
             raise ValueError("layers do not partition the tree's vertices")
+        object.__setattr__(self, "compress_layers", tuple(map(frozenset, compress)))
         object.__setattr__(self, "_rank", rank)
-        if self.blocks is None:
-            blocks = tuple(_find_blocks(self.tree, c) for c in self.compress_layers)
-            object.__setattr__(self, "blocks", blocks)
-        elif len(self.blocks) != len(self.compress_layers):
-            raise ValueError("expected one block tuple per compress layer")
 
     @property
     def depth(self) -> int:
@@ -138,10 +122,6 @@ class _Residual:
 
     def alive_neighbors(self, v: int) -> list[int]:
         return [u for u in self.tree.neighbors(v) if u in self.alive]
-
-    def alive_outside(self, v: int, comp: list[int]) -> bool:
-        comp_set = set(comp)
-        return any(u not in comp_set for u in self.alive_neighbors(v))
 
     def runs(self) -> list[list[int]]:
         """Components of the degree-<=2 residual subgraph, each ordered as a
@@ -201,7 +181,6 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
         raise ValueError("ell_prime must be positive")
     res = _Residual(tree)
     rake_layers: list[frozenset[int]] = []
-    compress_layers: list[frozenset[int]] = []
     blocks: list[Blocks] = []
     while res.alive:
         low = res.low_degree(1)
@@ -218,17 +197,12 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
         if not res.alive:
             break
         cut: list[list[int]] = []
-        for comp in res.runs():
-            if len(comp) < ell_prime:
-                continue
-            if len(comp) == 1:
-                # a lone run vertex is a block of its own; it needs alive
-                # anchors on both sides, else it erodes under later rakes
-                core = comp if res.deg[comp[0]] == 2 else []
-            else:
-                start = 1 if not res.alive_outside(comp[0], comp) else 0
-                stop = len(comp) - (1 if not res.alive_outside(comp[-1], comp) else 0)
-                core = comp[start:stop]
+        for run in res.runs():
+            # an end keeps its place when it has an alive neighbor outside
+            # the run (a lone vertex: two), i.e. when its residual degree is 2
+            start = 0 if res.deg[run[0]] == 2 else 1
+            stop = len(run) - (0 if res.deg[run[-1]] == 2 else 1)
+            core = run[start:stop]
             if len(core) < ell_prime:
                 continue  # erodes under later rakes instead
             pos = 0
@@ -236,15 +210,11 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
                 cut.append(core[pos : pos + ell_prime])
                 pos += ell_prime + 1  # the separator stays behind
             cut.append(core[pos:])
-        compressed = {v for block in cut for v in block}
-        res.remove(compressed)
-        compress_layers.append(frozenset(compressed))
+        res.remove({v for block in cut for v in block})
         blocks.append(
             tuple(sorted((tuple(b) if b[0] < b[-1] else tuple(b[::-1]) for b in cut), key=min))
         )
-    return LayeredDecomposition(
-        tree, ell_prime, tuple(rake_layers), tuple(compress_layers), tuple(blocks)
-    )
+    return LayeredDecomposition(tree, ell_prime, tuple(rake_layers), tuple(blocks))
 
 
 # accounts for the constant number of communication rounds a distributed

@@ -110,18 +110,14 @@ class _Assigner:
 
     def place(self, v: int, directed: dict[int, int], config: VertexConfig) -> None:
         """Set v's ports: directed maps neighbor -> label, leftovers ascend."""
-        row: list[Optional[int]] = [None] * self.tree.delta
-        used = []
-        for nbr, lab in directed.items():
-            row[self.tree.port_to(v, nbr)] = lab
-            used.append(lab)
         rest = list(config.labels)
-        for lab in used:
+        for lab in directed.values():
             rest.remove(lab)
         it = iter(rest)
-        for p in range(self.tree.delta):
-            if row[p] is None:
-                row[p] = next(it)
+        row = []
+        for target in self.tree.ports[v]:
+            lab = None if target is None else directed.get(target[0])
+            row.append(next(it) if lab is None else lab)
         self.ports[v] = row
 
     def place_free(self, v: int) -> None:
@@ -206,7 +202,9 @@ def solve_on_decomposition(
                     asg.place_free(v)
             continue
         for block in decomp.blocks[i - 1]:
-            if block is None:
+            # a tree has no chords, so distinct vertices each adjacent to the
+            # next induce a path
+            if not block or any(b not in tree.neighbors(a) for a, b in zip(block, block[1:])):
                 raise InternalError("compress block must induce a path")
             # the block's own vertices are still unlabeled, so every labeled
             # neighbor of an end lies outside the block
@@ -315,8 +313,9 @@ def build_toast(tree: PortTree, q: int, centers: Iterable[int]) -> Toast:
 
     A ball that already swallows the whole tree collapses into the top
     piece.  Two balls that neither nest nor keep their boundaries q apart
-    make a sound toast impossible at this q, which is an error the caller
-    can fix with fewer or farther-apart centers.
+    make a sound toast impossible at this q: verify_toast decides that, and
+    build_toast raises a ValueError the caller can fix with fewer or
+    farther-apart centers.
     """
     everything = frozenset(range(tree.n))
     pieces: list[frozenset[int]] = []
@@ -326,26 +325,13 @@ def build_toast(tree: PortTree, q: int, centers: Iterable[int]) -> Toast:
         piece = ball(tree, c, q)
         if piece != everything and piece not in pieces:
             pieces.append(piece)
-    for i, a in enumerate(pieces):
-        for b in pieces[:i]:
-            if _pieces_clash(tree, a, b, q):
-                raise ValueError(
-                    "cannot satisfy the q-gap between the centers' balls; "
-                    "retry with fewer or farther-apart centers"
-                )
-    return Toast(q, tuple(pieces) + (everything,))
-
-
-def _pieces_clash(
-    tree: PortTree, a: frozenset[int], b: frozenset[int], q: int
-) -> bool:
-    if not (a <= b or b <= a or not (a & b)):
-        return True
-    ba, bb = piece_boundary(tree, a), piece_boundary(tree, b)
-    if not ba or not bb:
-        return False
-    dist = distances(tree, bb)
-    return min(dist[v] for v in ba) < q
+    toast = Toast(q, tuple(pieces) + (everything,))
+    if verify_toast(tree, toast):
+        raise ValueError(
+            "cannot satisfy the q-gap between the centers' balls; "
+            "retry with fewer or farther-apart centers"
+        )
+    return toast
 
 
 def solve_toast(

@@ -247,17 +247,12 @@ def distances(
     return dist
 
 
-def distances_from(tree: PortTree, v: int) -> list[int]:
-    dist = distances(tree, [v])
-    return [dist[u] for u in range(tree.n)]
-
-
 def distance(tree: PortTree, u: int, v: int) -> int:
-    return distances_from(tree, u)[v]
+    return distances(tree, [u])[v]
 
 
 def ball(tree: PortTree, v: int, radius: int) -> frozenset[int]:
-    dist = distances_from(tree, v)
+    dist = distances(tree, [v])
     return frozenset(u for u in range(tree.n) if dist[u] <= radius)
 
 

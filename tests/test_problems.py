@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -311,3 +312,10 @@ def test_package_source_holds_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_export_is_bound_and_listed_once():
+    import lcltrees
+
+    assert [name for name in lcltrees.__all__ if not hasattr(lcltrees, name)] == []
+    assert [name for name, k in Counter(lcltrees.__all__).items() if k > 1] == []

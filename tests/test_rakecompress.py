@@ -93,7 +93,10 @@ def test_layered_path10_trims_the_run_ends():
 def test_layered_nine_vertex_run_splits_four_four():
     # interior run of 9 -> blocks {2..5} and {7..10} with separator 6 promoted
     decomp = post_process(path_tree(13), 4)
+    assert decomp.blocks == (((2, 3, 4, 5), (7, 8, 9, 10)),)
     assert decomp.compress_layers == (frozenset({2, 3, 4, 5, 7, 8, 9, 10}),)
+    with pytest.raises(AttributeError):
+        decomp.compress_layers = (frozenset(),)  # derived from the blocks
     assert decomp.rake_layers == (frozenset({0, 12}), frozenset({1, 6, 11}))
     comps = sorted(sorted(c) for c in components(decomp.tree, decomp.compress_layers[0]))
     assert comps == [[2, 3, 4, 5], [7, 8, 9, 10]]
@@ -137,15 +140,18 @@ def test_post_process_rejects_nonpositive_ell_prime():
 def test_layered_shape_validation():
     tree = path_tree(4)
     with pytest.raises(ValueError, match="one fewer compress"):
-        LayeredDecomposition(tree, 2, (frozenset({0, 1, 2, 3}),), (frozenset(),))
+        LayeredDecomposition(tree, 2, (frozenset({0, 1, 2, 3}),), ((),))
     with pytest.raises(ValueError, match="overlap"):
-        LayeredDecomposition(
-            tree, 2, (frozenset({0, 1, 2}), frozenset({2, 3})), (frozenset(),)
-        )
+        LayeredDecomposition(tree, 2, (frozenset({0, 1, 2}), frozenset({2, 3})), ((),))
     with pytest.raises(ValueError, match="partition"):
-        LayeredDecomposition(
-            tree, 2, (frozenset({0, 1}), frozenset({3})), (frozenset(),)
-        )
+        LayeredDecomposition(tree, 2, (frozenset({0, 1}), frozenset({3})), ((),))
+    # every vertex is ranked as it is listed, so listing one twice overlaps
+    rake = (frozenset({0, 3}), frozenset())
+    for blocks in (((1, 2, 1),), ((1,), (2, 1))):
+        with pytest.raises(ValueError, match="overlap"):
+            LayeredDecomposition(tree, 2, rake, (blocks,))
+    with pytest.raises(ValueError, match="overlap"):
+        LayeredDecomposition(tree, 2, (frozenset({0, 3}), frozenset({2})), (((1, 2),),))
 
 
 def test_layer_lookup_and_ranks():
@@ -209,7 +215,6 @@ def test_post_process_hands_over_the_blocks_a_walk_finds(model):
             decomp = post_process(tree, ell_prime)
             for layer in decomp.rake_layers + decomp.compress_layers:
                 digest.update(repr(sorted(layer)).encode())
-            assert len(decomp.blocks) == len(decomp.compress_layers)
             for layer, blocks in zip(decomp.compress_layers, decomp.blocks):
                 walked = [ordered_path(tree, c) for c in components(tree, layer)]
                 assert [list(b) for b in blocks] == walked
@@ -218,37 +223,43 @@ def test_post_process_hands_over_the_blocks_a_walk_finds(model):
 
 @pytest.mark.parametrize("model", HANDOVER_MODELS)
 def test_hand_built_decomposition_finds_its_blocks_and_solves(model, coloring3):
-    # three-coloring is ell-full from ell = 3, so every ell' can be solved
+    # a decomposition rebuilt by hand from post_process's rake layers and
+    # blocks is the same decomposition; three-coloring is ell-full from
+    # ell = 3, so every ell' can be solved
     tree = gen_tree(TreeGenSpec(n=900, delta=3, seed=2, model=model))
     subset = sorted(coloring3.vertex_configs)
     for ell_prime in (1, 2, 3, 4):
         carried = post_process(tree, ell_prime)
-        by_hand = LayeredDecomposition(
-            tree, ell_prime, carried.rake_layers, carried.compress_layers
-        )
+        by_hand = LayeredDecomposition(tree, ell_prime, carried.rake_layers, carried.blocks)
         assert by_hand == carried
-        assert by_hand.blocks == carried.blocks
+        assert by_hand.compress_layers == carried.compress_layers
         assert solve_on_decomposition(coloring3, subset, by_hand) == (
             solve_on_decomposition(coloring3, subset, carried)
         )
 
 
-def test_blocks_must_match_the_compress_layers():
-    carried = post_process(path_tree(13), 4)
-    with pytest.raises(ValueError, match="one block tuple per compress layer"):
-        LayeredDecomposition(
-            carried.tree, 4, carried.rake_layers, carried.compress_layers, ()
-        )
+def test_block_out_of_path_order_is_refused(coloring3):
+    # the layer {2, 3, 4} is sound, so the checker, which reads the layer's
+    # vertex set, accepts it; the solver fills blocks in the order given
+    tree = path_tree(7)
+    rake = (frozenset({0, 6}), frozenset({1, 5}))
+    subset = sorted(coloring3.vertex_configs)
+    in_order = LayeredDecomposition(tree, 2, rake, (((2, 3, 4),),))
+    assert check_layered_invariants(in_order) == []
+    solve_on_decomposition(coloring3, subset, in_order)
+    for blocks in (((2, 4, 3),), ((2, 3, 4), ())):
+        decomp = LayeredDecomposition(tree, 2, rake, (blocks,))
+        assert decomp.compress_layers == in_order.compress_layers
+        assert check_layered_invariants(decomp) == []
+        with pytest.raises(InternalError, match="must induce a path"):
+            solve_on_decomposition(coloring3, subset, decomp)
 
 
 def test_compress_layer_that_is_no_path_is_reported_and_refused(coloring3):
-    # the whole star as one compress layer: the checker says why, and the
-    # solver refuses it instead of filling a star as a path
+    # the whole star as one block: the checker says why, and the solver
+    # refuses it instead of filling a star as a path
     star = star_tree(4)
-    decomp = LayeredDecomposition(
-        star, 2, (frozenset(), frozenset()), (frozenset(range(4)),)
-    )
-    assert decomp.blocks == ((None,),)
+    decomp = LayeredDecomposition(star, 2, (frozenset(), frozenset()), (((0, 1, 2, 3),),))
     assert any("is not a path" in msg for msg in check_layered_invariants(decomp))
     with pytest.raises(InternalError, match="must induce a path"):
         solve_on_decomposition(coloring3, sorted(coloring3.vertex_configs), decomp)
@@ -259,9 +270,7 @@ def test_compress_layer_that_is_no_path_is_reported_and_refused(coloring3):
 
 def test_checker_flags_dependent_rake_layer():
     tree = path_tree(4)
-    decomp = LayeredDecomposition(
-        tree, 2, (frozenset({0, 1}), frozenset({2, 3})), (frozenset(),)
-    )
+    decomp = LayeredDecomposition(tree, 2, (frozenset({0, 1}), frozenset({2, 3})), ((),))
     bad = check_layered_invariants(decomp)
     assert any("not independent" in msg for msg in bad)
 
@@ -269,9 +278,7 @@ def test_checker_flags_dependent_rake_layer():
 def test_checker_flags_missing_compress_contacts():
     # both outside neighbors of the compress path sit in lower layers
     tree = path_tree(4)
-    decomp = LayeredDecomposition(
-        tree, 2, (frozenset({0, 3}), frozenset()), (frozenset({1, 2}),)
-    )
+    decomp = LayeredDecomposition(tree, 2, (frozenset({0, 3}), frozenset()), (((1, 2),),))
     bad = check_layered_invariants(decomp)
     assert any("later contacts" in msg for msg in bad)
 
@@ -279,7 +286,7 @@ def test_checker_flags_missing_compress_contacts():
 def test_checker_flags_undersized_compress_block():
     tree = path_tree(7)
     decomp = LayeredDecomposition(
-        tree, 4, (frozenset({0, 6}), frozenset({1, 5})), (frozenset({2, 3, 4}),)
+        tree, 4, (frozenset({0, 6}), frozenset({1, 5})), (((2, 3, 4),),)
     )
     bad = check_layered_invariants(decomp)
     assert any("size 3" in msg for msg in bad)
@@ -288,9 +295,7 @@ def test_checker_flags_undersized_compress_block():
 def test_checker_flags_too_many_later_neighbors():
     # raking the star center first leaves three later-layer neighbors
     tree = star_tree(4)
-    decomp = LayeredDecomposition(
-        tree, 2, (frozenset({0}), frozenset({1, 2, 3})), (frozenset(),)
-    )
+    decomp = LayeredDecomposition(tree, 2, (frozenset({0}), frozenset({1, 2, 3})), ((),))
     bad = check_layered_invariants(decomp)
     assert any("3 later neighbors" in msg for msg in bad)
 

@@ -35,7 +35,7 @@ from lcltrees.solver import (
     solve_toast,
     verify_toast,
 )
-from lcltrees.trees import TreeGenSpec, ball, gen_tree, ordered_path
+from lcltrees.trees import TreeGenSpec, ball, distances, gen_tree, ordered_path
 
 from conftest import path_tree, star_tree
 
@@ -454,6 +454,51 @@ def test_build_toast_rejects_close_centers():
         build_toast(tree, 4, [10, 13])
     with pytest.raises(ValueError, match="out of range"):
         build_toast(tree, 4, [40])
+
+
+def reference_toast_pieces(tree, q, centers):
+    """build_toast's pieces by the pair rule it once kept beside verify_toast:
+    None when two balls neither nest nor keep their boundaries q apart."""
+    everything = frozenset(range(tree.n))
+    pieces = []
+    for c in centers:
+        piece = ball(tree, c, q)
+        if piece != everything and piece not in pieces:
+            pieces.append(piece)
+
+    def clash(a, b):
+        if not (a <= b or b <= a or not (a & b)):
+            return True
+        ba, bb = piece_boundary(tree, a), piece_boundary(tree, b)
+        if not ba or not bb:
+            return False
+        dist = distances(tree, bb)
+        return min(dist[v] for v in ba) < q
+
+    if any(clash(a, b) for i, a in enumerate(pieces) for b in pieces[:i]):
+        return None
+    return tuple(pieces) + (everything,)
+
+
+def test_build_toast_refuses_exactly_what_the_pair_rule_refuses():
+    outcomes = {"built": 0, "refused": 0}
+    for model in ("path", "caterpillar", "uniform-attachment-capped"):
+        for n in (1, 2, 5, 13, 40, 97, 180, 300):
+            tree = gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
+            rng = random.Random(n)
+            for ell in (2, 3, 4):
+                for q in range(2 * ell + 2, 2 * ell + 5):
+                    for _ in range(3):
+                        centers = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+                        expected = reference_toast_pieces(tree, q, centers)
+                        if expected is None:
+                            with pytest.raises(ValueError, match="cannot satisfy the q-gap"):
+                                build_toast(tree, q, centers)
+                            outcomes["refused"] += 1
+                        else:
+                            assert build_toast(tree, q, centers).pieces == expected
+                            outcomes["built"] += 1
+    assert min(outcomes.values()) > 50
 
 
 # --- solve_toast ------------------------------------------------------------------
