@@ -8,8 +8,10 @@ toward the vertex constraint but have no edge constraint.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -119,11 +121,15 @@ class LclProblem:
     def name_of(self, label_id: int) -> str:
         return self.labels[label_id].name
 
+    @cached_property
+    def _label_of_name(self) -> dict[str, Label]:
+        return {lab.name: lab for lab in self.labels}
+
     def label_by_name(self, name: str) -> Label:
-        for lab in self.labels:
-            if lab.name == name:
-                return lab
-        raise KeyError(f"no label named {name!r}")
+        try:
+            return self._label_of_name[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name names no label
+            raise KeyError(f"no label named {name!r}") from None
 
     @cached_property
     def _edge_pairs(self) -> frozenset[tuple[int, int]]:
@@ -197,25 +203,62 @@ def is_valid_labeling(problem: LclProblem, tree, labeling: HalfEdgeLabeling) -> 
 
     Virtual ports participate in vertex configs only.  The tree argument is a
     PortTree; vertex count and delta must match the labeling and the problem.
+    The labels go into one array, and both checks run column-wise over it:
+    each vertex's sorted labels become one base-(|labels|+1) number looked up
+    among the allowed configs' numbers, and each real edge's two labels are
+    read from the tree's port arrays and looked up in edge_matrix.
     """
     if labeling.n != tree.n:
         raise ValueError(f"labeling has {labeling.n} vertices, tree has {tree.n}")
     if tree.delta != problem.delta:
         raise ValueError("tree delta differs from problem delta")
-    vertex_bad = []
-    for v in range(tree.n):
-        if len(labeling.ports[v]) != problem.delta:
-            raise ValueError(f"vertex {v} has {len(labeling.ports[v])} ports, want {problem.delta}")
-        cfg = labeling.vertex_config(v)
-        if cfg not in problem.vertex_configs:
-            vertex_bad.append((v, cfg))
-    edge_bad = []
-    for u, pu, v, pv in tree.edges():
-        a = labeling.ports[u][pu]
-        b = labeling.ports[v][pv]
-        if not problem.edge_ok(a, b):
-            edge_bad.append((u, pu, v, pv, a, b))
-    return ValidityReport(tuple(vertex_bad), tuple(edge_bad))
+    rows, n, delta = labeling.ports, tree.n, problem.delta
+    if set(map(len, rows)) != {delta}:
+        v = next(v for v, row in enumerate(rows) if len(row) != delta)
+        raise ValueError(f"vertex {v} has {len(rows[v])} ports, want {delta}")
+    labels = _label_array(rows, n * delta, problem.num_labels)
+
+    # id num_labels stands for every id out of range, so its rows match no
+    # config; base**delta, above every row's number, ends the allowed list
+    base = problem.num_labels + 1
+    dtype = np.int64 if base**delta <= np.iinfo(np.int64).max else object
+    weights = np.array([base**j for j in reversed(range(delta))], dtype=dtype)
+    configs = np.array([c.labels for c in problem.vertex_configs], dtype=dtype)
+    allowed = np.sort(np.append(configs.reshape(-1, delta) @ weights, base**delta))
+    keys = np.sort(labels.reshape(n, delta), axis=1).astype(dtype) @ weights
+    vertex_bad = np.flatnonzero(allowed[np.searchsorted(allowed, keys)] != keys)
+
+    # each real edge once, from its end u < v, in port-array order as
+    # tree.edges() lists it; slot s is port s % delta of vertex s // delta
+    nbr, back = tree.nbr.ravel().astype(np.intp), tree.back.ravel()
+    slot_u = np.flatnonzero(nbr > np.arange(n * delta) // delta)
+    slot_v = nbr[slot_u] * delta + back[slot_u]
+    pairs = np.zeros((base, base), dtype=bool)
+    pairs[:-1, :-1] = problem.edge_matrix
+    bad = ~pairs[labels[slot_u], labels[slot_v]]
+    u, pu = divmod(slot_u[bad], delta)
+    v, pv = divmod(slot_v[bad], delta)
+    return ValidityReport(
+        tuple((x, VertexConfig.of(rows[x])) for x in vertex_bad.tolist()),
+        tuple(
+            (a, pa, b, pb, rows[a][pa], rows[b][pb])
+            for a, pa, b, pb in zip(u.tolist(), pu.tolist(), v.tolist(), pv.tolist())
+        ),
+    )
+
+
+def _label_array(rows: tuple[tuple[int, ...], ...], size: int, num_labels: int) -> np.ndarray:
+    """The label ids port by port in one flat array, num_labels in place of
+    every id that is not an integer in 0..num_labels-1."""
+    try:
+        # array("q") refuses, where numpy would truncate, a float or a string
+        flat = np.frombuffer(array("q", chain.from_iterable(rows)), np.int64)
+    except (TypeError, OverflowError):  # an id that is no label anyway
+        ids = chain.from_iterable(rows)
+        ok = (x if isinstance(x, int) and 0 <= x < num_labels else -1 for x in ids)
+        flat = np.fromiter(ok, np.int64, size)
+    flat[(flat < 0) | (flat >= num_labels)] = num_labels
+    return flat
 
 
 # --- file formats -----------------------------------------------------------
@@ -225,17 +268,19 @@ def is_valid_labeling(problem: LclProblem, tree, labeling: HalfEdgeLabeling) -> 
 # labeling: [{"vertex": v, "ports": [name]*D}, ...]
 
 
-def _load_json(text: str) -> object:
+def load_json(text: str, error: type[ValueError] = ProblemFormatError) -> object:
+    """The JSON value in text; a syntax error, or nesting too deep to parse,
+    raises error instead."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ProblemFormatError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
+        raise error(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise error("document nests too deeply to parse") from None
 
 
 def parse_problem(text: str) -> LclProblem:
-    doc = _load_json(text)
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem document must be a JSON object")
     for key in ("delta", "labels", "vertex_configs", "edge_configs"):
@@ -294,10 +339,12 @@ def serialize_problem(problem: LclProblem) -> str:
 
 
 def parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
-    doc = _load_json(text)
+    doc = load_json(text)
     if not isinstance(doc, list):
         raise ProblemFormatError("labeling document must be a JSON list")
     rows: dict[int, tuple[int, ...]] = {}
+    # label ids by row of names: a labeling repeats a few rows many times
+    ids_of: dict[tuple, tuple[int, ...]] = {}
     for entry in doc:
         if not isinstance(entry, dict) or "vertex" not in entry or "ports" not in entry:
             raise ProblemFormatError(f"labeling entry {entry!r} needs vertex and ports")
@@ -309,16 +356,24 @@ def parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
         names = entry["ports"]
         if not isinstance(names, list) or len(names) != problem.delta:
             raise ProblemFormatError(f"vertex {v}: ports must list exactly delta labels")
+        key = tuple(names)
         try:
-            rows[v] = tuple(problem.label_by_name(s).id for s in names)
-        except KeyError as e:
-            raise ProblemFormatError(f"vertex {v}: {e.args[0]}") from e
+            ids = ids_of.get(key)
+        except TypeError:  # an unhashable name, which names no label
+            ids = None
+        if ids is None:
+            try:
+                ids = ids_of[key] = tuple(problem.label_by_name(s).id for s in names)
+            except KeyError as e:
+                raise ProblemFormatError(f"vertex {v}: {e.args[0]}") from e
+        rows[v] = ids
     if not rows:
         raise ProblemFormatError("labeling is empty")
     n = len(rows)
-    if sorted(rows) != list(range(n)):
+    # the ids are distinct and nonnegative, so they are 0..n-1 when the largest is n-1
+    if max(rows) != n - 1:
         raise ProblemFormatError("vertex ids must be exactly 0..n-1")
-    return HalfEdgeLabeling(tuple(rows[v] for v in range(n)))
+    return HalfEdgeLabeling(tuple(map(rows.__getitem__, range(n))))
 
 
 def serialize_labeling(labeling: HalfEdgeLabeling, problem: LclProblem) -> str:

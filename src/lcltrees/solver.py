@@ -115,8 +115,8 @@ class _Assigner:
             rest.remove(lab)
         it = iter(rest)
         row = []
-        for target in self.tree.ports[v]:
-            lab = None if target is None else directed.get(target[0])
+        for u in self.tree.port_neighbors(v):
+            lab = directed.get(u)
             row.append(next(it) if lab is None else lab)
         self.ports[v] = row
 
@@ -291,6 +291,8 @@ def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
     if everything not in pieces:
         bad.append("no piece covers the whole tree, so some pair is uncovered")
     boundaries = [piece_boundary(tree, p) for p in pieces]
+    # one walk per boundary that has a later piece to measure against
+    dists = [distances(tree, bd) if bd else {} for bd in boundaries[:-1]]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             a, b = pieces[i], pieces[j]
@@ -299,8 +301,7 @@ def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
                 continue
             if not boundaries[i] or not boundaries[j]:
                 continue
-            dist = distances(tree, boundaries[i])
-            gap = min(dist[v] for v in boundaries[j])
+            gap = min(dists[i][v] for v in boundaries[j])
             if gap < toast.q:
                 bad.append(
                     f"pieces {i} and {j} have boundary gap {gap}, want >= {toast.q}"

@@ -3,17 +3,30 @@
 Every vertex owns delta numbered ports.  A port either carries a real edge
 (it points at a neighbor and the neighbor's port pointing back) or is
 virtual: the missing continuation into the infinite tree.
+
+A PortTree keeps its ports in two int32 arrays of shape (n, delta): nbr[v, p]
+is the neighbor on port p of v and back[v, p] that neighbor's port leading
+back, both -1 on a virtual port.  Whoever fills the arrays checks what it
+wrote, once: parse_tree and TreeBuilder that ports lie in range, that no
+edge is a self-loop and that no port is used twice; the tuple constructor
+that ports lie in range and that each edge is seen from both ends.  Every
+tree then passes one shared check: n - 1 edges, and a single walk from
+vertex 0 that reaches every vertex.  Neighbor lists come from the arrays;
+.ports, the same ports as rows of (neighbor, port) pairs and None, is built
+only when read.
 """
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from random import Random
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .problems import InternalError
+import numpy as np
+
+from .problems import InternalError, load_json
 
 PortTarget = Optional[tuple[int, int]]  # (neighbor, neighbor's port) or None
 
@@ -27,71 +40,141 @@ class TreeFormatError(ValueError):
     """Malformed tree document."""
 
 
-@dataclass(frozen=True)
 class PortTree:
-    delta: int
-    ports: tuple[tuple[PortTarget, ...], ...]
+    """A tree whose vertices own delta ports each; read-only once built."""
 
-    def __post_init__(self) -> None:
-        if self.delta < 3:
-            raise ValueError("delta must be at least 3")
-        n = len(self.ports)
-        if n == 0:
-            raise ValueError("tree must have at least one vertex")
-        edge_count = 0
-        for v, row in enumerate(self.ports):
-            if len(row) != self.delta:
-                raise ValueError(f"vertex {v} has {len(row)} ports, want {self.delta}")
+    def __init__(self, delta: int, ports: Sequence[Sequence[PortTarget]]) -> None:
+        """The tree whose port p of vertex v leads to ports[v][p]: a
+        (neighbor, neighbor's port) pair, or None for a virtual port."""
+        n = len(ports)
+        _check_size(delta, n)
+        nbr: list[int] = []
+        back: list[int] = []
+        outside = None  # the first port pointing outside the tree
+        for v, row in enumerate(ports):
+            if len(row) != delta:
+                raise ValueError(f"vertex {v} has {len(row)} ports, want {delta}")
             for p, tgt in enumerate(row):
-                if tgt is None:
-                    continue
-                u, q = tgt
-                if not (0 <= u < n) or not (0 <= q < self.delta):
-                    raise ValueError(f"port {v}:{p} points outside the tree")
-                if self.ports[u][q] != (v, p):
-                    raise ValueError(f"port asymmetry at {v}:{p} vs {u}:{q}")
-                edge_count += 1
-        if edge_count != 2 * (n - 1):
+                u, q = (-1, -1) if tgt is None else tgt
+                ints = isinstance(u, int) and isinstance(q, int)
+                if tgt is not None and not (ints and 0 <= u < n and 0 <= q < delta):
+                    outside = outside or (v, p)
+                    u = q = -1
+                nbr.append(u)
+                back.append(q)
+        self._fill(delta, np.array(nbr, np.int32), np.array(back, np.int32))
+        # the rows were written independently, so each edge must be seen
+        # from both of its ends; the first bad port, row by row, is reported
+        v, p = np.nonzero(self.nbr >= 0)
+        u, q = self.nbr[v, p], self.back[v, p]
+        bad = np.flatnonzero((self.nbr[u, q] != v) | (self.back[u, q] != p))
+        if outside and not (bad.size and (v[bad[0]], p[bad[0]]) < outside):
+            raise ValueError(f"port {outside[0]}:{outside[1]} points outside the tree")
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"port asymmetry at {v[k]}:{p[k]} vs {u[k]}:{q[k]}")
+        self._check_tree()
+
+    @classmethod
+    def _of_arrays(cls, delta: int, nbr: np.ndarray, back: np.ndarray) -> "PortTree":
+        """A tree from symmetric (n, delta) port arrays, n >= 1 and delta >= 3,
+        whose entries lie in range; raises ValueError unless they form a tree."""
+        tree = cls.__new__(cls)
+        tree._fill(delta, nbr.astype(np.int32, copy=False), back.astype(np.int32, copy=False))
+        tree._check_tree()
+        return tree
+
+    def _fill(self, delta: int, nbr: np.ndarray, back: np.ndarray) -> None:
+        self.delta = delta
+        self.nbr = nbr.reshape(-1, delta)
+        self.back = back.reshape(-1, delta)
+        self.nbr.flags.writeable = self.back.flags.writeable = False
+        real = self.nbr >= 0
+        # neighbors of every vertex in port order, one flat list with offsets
+        self._adjacent: list[int] = self.nbr[real].tolist()
+        self._offsets: list[int] = [0] + np.cumsum(real.sum(axis=1)).tolist()
+
+    def _check_tree(self) -> None:
+        n = self.n
+        if len(self._adjacent) != 2 * (n - 1):
             raise ValueError(f"tree on {n} vertices must have {n - 1} edges")
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for tgt in self.ports[v]:
-                if tgt is not None and tgt[0] not in seen:
-                    seen.add(tgt[0])
-                    queue.append(tgt[0])
-        if len(seen) != n:
+        if not self._spans():
             raise ValueError("tree is disconnected")
+
+    def _spans(self) -> bool:
+        """Whether a walk from vertex 0 reaches every vertex."""
+        adjacent, offsets = self._adjacent, self._offsets
+        seen = bytearray(self.n)
+        seen[0] = 1
+        stack = [0]
+        for v in stack:
+            for u in adjacent[offsets[v] : offsets[v + 1]]:
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+        return len(stack) == self.n
 
     @property
     def n(self) -> int:
-        return len(self.ports)
+        return len(self.nbr)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbors in port order, built on first use."""
-        return tuple(tuple(t[0] for t in row if t is not None) for row in self.ports)
+    def ports(self) -> tuple[tuple[PortTarget, ...], ...]:
+        """ports[v][p]: (neighbor, neighbor's port), or None on a virtual port."""
+        return tuple(
+            tuple(None if u < 0 else (u, q) for u, q in zip(nrow, brow))
+            for nrow, brow in zip(self.nbr.tolist(), self.back.tolist())
+        )
+
+    @cached_property
+    def _port_rows(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.nbr.tolist()))
+
+    def port_neighbors(self, v: int) -> tuple[int, ...]:
+        """The neighbor on each port of v in port order, -1 on a virtual port."""
+        return self._port_rows[v]
 
     def neighbors(self, v: int) -> list[int]:
-        return list(self._adjacency[v])
+        return self._adjacent[self._offsets[v] : self._offsets[v + 1]]
 
     def real_degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return self._offsets[v + 1] - self._offsets[v]
 
     def port_to(self, u: int, v: int) -> int:
         """Port index of u whose edge goes to v."""
-        for p, tgt in enumerate(self.ports[u]):
-            if tgt is not None and tgt[0] == v:
-                return p
-        raise ValueError(f"no edge from {u} to {v}")
+        row = self._port_rows[u]
+        if v < 0 or v not in row:
+            raise ValueError(f"no edge from {u} to {v}")
+        return row.index(v)
 
     def edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Each real edge once, as (u, pu, v, pv) with u < v."""
-        for u, row in enumerate(self.ports):
-            for pu, tgt in enumerate(row):
-                if tgt is not None and u < tgt[0]:
-                    yield u, pu, tgt[0], tgt[1]
+        u, pu = np.nonzero(self.nbr > np.arange(self.n)[:, None])
+        return zip(
+            u.tolist(), pu.tolist(), self.nbr[u, pu].tolist(), self.back[u, pu].tolist()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PortTree):
+            return NotImplemented
+        return (
+            self.delta == other.delta
+            and np.array_equal(self.nbr, other.nbr)
+            and np.array_equal(self.back, other.back)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.delta, self.nbr.tobytes(), self.back.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"PortTree(delta={self.delta}, n={self.n})"
+
+
+def _check_size(delta: int, n: int) -> None:
+    if delta < 3:
+        raise ValueError("delta must be at least 3")
+    if n == 0:
+        raise ValueError("tree must have at least one vertex")
 
 
 class TreeBuilder:
@@ -102,7 +185,9 @@ class TreeBuilder:
             raise TreeFormatError(f"delta {delta} is above the maximum {MAX_DELTA}")
         self.n = n
         self.delta = delta
-        self._ports: list[list[PortTarget]] = [[None] * delta for _ in range(n)]
+        # slot v * delta + p holds port p of vertex v
+        self._nbr = [-1] * (n * delta)
+        self._back = [-1] * (n * delta)
         self._degree = [0] * n
 
     def degree(self, v: int) -> int:
@@ -117,22 +202,29 @@ class TreeBuilder:
         for w, p in ((u, pu), (v, pv)):
             if not (0 <= w < self.n) or not (0 <= p < self.delta):
                 raise TreeFormatError(f"port {w}:{p} out of range")
-            if self._ports[w][p] is not None:
+            if self._nbr[w * self.delta + p] >= 0:
                 raise TreeFormatError(f"port {w}:{p} assigned twice")
-        self._ports[u][pu] = (v, pv)
-        self._ports[v][pv] = (u, pu)
+        su, sv = u * self.delta + pu, v * self.delta + pv
+        self._nbr[su], self._back[su] = v, pv
+        self._nbr[sv], self._back[sv] = u, pu
         self._degree[u] += 1
         self._degree[v] += 1
 
     def _next_free(self, v: int) -> int:
-        for p in range(self.delta):
-            if self._ports[v][p] is None:
-                return p
-        raise TreeFormatError(f"vertex {v} already has delta = {self.delta} edges")
+        if self._degree[v] >= self.delta:
+            raise TreeFormatError(f"vertex {v} already has delta = {self.delta} edges")
+        start = v * self.delta
+        return self._nbr.index(-1, start) - start
 
     def build(self) -> PortTree:
+        shape = (self.n, self.delta)
         try:
-            return PortTree(self.delta, tuple(tuple(row) for row in self._ports))
+            _check_size(self.delta, self.n)
+            return PortTree._of_arrays(
+                self.delta,
+                np.array(self._nbr, np.int32).reshape(shape),
+                np.array(self._back, np.int32).reshape(shape),
+            )
         except ValueError as e:
             raise TreeFormatError(str(e)) from e
 
@@ -262,13 +354,15 @@ def ball(tree: PortTree, v: int, radius: int) -> frozenset[int]:
 # Ports not listed are virtual.
 
 
+_EDGE_KEYS = ("u", "pu", "v", "pv")
+_edge_fields = itemgetter(*_EDGE_KEYS)
+
+
 def parse_tree(text: str) -> PortTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TreeFormatError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
+    """The tree a document describes; TreeFormatError names the first fault
+    of the first check it fails: keys, field types, vertex range, self-loop,
+    port range, a port used twice, a cycle."""
+    doc = load_json(text, TreeFormatError)
     if not isinstance(doc, dict):
         raise TreeFormatError("tree document must be a JSON object")
     for key in ("n", "delta", "edges"):
@@ -284,8 +378,65 @@ def parse_tree(text: str) -> PortTree:
         raise TreeFormatError("edges must be a list")
     if len(edges) != n - 1:
         raise TreeFormatError(f"tree on {n} vertices must list {n - 1} edges")
-    b = TreeBuilder(n, delta)
-    parent = list(range(n))  # union-find, cycle check before the builder runs
+    try:
+        fields = list(map(_edge_fields, edges))
+    except (KeyError, TypeError):
+        row = next(
+            r for r in edges if not isinstance(r, dict) or any(k not in r for k in _EDGE_KEYS)
+        )
+        raise TreeFormatError(f"edge {row!r} needs keys u, pu, v, pv") from None
+    if not set(map(type, chain.from_iterable(fields))) <= {int, bool}:
+        row = next(r for r, f in zip(edges, fields) if not all(isinstance(x, int) for x in f))
+        raise TreeFormatError(f"edge {row!r} has non-integer fields")
+    values = chain.from_iterable(fields)
+    try:
+        e = np.fromiter(values, np.int64, 4 * len(fields))
+    except OverflowError:  # a field beyond int64 lies outside every range
+        values = (min(max(x, -1), n + delta) for x in chain.from_iterable(fields))
+        e = np.fromiter(values, np.int64, 4 * len(fields))
+    u, pu, v, pv = e.reshape(-1, 4).T
+
+    def first(mask: np.ndarray) -> Optional[int]:
+        hits = np.flatnonzero(mask)
+        return int(hits[0]) if hits.size else None
+
+    i = first((u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if i is not None:
+        raise TreeFormatError(f"edge {edges[i]!r} has vertex out of range")
+    i = first(u == v)
+    if i is not None:
+        raise TreeFormatError(f"self-loop at vertex {fields[i][0]}")
+
+    def end(k: int) -> str:
+        """End k % 2 of edge k // 2 as vertex:port, as the document gives it."""
+        return "{}:{}".format(*fields[k // 2][k % 2 * 2 : k % 2 * 2 + 2])
+
+    # both ends of every edge in document order: u0, v0, u1, v1, ...
+    w, p = np.stack([u, v], axis=1).ravel(), np.stack([pu, pv], axis=1).ravel()
+    i = first((p < 0) | (p >= delta))
+    if i is not None:
+        raise TreeFormatError(f"port {end(i)} out of range")
+    slot = w * delta + p
+    nbr = np.full(n * delta, -1, np.int32)
+    back = np.full(n * delta, -1, np.int32)
+    nbr[slot] = np.stack([v, u], axis=1).ravel()
+    back[slot] = np.stack([pv, pu], axis=1).ravel()
+    if np.count_nonzero(nbr >= 0) != slot.size:
+        order = np.argsort(slot, kind="stable")
+        i = int(order[1:][slot[order[1:]] == slot[order[:-1]]].min())
+        raise TreeFormatError(f"port {end(i)} assigned twice")
+    try:
+        return PortTree._of_arrays(delta, nbr.reshape(-1, delta), back.reshape(-1, delta))
+    except ValueError:
+        # n - 1 edges that miss a vertex close a cycle
+        u, v = _first_cycle_edge(n, u.tolist(), v.tolist())
+        raise TreeFormatError(f"cycle detected at edge {u} -- {v}") from None
+
+
+def _first_cycle_edge(n: int, us: list[int], vs: list[int]) -> tuple[int, int]:
+    """The first edge, in list order, joining two vertices the edges before
+    it already connect."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -293,28 +444,20 @@ def parse_tree(text: str) -> PortTree:
             x = parent[x]
         return x
 
-    for row in edges:
-        if not isinstance(row, dict) or any(k not in row for k in ("u", "pu", "v", "pv")):
-            raise TreeFormatError(f"edge {row!r} needs keys u, pu, v, pv")
-        u, pu, v, pv = row["u"], row["pu"], row["v"], row["pv"]
-        if any(not isinstance(x, int) for x in (u, pu, v, pv)):
-            raise TreeFormatError(f"edge {row!r} has non-integer fields")
-        if not (0 <= u < n and 0 <= v < n):
-            raise TreeFormatError(f"edge {row!r} has vertex out of range")
+    for u, v in zip(us, vs):
         ru, rv = find(u), find(v)
-        if u != v and ru == rv:
-            raise TreeFormatError(f"cycle detected at edge {u} -- {v}")
+        if ru == rv:
+            return u, v
         parent[ru] = rv
-        b.add_edge_at(u, pu, v, pv)
-    return b.build()
+    raise InternalError("a graph with n - 1 edges that misses a vertex has a cycle")
 
 
 def serialize_tree(tree: PortTree) -> str:
-    doc = {
-        "n": tree.n,
-        "delta": tree.delta,
-        "edges": [
-            {"u": u, "pu": pu, "v": v, "pv": pv} for u, pu, v, pv in tree.edges()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The tree document as json.dumps(doc, indent=2) writes it, byte for
+    byte, built in one pass over the edges."""
+    edges = ",\n".join(
+        f'    {{\n      "u": {u},\n      "pu": {pu},\n      "v": {v},\n      "pv": {pv}\n    }}'
+        for u, pu, v, pv in tree.edges()
+    )
+    listed = f"[\n{edges}\n  ]" if edges else "[]"
+    return f'{{\n  "n": {tree.n},\n  "delta": {tree.delta},\n  "edges": {listed}\n}}\n'

@@ -1,0 +1,266 @@
+"""Plain per-item versions of code the package now runs on arrays.
+
+These are the tree, labeling and toast checks as they stood before PortTree
+moved to port arrays, kept as they were apart from their names: a tree of
+(neighbor, port) tuples checked port by port, a builder checking each edge
+as it comes, the edge-by-edge parser, the vertex-by-vertex labeling check,
+and verify_toast walking from piece i's boundary once per later piece.  The
+differential tests hold the package to their results.
+"""
+from __future__ import annotations
+
+import json
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
+from random import Random
+from typing import Iterator, Optional
+
+from lcltrees.problems import HalfEdgeLabeling, LclProblem, ValidityReport
+from lcltrees.solver import Toast, piece_boundary
+from lcltrees.trees import MAX_DELTA, TreeFormatError, TreeGenSpec, components, distances
+
+PortTarget = Optional[tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class RefPortTree:
+    delta: int
+    ports: tuple[tuple[PortTarget, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.delta < 3:
+            raise ValueError("delta must be at least 3")
+        n = len(self.ports)
+        if n == 0:
+            raise ValueError("tree must have at least one vertex")
+        edge_count = 0
+        for v, row in enumerate(self.ports):
+            if len(row) != self.delta:
+                raise ValueError(f"vertex {v} has {len(row)} ports, want {self.delta}")
+            for p, tgt in enumerate(row):
+                if tgt is None:
+                    continue
+                u, q = tgt
+                if not (0 <= u < n) or not (0 <= q < self.delta):
+                    raise ValueError(f"port {v}:{p} points outside the tree")
+                if self.ports[u][q] != (v, p):
+                    raise ValueError(f"port asymmetry at {v}:{p} vs {u}:{q}")
+                edge_count += 1
+        if edge_count != 2 * (n - 1):
+            raise ValueError(f"tree on {n} vertices must have {n - 1} edges")
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for tgt in self.ports[v]:
+                if tgt is not None and tgt[0] not in seen:
+                    seen.add(tgt[0])
+                    queue.append(tgt[0])
+        if len(seen) != n:
+            raise ValueError("tree is disconnected")
+
+    @property
+    def n(self) -> int:
+        return len(self.ports)
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(t[0] for t in row if t is not None) for row in self.ports)
+
+    def neighbors(self, v: int) -> list[int]:
+        return list(self._adjacency[v])
+
+    def real_degree(self, v: int) -> int:
+        return len(self._adjacency[v])
+
+    def port_to(self, u: int, v: int) -> int:
+        for p, tgt in enumerate(self.ports[u]):
+            if tgt is not None and tgt[0] == v:
+                return p
+        raise ValueError(f"no edge from {u} to {v}")
+
+    def edges(self) -> Iterator[tuple[int, int, int, int]]:
+        for u, row in enumerate(self.ports):
+            for pu, tgt in enumerate(row):
+                if tgt is not None and u < tgt[0]:
+                    yield u, pu, tgt[0], tgt[1]
+
+
+class RefTreeBuilder:
+    def __init__(self, n: int, delta: int):
+        if delta > MAX_DELTA:
+            raise TreeFormatError(f"delta {delta} is above the maximum {MAX_DELTA}")
+        self.n = n
+        self.delta = delta
+        self._ports: list[list[PortTarget]] = [[None] * delta for _ in range(n)]
+        self._degree = [0] * n
+
+    def degree(self, v: int) -> int:
+        return self._degree[v]
+
+    def add_edge(self, u: int, v: int) -> None:
+        self.add_edge_at(u, self._next_free(u), v, self._next_free(v))
+
+    def add_edge_at(self, u: int, pu: int, v: int, pv: int) -> None:
+        if u == v:
+            raise TreeFormatError(f"self-loop at vertex {u}")
+        for w, p in ((u, pu), (v, pv)):
+            if not (0 <= w < self.n) or not (0 <= p < self.delta):
+                raise TreeFormatError(f"port {w}:{p} out of range")
+            if self._ports[w][p] is not None:
+                raise TreeFormatError(f"port {w}:{p} assigned twice")
+        self._ports[u][pu] = (v, pv)
+        self._ports[v][pv] = (u, pu)
+        self._degree[u] += 1
+        self._degree[v] += 1
+
+    def _next_free(self, v: int) -> int:
+        for p in range(self.delta):
+            if self._ports[v][p] is None:
+                return p
+        raise TreeFormatError(f"vertex {v} already has delta = {self.delta} edges")
+
+    def build(self) -> RefPortTree:
+        try:
+            return RefPortTree(self.delta, tuple(tuple(row) for row in self._ports))
+        except ValueError as e:
+            raise TreeFormatError(str(e)) from e
+
+
+def ref_gen_tree(spec: TreeGenSpec) -> RefPortTree:
+    n, delta = spec.n, spec.delta
+    if n < 1:
+        raise ValueError("n must be positive")
+    b = RefTreeBuilder(n, delta)
+    if spec.model == "path":
+        for v in range(1, n):
+            b.add_edge(v - 1, v)
+    elif spec.model == "star":
+        if n > delta + 1:
+            raise ValueError(f"star on {n} vertices needs delta >= {n - 1}")
+        for v in range(1, n):
+            b.add_edge(0, v)
+    elif spec.model == "caterpillar":
+        spine = (n + 1) // 2
+        for v in range(1, spine):
+            b.add_edge(v - 1, v)
+        leg = 0
+        for v in range(spine, n):
+            while b.degree(leg) >= delta:
+                leg = (leg + 1) % spine
+            b.add_edge(leg, v)
+            leg = (leg + 1) % spine
+    elif spec.model == "uniform-attachment-capped":
+        rng = Random(spec.seed)
+        eligible = [0]
+        for v in range(1, n):
+            i = rng.randrange(len(eligible))
+            parent = eligible[i]
+            b.add_edge(parent, v)
+            if b.degree(parent) >= delta:
+                eligible[i] = eligible[-1]
+                eligible.pop()
+            eligible.append(v)
+    else:
+        raise ValueError(f"unknown tree model {spec.model!r}")
+    return b.build()
+
+
+def ref_parse_tree(text: str) -> RefPortTree:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise TreeFormatError(
+            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from e
+    if not isinstance(doc, dict):
+        raise TreeFormatError("tree document must be a JSON object")
+    for key in ("n", "delta", "edges"):
+        if key not in doc:
+            raise TreeFormatError(f"missing key {key!r}")
+    n, delta = doc["n"], doc["delta"]
+    if not isinstance(n, int) or n < 1:
+        raise TreeFormatError("n must be a positive integer")
+    if not isinstance(delta, int) or not 3 <= delta <= MAX_DELTA:
+        raise TreeFormatError(f"delta must be an integer in 3..{MAX_DELTA}")
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise TreeFormatError("edges must be a list")
+    if len(edges) != n - 1:
+        raise TreeFormatError(f"tree on {n} vertices must list {n - 1} edges")
+    b = RefTreeBuilder(n, delta)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in edges:
+        if not isinstance(row, dict) or any(k not in row for k in ("u", "pu", "v", "pv")):
+            raise TreeFormatError(f"edge {row!r} needs keys u, pu, v, pv")
+        u, pu, v, pv = row["u"], row["pu"], row["v"], row["pv"]
+        if any(not isinstance(x, int) for x in (u, pu, v, pv)):
+            raise TreeFormatError(f"edge {row!r} has non-integer fields")
+        if not (0 <= u < n and 0 <= v < n):
+            raise TreeFormatError(f"edge {row!r} has vertex out of range")
+        ru, rv = find(u), find(v)
+        if u != v and ru == rv:
+            raise TreeFormatError(f"cycle detected at edge {u} -- {v}")
+        parent[ru] = rv
+        b.add_edge_at(u, pu, v, pv)
+    return b.build()
+
+
+def ref_is_valid_labeling(
+    problem: LclProblem, tree: RefPortTree, labeling: HalfEdgeLabeling
+) -> ValidityReport:
+    if labeling.n != tree.n:
+        raise ValueError(f"labeling has {labeling.n} vertices, tree has {tree.n}")
+    if tree.delta != problem.delta:
+        raise ValueError("tree delta differs from problem delta")
+    vertex_bad = []
+    for v in range(tree.n):
+        if len(labeling.ports[v]) != problem.delta:
+            raise ValueError(f"vertex {v} has {len(labeling.ports[v])} ports, want {problem.delta}")
+        cfg = labeling.vertex_config(v)
+        if cfg not in problem.vertex_configs:
+            vertex_bad.append((v, cfg))
+    edge_bad = []
+    for u, pu, v, pv in tree.edges():
+        a = labeling.ports[u][pu]
+        b = labeling.ports[v][pv]
+        if not problem.edge_ok(a, b):
+            edge_bad.append((u, pu, v, pv, a, b))
+    return ValidityReport(tuple(vertex_bad), tuple(edge_bad))
+
+
+def ref_verify_toast(tree, toast: Toast) -> list[str]:
+    bad = []
+    everything = frozenset(range(tree.n))
+    pieces = toast.pieces
+    if len(set(pieces)) != len(pieces):
+        bad.append("duplicate piece")
+    for idx, piece in enumerate(pieces):
+        if len(components(tree, piece)) > 1:
+            bad.append(f"piece {idx} is disconnected")
+    if everything not in pieces:
+        bad.append("no piece covers the whole tree, so some pair is uncovered")
+    boundaries = [piece_boundary(tree, p) for p in pieces]
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            a, b = pieces[i], pieces[j]
+            if not (a <= b or b <= a or not (a & b)):
+                bad.append(f"pieces {i} and {j} overlap without nesting")
+                continue
+            if not boundaries[i] or not boundaries[j]:
+                continue
+            dist = distances(tree, boundaries[i])
+            gap = min(dist[v] for v in boundaries[j])
+            if gap < toast.q:
+                bad.append(
+                    f"pieces {i} and {j} have boundary gap {gap}, want >= {toast.q}"
+                )
+    return bad

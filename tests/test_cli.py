@@ -1,11 +1,15 @@
 """End-to-end command-line checks: exit codes, report round-trips, and the
 gen / solve / verify pipeline on real files."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lcltrees.cli import main
 from lcltrees.fixtures import random_problem, three_coloring
@@ -18,6 +22,7 @@ from lcltrees.problems import (
     VertexConfig,
     serialize_problem,
 )
+from lcltrees.trees import PortTree
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +353,81 @@ def test_oracle_connects_exit_codes(capsys):
         "--k", "9", "--budget", "1",
     )
     assert (code, "unknown" in out) == (3, True)
+
+
+# --- hostile input files ------------------------------------------------------------
+
+
+def quiet_cli(*argv):
+    """main() with stdout and stderr captured: (exit code, everything printed)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def input_files(folder):
+    """A problem, tree, subset and labeling file that solve and verify accept."""
+    files = {kind: folder / f"{kind}.json" for kind in ("problem", "tree", "subset", "labeling")}
+    files["problem"].write_text(serialize_problem(three_coloring()))
+    files["subset"].write_text('[["a","a","a"],["b","b","b"],["c","c","c"]]')
+    quiet_cli("gen", "--n", "12", "--seed", "4", "--output", str(files["tree"]))
+    code, _ = quiet_cli(*commands_reading(files, "subset")[0], "--output", str(files["labeling"]))
+    assert code == 0
+    return files
+
+
+def commands_reading(files, kind):
+    """The solve and verify command lines that read the file of this kind."""
+    problem, tree, subset, labeling = map(str, files.values())
+    solve = ["solve", "--problem", problem, "--tree", tree, "--subset", subset, "--ell", "3"]
+    verify = ["verify", "--problem", problem, "--tree", tree, "--labeling", labeling]
+    return {"subset": [solve], "labeling": [verify]}.get(kind, [solve, verify])
+
+
+def test_solve_and_verify_never_build_port_tuples(tmp_path, monkeypatch):
+    files = input_files(tmp_path)
+
+    def refuse(_tree):
+        raise AssertionError("tree.ports was built")
+
+    monkeypatch.setattr(PortTree, "ports", property(refuse))
+    for argv in commands_reading(files, "tree"):
+        code, text = quiet_cli(*argv)
+        assert code == 0, text
+        assert "labeling is valid" in text
+
+
+@pytest.mark.parametrize("kind", ["problem", "tree", "subset", "labeling"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, kind):
+    files = input_files(tmp_path)
+    files[kind].write_text("[" * 100_000)
+    for argv in commands_reading(files, kind):
+        code, text = quiet_cli(*argv)
+        assert code == 2
+        assert "error: document nests too deeply to parse" in text
+        assert "Traceback" not in text
+
+
+# arbitrary bytes, or one opening repeated up to far past the parser's nesting limit
+hostile_bytes = st.binary(max_size=80) | st.builds(
+    lambda opening, times: opening * times,
+    st.sampled_from([b"[", b'{"n": ', b"[1, "]),
+    st.integers(0, 100_000),
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(kind=st.sampled_from(["problem", "tree", "subset", "labeling"]), data=hostile_bytes)
+def test_arbitrary_bytes_in_any_input_file_exit_2(tmp_path, kind, data):
+    files = input_files(tmp_path)
+    files[kind].write_bytes(data)
+    for argv in commands_reading(files, kind):
+        code, text = quiet_cli(*argv)
+        assert code == 2, text
+        assert "Traceback" not in text
 
 
 def test_module_entry_point_runs():

@@ -1,0 +1,278 @@
+"""The array-backed trees, the column-wise labeling check and the one-walk
+verify_toast against the per-item versions kept in tests/reference.py."""
+
+import json
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcltrees.fixtures import perfect_matching, random_problem, three_coloring
+from lcltrees.problems import (
+    EdgeConfig,
+    HalfEdgeLabeling,
+    Label,
+    LclProblem,
+    VertexConfig,
+    is_valid_labeling,
+)
+from lcltrees.solver import Toast, solve_log, verify_toast
+from lcltrees.trees import (
+    PortTree,
+    TreeFormatError,
+    TreeGenSpec,
+    ball,
+    gen_tree,
+    parse_tree,
+    serialize_tree,
+)
+
+from conftest import json_documents
+from reference import (
+    RefPortTree,
+    ref_gen_tree,
+    ref_is_valid_labeling,
+    ref_parse_tree,
+    ref_verify_toast,
+)
+
+MODELS = ("path", "caterpillar", "uniform-attachment-capped", "star")
+SIZES = (1, 2, 3, 4, 5, 6, 17, 100, 641, 2000)
+
+
+def assert_same_tree(tree: PortTree, ref: RefPortTree) -> None:
+    assert (tree.n, tree.delta) == (ref.n, ref.delta)
+    assert tree.ports == ref.ports
+    assert list(tree.edges()) == list(ref.edges())
+    for v in range(tree.n):
+        assert tree.neighbors(v) == ref.neighbors(v)
+        assert tree.real_degree(v) == ref.real_degree(v)
+        for u in ref.neighbors(v):
+            assert tree.port_to(v, u) == ref.port_to(v, u)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("delta", (3, 4, 5))
+def test_generated_and_parsed_trees_match_the_reference(model, delta):
+    for n in SIZES:
+        if model == "star" and n > delta + 1:
+            continue
+        spec = TreeGenSpec(n=n, delta=delta, seed=n * delta, model=model)
+        tree, ref = gen_tree(spec), ref_gen_tree(spec)
+        assert_same_tree(tree, ref)
+        assert tree == PortTree(delta, ref.ports)
+        text = serialize_tree(tree)
+        parsed, ref_parsed = parse_tree(text), ref_parse_tree(text)
+        assert parsed == tree
+        assert_same_tree(parsed, ref_parsed)
+
+
+def _path_doc(n=6):
+    """A path 0 - 1 - ... - n-1, every vertex on its ports 0 and 1."""
+    edges = [{"u": v, "pu": 1 if v else 0, "v": v + 1, "pv": 0} for v in range(n - 1)]
+    return {"n": n, "delta": 3, "edges": edges}
+
+
+def _single_faults():
+    """Documents that each break exactly one rule, named by the rule."""
+    out = []
+
+    def case(name, change):
+        doc = _path_doc()
+        change(doc["edges"])
+        out.append((name, doc))
+
+    case("missing key", lambda e: e[2].pop("pv"))
+    case("not an object", lambda e: e.__setitem__(3, [1, 2, 3, 4]))
+    case("float field", lambda e: e[1].__setitem__("pu", 1.0))
+    case("string field", lambda e: e[3].__setitem__("v", "4"))
+    case("vertex too large", lambda e: e[2].__setitem__("v", 6))
+    case("negative vertex", lambda e: e[4].__setitem__("u", -1))
+    case("huge vertex", lambda e: e[1].__setitem__("u", 2**70))
+    case("huge port", lambda e: e[1].__setitem__("pv", 2**70))
+    case("self-loop", lambda e: e[2].update(u=3, pu=2, v=3, pv=1))
+    case("port too large", lambda e: e[3].__setitem__("pv", 3))
+    case("negative port", lambda e: e[0].__setitem__("pu", -1))
+    # vertex 2 already uses port 0 for edge 1 - 2
+    case("port assigned twice", lambda e: e[2].__setitem__("pu", 0))
+    # 0 - 2 closes the cycle 0 - 1 - 2 and cuts vertex 5 off
+    case("cycle", lambda e: e[4].update(u=0, pu=1, v=2, pv=2))
+    case("multi-edge", lambda e: e[4].update(u=1, pu=2, v=2, pv=2))
+    return out
+
+
+@pytest.mark.parametrize("name,doc", _single_faults(), ids=[n for n, _ in _single_faults()])
+def test_a_single_fault_raises_the_reference_message(name, doc):
+    text = json.dumps(doc)
+    with pytest.raises(TreeFormatError) as want:
+        ref_parse_tree(text)
+    with pytest.raises(TreeFormatError) as got:
+        parse_tree(text)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 1000),
+    changes=st.lists(
+        st.tuples(
+            st.integers(0, 10**6), st.integers(0, 2), st.integers(-1, 13), st.integers(-1, 3)
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_port_rows_fail_like_the_reference(n, seed, changes):
+    """One changed port gives the reference's message; two, its error type."""
+    rows = [list(row) for row in gen_tree(TreeGenSpec(n=n, delta=3, seed=seed)).ports]
+    for slot, p, u, q in changes:
+        rows[slot % n][p] = None if u < 0 else (u, q)
+    ports = tuple(map(tuple, rows))
+    try:
+        want = RefPortTree(3, ports)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            PortTree(3, ports)
+        if len(changes) == 1:
+            assert str(got.value) == str(e)
+        return
+    assert_same_tree(PortTree(3, ports), want)
+
+
+_EDGE_KEYS = ("u", "pu", "v", "pv")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    json_documents(
+        "n",
+        "delta",
+        "edges",
+        n=st.integers(1, 5),
+        delta=st.integers(3, 4),
+        edges=st.lists(
+            json_documents(*_EDGE_KEYS, **dict.fromkeys(_EDGE_KEYS, st.integers(-1, 5))),
+            max_size=4,
+        ),
+    )
+)
+def test_any_document_parses_or_fails_like_the_reference(doc):
+    text = json.dumps(doc)
+    try:
+        want = ref_parse_tree(text)
+    except TreeFormatError:
+        with pytest.raises(TreeFormatError):
+            parse_tree(text)
+        return
+    assert_same_tree(parse_tree(text), want)
+
+
+# --- labelings ------------------------------------------------------------------
+
+
+def wide_problem() -> LclProblem:
+    """Two labels at delta 40: base-3 config numbers overflow int64."""
+    labels = (Label(0, "x"), Label(1, "y"))
+    configs = frozenset(VertexConfig.of([0] * k + [1] * (40 - k)) for k in (0, 1, 39, 40))
+    return LclProblem(40, labels, configs, frozenset({EdgeConfig.of(0, 1)}))
+
+
+def empty_problem() -> LclProblem:
+    """No vertex config allowed at all."""
+    return LclProblem(3, (Label(0, "x"),), frozenset(), frozenset({EdgeConfig.of(0, 0)}))
+
+
+def corrupt(labeling: HalfEdgeLabeling, rng: Random, num_labels: int, count: int):
+    """The labeling with count ports set to ids in and out of range, and to
+    fractions, which name no label."""
+    rows = [list(row) for row in labeling.ports]
+    pool = list(range(num_labels)) + [-1, -2, num_labels, num_labels + 3, 2**70, -(2**70), 1.5]
+    for _ in range(count):
+        v = rng.randrange(len(rows))
+        rows[v][rng.randrange(len(rows[v]))] = rng.choice(pool)
+    return HalfEdgeLabeling(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("model", ("path", "caterpillar", "uniform-attachment-capped"))
+def test_labeling_reports_match_the_reference(model):
+    rng = Random(model)
+    problems = [three_coloring(), perfect_matching(), random_problem(4), random_problem(6)]
+    for n in (1, 2, 9, 150, 1200):
+        tree = gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
+        ref_tree = RefPortTree(tree.delta, tree.ports)
+        for problem in problems:
+            # three-coloring from the solver is valid; elsewhere configs in turn
+            cfgs = problem.sorted_configs()
+            base = (
+                solve_log(problem, cfgs, 3, tree)
+                if problem is problems[0]
+                else HalfEdgeLabeling(tuple(cfgs[v % len(cfgs)].labels for v in range(n)))
+            )
+            for count in (0, 1, 5, n):
+                lab = corrupt(base, rng, problem.num_labels, count)
+                want = ref_is_valid_labeling(problem, ref_tree, lab)
+                assert is_valid_labeling(problem, tree, lab) == want
+
+
+def test_labeling_reports_match_beyond_int64_keys_and_without_configs():
+    rng = Random(7)
+    tree = gen_tree(TreeGenSpec(n=60, delta=40, seed=1))
+    ref_tree = RefPortTree(tree.delta, tree.ports)
+    problem = wide_problem()
+    for count in (0, 3, 200):
+        rows = tuple(tuple(rng.choice((0, 1, 1, 1)) for _ in range(40)) for _ in range(60))
+        lab = corrupt(HalfEdgeLabeling(rows), rng, 2, count)
+        want = ref_is_valid_labeling(problem, ref_tree, lab)
+        assert is_valid_labeling(problem, tree, lab) == want
+    tree = gen_tree(TreeGenSpec(n=5, delta=3, seed=1))
+    lab = HalfEdgeLabeling(((0, 0, 0),) * 5)
+    want = ref_is_valid_labeling(empty_problem(), RefPortTree(3, tree.ports), lab)
+    assert is_valid_labeling(empty_problem(), tree, lab) == want
+    assert len(want.vertex_violations) == 5 and not want.edge_violations
+
+
+def test_labeling_shape_errors_match_the_reference():
+    problem = three_coloring()
+    tree = gen_tree(TreeGenSpec(n=4, delta=3, seed=0, model="path"))
+    ref_tree = RefPortTree(3, tree.ports)
+    for rows in (((0, 0, 0),) * 3, ((0, 0, 0), (0, 0), (0, 0, 0, 0), (0, 0, 0))):
+        lab = HalfEdgeLabeling(rows)
+        with pytest.raises(ValueError) as want:
+            ref_is_valid_labeling(problem, ref_tree, lab)
+        with pytest.raises(ValueError) as got:
+            is_valid_labeling(problem, tree, lab)
+        assert str(got.value) == str(want.value)
+
+
+# --- toasts ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", ("path", "caterpillar", "uniform-attachment-capped"))
+def test_verify_toast_reports_match_the_reference(model):
+    rng = Random(model)
+    seen = {"clean": 0, "nesting": 0, "gap": 0, "disconnected": 0}
+    for n in (12, 40, 200):
+        tree = gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
+        everything = frozenset(range(n))
+        for _ in range(25):
+            # balls of random radius: nested, disjoint, overlapping or too
+            # close; now and then a scattered set or no top piece
+            pieces = [
+                ball(tree, rng.randrange(n), rng.randrange(1, 6))
+                for _ in range(rng.randrange(1, 6))
+            ]
+            if rng.random() < 0.2:
+                pieces.append(frozenset(rng.sample(range(n), 3)))
+            if rng.random() < 0.8:
+                pieces.append(everything)
+            toast = Toast(rng.randrange(2, 7), tuple(pieces))
+            want = ref_verify_toast(tree, toast)
+            assert verify_toast(tree, toast) == want
+            seen["clean"] += not want and len(set(pieces) - {everything}) >= 2
+            for kind in ("nesting", "gap", "disconnected"):
+                seen[kind] += any(kind in line for line in want)
+    # sound toasts of disjoint balls, overlapping, too-close and
+    # disconnected pieces all occurred
+    assert min(seen.values()) > 0, seen

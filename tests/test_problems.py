@@ -238,6 +238,15 @@ def test_serialize_labeling_matches_json_dumps_byte_for_byte():
         assert serialize_labeling(odd, problems[0]) == reference_labeling_text(odd, problems[0])
 
 
+def test_label_by_name_finds_each_label_and_names_a_missing_one(coloring3):
+    for lab in coloring3.labels:
+        assert coloring3.label_by_name(lab.name) is lab
+    for name in ("d", "", ["a"], {"a": 1}, None):
+        with pytest.raises(KeyError) as e:
+            coloring3.label_by_name(name)
+        assert e.value.args[0] == f"no label named {name!r}"
+
+
 def test_labeling_roundtrip(matching):
     lab = HalfEdgeLabeling(((0, 1, 1), (0, 1, 1)))
     text = serialize_labeling(lab, matching)

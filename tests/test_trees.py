@@ -134,6 +134,20 @@ def test_tree_roundtrip():
         assert parse_tree(serialize_tree(t)) == t
 
 
+def test_serialize_tree_matches_json_dumps_byte_for_byte():
+    for model in ("path", "star", "caterpillar", "uniform-attachment-capped"):
+        for n, delta in ((1, 3), (2, 3), (4, 3), (37, 4), (300, 5)):
+            if model == "star" and n > delta + 1:
+                continue
+            t = gen_tree(TreeGenSpec(n=n, delta=delta, seed=n, model=model))
+            doc = {
+                "n": t.n,
+                "delta": t.delta,
+                "edges": [{"u": u, "pu": pu, "v": v, "pv": pv} for u, pu, v, pv in t.edges()],
+            }
+            assert serialize_tree(t).encode() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
 def test_parse_tree_syntax_error_position():
     with pytest.raises(TreeFormatError, match="line 1"):
         parse_tree("{bad")
