@@ -160,13 +160,13 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
         parent_mask = every
         fixed_virtual = []
         for p, lab in fixed_at.get(v, ()):  # route fixed ports to their role
-            target = tree.ports[v][p]
-            if target is None:
+            u = tree.port_neighbors(v)[p]
+            if u < 0:
                 fixed_virtual.append(lab)
-            elif target[0] == parent[v]:
+            elif u == parent[v]:
                 parent_mask = 1 << lab
             else:
-                kid_mask[kids.index(target[0])] = 1 << lab
+                kid_mask[kids.index(u)] = 1 << lab
         need = tuple(sorted(fixed_virtual))
         if v in pole_of:
             i = pole_of[v]
@@ -440,7 +440,7 @@ def _splice(
         i: [
             p
             for p in range(tree.delta)
-            if repl.tree.ports[repl.poles[i]][p] is None
+            if repl.tree.port_neighbors(repl.poles[i])[p] < 0
         ]
         for i in range(len(s_prime))
     }

@@ -86,11 +86,11 @@ def brute_force_solve(
     assigned: dict[int, tuple[int, ...]] = {}
     counter = _Counter(budget.max_steps)
 
+    nbr, back = tree.nbr.tolist(), tree.back.tolist()
+
     def consistent(v: int, ports: tuple[int, ...]) -> bool:
-        for p, tgt in enumerate(tree.ports[v]):
-            if tgt is None:
-                continue
-            u, q = tgt
+        # a virtual port's -1 is never assigned
+        for p, (u, q) in enumerate(zip(nbr[v], back[v])):
             if u in assigned and not problem.edge_ok(ports[p], assigned[u][q]):
                 return False
         return True

@@ -18,13 +18,21 @@ A LayeredDecomposition stores each compress layer as the blocks
 post_process cut, each block its path from the smaller-id endpoint, so the
 solver fills them without walking the tree to find them again; the layer's
 vertex set, compress_layers, is derived from the blocks.
+
+Both processes run on one residual forest held as arrays over the tree's
+port arrays, a whole layer per step: a rake layer is one mask over the
+residual degrees, and the runs are ranked by pointer doubling over their
+half-edges (Miller and Reif's tree contraction), after which post_process
+cuts every run's blocks by arithmetic on the positions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .trees import PortTree, bfs_tree, components
+import numpy as np
+
+from .trees import PortTree, components
 
 
 @dataclass(frozen=True)
@@ -71,10 +79,10 @@ class LayeredDecomposition:
         rank: dict[int, int] = {}
         for first, layers in ((1, self.rake_layers), (2, compress)):
             for i, layer in enumerate(layers):
-                for v in layer:
-                    if v in rank:
-                        raise ValueError("layers overlap")
-                    rank[v] = first + 2 * i
+                known = len(rank)
+                rank.update(dict.fromkeys(layer, first + 2 * i))
+                if len(rank) != known + len(layer):
+                    raise ValueError("layers overlap")
         if rank.keys() != set(range(self.tree.n)):
             raise ValueError("layers do not partition the tree's vertices")
         object.__setattr__(self, "compress_layers", tuple(map(frozenset, compress)))
@@ -101,74 +109,100 @@ class LayeredDecomposition:
             yield ("R", i, self.rake_layers[i - 1])
 
 
-class _Residual:
-    """Mutable residual forest during either process."""
+class _Forest:
+    """The residual forest during either process, as arrays over the tree's
+    port arrays: the alive vertices in ascending order, an alive mask, and
+    every vertex's residual degree.  Each step reads or removes a whole set
+    of vertices at once."""
 
     def __init__(self, tree: PortTree):
         self.tree = tree
-        self.alive: set[int] = set(range(tree.n))
-        self.deg = [tree.real_degree(v) for v in range(tree.n)]
+        self.alive = np.arange(tree.n)
+        # one extra slot, always False, answers the -1 of a virtual port
+        self.mask = np.ones(tree.n + 1, bool)
+        self.mask[-1] = False
+        self.deg = np.count_nonzero(tree.nbr >= 0, axis=1)
 
-    def remove(self, removed: set[int]) -> None:
-        for v in removed:
-            self.alive.discard(v)
-        for v in removed:
-            for u in self.tree.neighbors(v):
-                if u in self.alive:
-                    self.deg[u] -= 1
+    def low_degree(self, cap: int) -> np.ndarray:
+        return self.alive[self.deg[self.alive] <= cap]
 
-    def low_degree(self, cap: int) -> set[int]:
-        return {v for v in self.alive if self.deg[v] <= cap}
+    def remove(self, removed: np.ndarray) -> None:
+        self.mask[removed] = False
+        self.alive = self.alive[self.mask[self.alive]]
+        nbr = self.tree.nbr[removed].ravel()
+        np.subtract.at(self.deg, nbr[nbr >= 0], 1)
 
-    def alive_neighbors(self, v: int) -> list[int]:
-        return [u for u in self.tree.neighbors(v) if u in self.alive]
+    def runs(self) -> tuple[np.ndarray, ...]:
+        """The vertices of the degree-<=2 residual subgraph, whose components
+        (runs) are paths, ascending; and for each, as indices into them, its
+        run's smaller-id and larger-id endpoints, then its distance from the
+        smaller-id endpoint and its run's length.
 
-    def runs(self) -> list[list[int]]:
-        """Components of the degree-<=2 residual subgraph, each ordered as a
-        path starting from its smaller-id endpoint, ordered by their
-        smallest vertex."""
+        Each run is ranked by pointer doubling over its half-edges: a
+        half-edge jumps to the end of its direction in O(log length) passes,
+        counting the hops, which gives every vertex its distance to both ends.
+        """
         pool = self.low_degree(2)
-        runs = []
-        far_ends: set[int] = set()
-        # every run is a path, and one walk from the first of its endpoints
-        # in id order lists it in path order
-        for v in sorted(pool):
-            if v not in far_ends and sum(u in pool for u in self.tree.neighbors(v)) <= 1:
-                run, _ = bfs_tree(self.tree, [v], pool)
-                far_ends.add(run[-1])
-                runs.append(run)
-        runs.sort(key=min)
-        return runs
+        k = pool.size
+        index = np.full(self.tree.n + 1, -1)
+        index[pool] = np.arange(k)
+        rows = index[self.tree.nbr[pool]]
+        # side 0 holds a vertex's larger-index run neighbor, side 1 the other
+        # one; -1 where there is none
+        side0 = rows.max(axis=1, initial=-1)
+        side1 = np.where(rows >= 0, rows, k).min(axis=1, initial=k)
+        sides = np.stack([side0, np.where(side1 < side0, side1, -1)], axis=1)
+        # half-edge 2i + s leaves vertex i on side s and continues through
+        # its target on the side that does not lead back; a jump to 2k has
+        # reached the end.  A missing half-edge ends where it starts.
+        target = sides.ravel()
+        source = np.arange(2 * k) >> 1
+        real = target >= 0
+        at = np.where(real, target, 0)
+        onward = 2 * at + (sides[at, 0] == source)
+        goes_on = real & (sides[onward >> 1, onward & 1] >= 0)
+        jump = np.where(goes_on, onward, 2 * k)
+        hops = real.astype(np.int64)
+        end = np.where(real, target, source)
+        active = np.flatnonzero(goes_on)
+        while active.size:
+            via = jump[active]
+            hops[active] += hops[via]
+            end[active] = end[via]
+            jump[active] = jump[via]
+            active = active[jump[active] < 2 * k]
+        end0, end1 = end[0::2], end[1::2]
+        pos = np.where(end0 < end1, hops[0::2], hops[1::2])
+        length = hops[0::2] + hops[1::2] + 1
+        return pool, np.minimum(end0, end1), np.maximum(end0, end1), pos, length
 
 
 def decompose(tree: PortTree, gamma: int, ell: int) -> RawDecomposition:
     """The unmodified process: gamma rakes then one compress, repeated."""
     if gamma < 1 or ell < 1:
         raise ValueError("gamma and ell must be positive")
-    res = _Residual(tree)
+    res = _Forest(tree)
     layers: list[tuple[str, frozenset[int]]] = []
     iteration = 0
     depth = 0
-    while res.alive:
+    while res.alive.size:
         iteration += 1
-        raked: set[int] = set()
+        raked: list[int] = []
         for _ in range(gamma):
-            if not res.alive:
+            if not res.alive.size:
                 break
             low = res.low_degree(1)
             res.remove(low)
-            raked |= low
+            raked += low.tolist()
         layers.append(("R", frozenset(raked)))
-        if not res.alive:
+        if not res.alive.size:
             depth = iteration
             break
-        compressed: set[int] = set()
-        for comp in res.runs():
-            if len(comp) >= ell:
-                compressed |= set(comp)
+        pool, _, _, _, length = res.runs()
+        compressed = pool[length >= ell]
         res.remove(compressed)
-        layers.append(("C", frozenset(compressed)))
-        if not res.alive:
+        layers.append(("C", frozenset(compressed.tolist())))
+        if not res.alive.size:
             # the next iteration's rakes find nothing left to do
             depth = iteration + 1
             break
@@ -179,42 +213,64 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
     """Layered decomposition satisfying the solver's three invariants."""
     if ell_prime < 1:
         raise ValueError("ell_prime must be positive")
-    res = _Residual(tree)
+    res = _Forest(tree)
     rake_layers: list[frozenset[int]] = []
     blocks: list[Blocks] = []
-    while res.alive:
+    while res.alive.size:
         low = res.low_degree(1)
-        raked = set()
-        for v in low:
-            partner: Optional[int] = None
-            for u in res.alive_neighbors(v):
-                if u in low:
-                    partner = u
-            if partner is None or v < partner:
-                raked.add(v)
+        rows = tree.nbr[low]
+        # a candidate's one alive neighbor, -1 if it has none
+        partner = np.where(res.mask[rows], rows, -1).max(axis=1, initial=-1)
+        waits = (partner >= 0) & (partner < low) & (res.deg[partner] <= 1)
+        raked = low[~waits]
         res.remove(raked)
-        rake_layers.append(frozenset(raked))
-        if not res.alive:
+        rake_layers.append(frozenset(raked.tolist()))
+        if not res.alive.size:
             break
-        cut: list[list[int]] = []
-        for run in res.runs():
-            # an end keeps its place when it has an alive neighbor outside
-            # the run (a lone vertex: two), i.e. when its residual degree is 2
-            start = 0 if res.deg[run[0]] == 2 else 1
-            stop = len(run) - (0 if res.deg[run[-1]] == 2 else 1)
-            core = run[start:stop]
-            if len(core) < ell_prime:
-                continue  # erodes under later rakes instead
-            pos = 0
-            while len(core) - pos > 2 * ell_prime:
-                cut.append(core[pos : pos + ell_prime])
-                pos += ell_prime + 1  # the separator stays behind
-            cut.append(core[pos:])
-        res.remove({v for block in cut for v in block})
-        blocks.append(
-            tuple(sorted((tuple(b) if b[0] < b[-1] else tuple(b[::-1]) for b in cut), key=min))
-        )
+        blocks.append(_cut_blocks(res, ell_prime))
     return LayeredDecomposition(tree, ell_prime, tuple(rake_layers), tuple(blocks))
+
+
+def _cut_blocks(res: _Forest, ell_prime: int) -> Blocks:
+    """Cut the residual's runs into one compress layer's blocks, removing
+    them: each run's core, ell' to 2*ell' vertices per block with one
+    separator left between blocks."""
+    pool, first, last, pos, length = res.runs()
+    # an end keeps its place when it has an alive neighbor outside the run
+    # (a lone vertex: two), i.e. when its residual degree is 2
+    trim_first = res.deg[pool[first]] != 2
+    trim_last = res.deg[pool[last]] != 2
+    size = length - trim_first - trim_last
+    at = pos - trim_first  # position in the core
+    # blocks cut before the last, each followed by a separator; a core under
+    # ell' vertices erodes under later rakes instead
+    cuts = (size - ell_prime) // (ell_prime + 1)
+    in_block = (
+        (size >= ell_prime)
+        & (at >= 0)
+        & (at < size)
+        & ((at % (ell_prime + 1) < ell_prime) | (at >= cuts * (ell_prime + 1)))
+    )
+    chosen = np.flatnonzero(in_block)
+    if not chosen.size:
+        return ()
+    chosen = chosen[np.lexsort((at[chosen], first[chosen]))]
+    verts = pool[chosen]
+    run, block = first[chosen], np.minimum(at[chosen] // (ell_prime + 1), cuts[chosen])
+    new = np.ones(verts.size, bool)
+    new[1:] = (run[1:] != run[:-1]) | (block[1:] != block[:-1])
+    starts = np.flatnonzero(new)
+    stops = np.append(starts[1:], verts.size)
+    # list each block from its smaller-id endpoint
+    of = np.cumsum(new) - 1
+    i = np.arange(verts.size)
+    flip = (verts[starts] > verts[stops - 1])[of]
+    verts = verts[np.where(flip, starts[of] + stops[of] - 1 - i, i)]
+    res.remove(verts)
+    flat = verts.tolist()
+    spans = list(zip(starts.tolist(), stops.tolist()))
+    by_min = np.argsort(np.minimum.reduceat(verts, starts)).tolist()
+    return tuple(tuple(flat[spans[b][0] : spans[b][1]]) for b in by_min)
 
 
 # accounts for the constant number of communication rounds a distributed

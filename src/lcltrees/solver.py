@@ -3,8 +3,12 @@
 solve_log labels a finite tree along a rake-and-compress layering: isolated
 rake vertices take the smallest subset config, rake vertices seeing one
 earlier-labeled neighbor answer it through a partner table, and compress
-blocks are filled in by explicit path witnesses.  solve_toast does the same
-inner-to-outer along a toast (a laminar family of well-separated pieces).
+blocks are filled in by explicit path witnesses.  It labels a whole layer
+per step in array passes: a rake layer is one gather through a (facing
+label, port) table, a compress layer one witness lookup per distinct block
+key and one gather of witness rows.  solve_toast does the same vertex by
+vertex, through the same tables, inner-to-outer along a toast (a laminar
+family of well-separated pieces).
 Both raise a certified refutation when the subset turns out not to be
 ell-full, and both only ever read the subset, never the full config list.
 """
@@ -12,11 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .pathstates import extend_path
 from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
-from .rakecompress import LayeredDecomposition, post_process, simulated_rounds
+from .rakecompress import Blocks, LayeredDecomposition, post_process, simulated_rounds
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
 from .trees import PortTree, ball, bfs_tree, components, distances
@@ -86,81 +93,241 @@ def _check_solver_inputs(
 
 
 class _Assigner:
-    """Shared port bookkeeping for both solvers."""
+    """Port bookkeeping for both solvers.
+
+    Every labeled vertex holds one row, its labels in port order: rows lists
+    the distinct rows and row[v] indexes v's row, -1 while v is unlabeled.
+    Three tables decide every row: the free row (the smallest subset config,
+    ascending), answer[a, p] for a vertex answering label a across its port
+    p, and the witness rows by (witness, position, port before, port after).
+    rake and compress label a whole layer of solve_log in array passes; the
+    per-vertex methods label solve_toast's vertices through the same tables.
+    """
 
     def __init__(self, problem: LclProblem, tree: PortTree, cfgs: list[VertexConfig]):
         self.problem = problem
         self.tree = tree
         self.cfgs = cfgs
-        self.partner = build_partner_table(problem, cfgs)
-        self.ports: list[Optional[list[int]]] = [None] * tree.n
-        # extend_path results by (a1, c1, a2, c2, k), None included: a
-        # witness depends on nothing else, and blocks repeat a few keys
-        self.witnesses: dict[tuple, Optional[list]] = {}
+        self._config_index = {c: i for i, c in enumerate(cfgs)}
+        self.rows: list[tuple[int, ...]] = []
+        self._row_ids: dict[tuple[int, ...], int] = {}
+        self._row_config: list[int] = []  # index into cfgs
+        self._table = np.empty((0, tree.delta), np.int64)  # rows as an array
+        # one extra slot, always -1, answers the -1 of a virtual port
+        self.row = np.full(tree.n + 1, -1, np.int64)
+        self.free = self._row({}, cfgs[0])
+        self.answer = np.full((problem.num_labels, tree.delta), -1, np.int64)
+        for a, (config, b) in build_partner_table(problem, cfgs).items():
+            for p in range(tree.delta):
+                self.answer[a, p] = self._row({p: b}, config)
+        # extend_path results, None included, each found once per key
+        # (a1, c1, a2, c2, k) with c1 and c2 as indices into cfgs: a witness
+        # depends on nothing else, and blocks repeat a few keys
+        self.witnesses: dict[tuple[int, ...], int] = {}  # key -> index in _found
+        self._found: list[Optional[list]] = []
+        self._witness_rows: dict[tuple[int, int, int, int], int] = {}
 
-    def labeled(self, v: int) -> bool:
-        return self.ports[v] is not None
-
-    def facing(self, u: int, v: int) -> int:
-        """Label on u's port toward v; u must be labeled."""
-        return self.ports[u][self.tree.port_to(u, v)]
-
-    def config_of(self, v: int) -> VertexConfig:
-        return VertexConfig.of(self.ports[v])
-
-    def place(self, v: int, directed: dict[int, int], config: VertexConfig) -> None:
-        """Set v's ports: directed maps neighbor -> label, leftovers ascend."""
+    def _row(self, directed: dict[int, int], config: VertexConfig) -> int:
+        """The row putting directed's label on each of its ports and the
+        rest of config ascending on the others."""
         rest = list(config.labels)
         for lab in directed.values():
             rest.remove(lab)
         it = iter(rest)
-        row = []
-        for u in self.tree.port_neighbors(v):
-            lab = directed.get(u)
-            row.append(next(it) if lab is None else lab)
-        self.ports[v] = row
+        row = tuple(directed[p] if p in directed else next(it) for p in range(self.tree.delta))
+        rid = self._row_ids.get(row)
+        if rid is None:
+            rid = self._row_ids[row] = len(self.rows)
+            self.rows.append(row)
+            self._row_config.append(self._config_index[config])
+        return rid
+
+    def _labels(self, verts: np.ndarray, ports: np.ndarray) -> np.ndarray:
+        """The label on each given port of each given labeled vertex."""
+        if len(self._table) != len(self.rows):
+            self._table = np.array(self.rows, np.int64)
+        return self._table[self.row[verts], ports]
+
+    def labeled(self, v: int) -> bool:
+        return self.row.item(v) >= 0
+
+    def facing(self, u: int, v: int) -> int:
+        """Label on u's port toward v; u must be labeled."""
+        return self.rows[self.row.item(u)][self.tree.port_to(u, v)]
 
     def place_free(self, v: int) -> None:
-        self.place(v, {}, self.cfgs[0])
+        self.row[v] = self.free
 
     def place_answering(self, v: int, u: int) -> None:
         """Label v from its single labeled neighbor u via the partner table."""
-        a = self.facing(u, v)
-        config, b = self.partner[a]
-        self.place(v, {u: b}, config)
+        self.row[v] = self.answer[self.facing(u, v), self.tree.port_to(v, u)]
 
     def fill_path(self, prev: int, path: Sequence[int], nxt: int) -> None:
         """Witness-label the interior path between labeled prev and nxt."""
-        a1, c1 = self.facing(prev, path[0]), self.config_of(prev)
-        a2, c2 = self.facing(nxt, path[-1]), self.config_of(nxt)
-        k = len(path) + 2
-        key = (a1, c1, a2, c2, k)
-        if key in self.witnesses:
-            witness = self.witnesses[key]
-        else:
-            witness = self.witnesses[key] = extend_path(self.problem, self.cfgs, *key)
-        if witness is None:
+        port_to = self.tree.port_to
+        key = (
+            self.facing(prev, path[0]),
+            self._row_config[self.row.item(prev)],
+            self.facing(nxt, path[-1]),
+            self._row_config[self.row.item(nxt)],
+            len(path) + 2,
+        )
+        w = self._witness(key)
+        for j, v in enumerate(path):
+            before = prev if j == 0 else path[j - 1]
+            after = nxt if j == len(path) - 1 else path[j + 1]
+            self.row[v] = self._witness_row(w, j, port_to(v, before), port_to(v, after))
+
+    def _witness(self, key: tuple[int, ...]) -> int:
+        """The memo index of the witness for key; NotEllFullError when
+        there is none."""
+        w = self.witnesses.get(key)
+        if w is None:
+            a1, c1, a2, c2, k = key
+            w = self.witnesses[key] = len(self._found)
+            self._found.append(
+                extend_path(self.problem, self.cfgs, a1, self.cfgs[c1], a2, self.cfgs[c2], k)
+            )
+        if self._found[w] is None:
+            a1, c1, a2, c2, k = key
             raise NotEllFullError(
                 "path-extension",
                 f"no {k}-vertex path joins facing labels "
                 f"{self.problem.name_of(a1)} and {self.problem.name_of(a2)} "
                 f"inside the subset; the subset is not ell-full",
                 a1=a1,
-                c1=c1,
+                c1=self.cfgs[c1],
                 a2=a2,
-                c2=c2,
+                c2=self.cfgs[c2],
                 k=k,
             )
-        for j, (config, wports) in enumerate(witness):
-            v = path[j]
-            before = prev if j == 0 else path[j - 1]
-            after = nxt if j == len(path) - 1 else path[j + 1]
-            self.place(v, {before: wports[0], after: wports[1]}, config)
+        return w
+
+    def _witness_row(self, w: int, j: int, before: int, after: int) -> int:
+        """Row of the j-th path vertex of witness w, whose ports toward the
+        vertices before and after it are the given ones."""
+        key = (w, j, before, after)
+        rid = self._witness_rows.get(key)
+        if rid is None:
+            config, wports = self._found[w][j]
+            rid = self._witness_rows[key] = self._row(
+                {before: wports[0], after: wports[1]}, config
+            )
+        return rid
+
+    def rake(self, verts: np.ndarray) -> None:
+        """Label a rake layer: a vertex with no labeled neighbor takes the
+        free row, one with a single labeled neighbor answers it.  A layer
+        holding an edge is refused, since its order would decide the rows."""
+        nbr = self.tree.nbr[verts]
+        inside = np.zeros(self.tree.n + 1, bool)
+        inside[verts] = True
+        if inside[nbr].any():
+            raise InternalError("rake layer must be an independent set")
+        done = self.row[nbr] >= 0
+        count = done.sum(axis=1)
+        if (count > 1).any():
+            raise InternalError("rake vertex sees several labeled neighbors")
+        rid = np.full(verts.size, self.free)
+        i = np.flatnonzero(count)
+        p = done[i].argmax(axis=1)
+        rid[i] = self.answer[self._labels(nbr[i, p], self.tree.back[verts[i], p]), p]
+        self.row[verts] = rid
+
+    def compress(self, blocks: Blocks) -> None:
+        """Label a compress layer by path witnesses, one per distinct key.
+
+        Blocks joined by an edge are refused, since their order would
+        decide the rows.  Otherwise the first block, in layer order, that is
+        no path, that does not touch exactly one labeled vertex at each end,
+        or that has no witness decides the exception.
+        """
+        if not blocks:
+            return
+        tree = self.tree
+        sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
+        flat = np.fromiter(chain.from_iterable(blocks), np.int64, sizes.sum())
+        of = np.repeat(np.arange(len(blocks)), sizes)
+        owner = np.full(tree.n + 1, -1)
+        owner[flat] = of
+        touch = owner[tree.nbr[flat]]
+        if ((touch >= 0) & (touch != of[:, None])).any():
+            raise InternalError("compress blocks of one layer must not touch")
+        # ports along each block: toward the next vertex and back
+        starts = np.cumsum(sizes) - sizes
+        ahead = np.flatnonzero(of[1:] == of[:-1])
+        hit = tree.nbr[flat[ahead]] == flat[ahead + 1, None]
+        after = np.full(flat.size, -1)
+        before = np.full(flat.size, -1)
+        after[ahead] = hit.argmax(axis=1)
+        before[ahead + 1] = tree.back[flat[ahead], after[ahead]]
+        # a tree has no chords, so distinct vertices each adjacent to the
+        # next induce a path
+        broken = sizes == 0
+        broken[of[ahead[~hit.any(axis=1)]]] = True
+        # the blocks' own vertices are still unlabeled, so every labeled
+        # neighbor of an end lies outside its block
+        good = np.flatnonzero(~broken)
+        first, last = flat[starts[good]], flat[starts[good] + sizes[good] - 1]
+        at_first = self.row[tree.nbr[first]] >= 0
+        at_last = self.row[tree.nbr[last]] >= 0
+        n_first, n_last = at_first.sum(axis=1), at_last.sum(axis=1)
+        ends_ok = np.where(sizes[good] == 1, n_first == 2, (n_first == 1) & (n_last == 1))
+        failed = np.concatenate([np.flatnonzero(broken), good[~ends_ok]])
+        stop = failed.min() if failed.size else len(blocks)
+        # the blocks before the first failure ask for their witnesses
+        head = np.searchsorted(good, stop)
+        good, first, last = good[:head], first[:head], last[:head]
+        at_first, at_last = at_first[:head], at_last[:head]
+        p_first = at_first.argmax(axis=1)
+        # a lone vertex's second labeled neighbor follows the first in port order
+        p_last = np.where(
+            sizes[good] == 1,
+            tree.delta - 1 - at_first[:, ::-1].argmax(axis=1),
+            at_last.argmax(axis=1),
+        )
+        prev, nxt = tree.nbr[first, p_first], tree.nbr[last, p_last]
+        config = np.array(self._row_config, np.int64)
+        keys = np.stack(
+            [
+                self._labels(prev, tree.back[first, p_first]),
+                config[self.row[prev]],
+                self._labels(nxt, tree.back[last, p_last]),
+                config[self.row[nxt]],
+                sizes[good] + 2,
+            ],
+            axis=1,
+        )
+        distinct, seen_at, key_of = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+        witness = np.empty(len(distinct), np.int64)
+        for d in np.argsort(seen_at):
+            witness[d] = self._witness(tuple(distinct[d].tolist()))
+        if stop < len(blocks):
+            if broken[stop]:
+                raise InternalError("compress block must induce a path")
+            raise InternalError(
+                "compress block must touch exactly two labeled vertices, one at each end"
+            )
+        # every block is good from here on, so good is every block
+        before[starts] = p_first
+        after[starts + sizes - 1] = p_last
+        w = witness[key_of.ravel()][of]
+        j = np.arange(flat.size) - starts[of]
+        code = ((w * sizes.max() + j) * tree.delta + before) * tree.delta + after
+        _, one, row_of = np.unique(code, return_index=True, return_inverse=True)
+        rids = [
+            self._witness_row(*args)
+            for args in zip(*(x[one].tolist() for x in (w, j, before, after)))
+        ]
+        self.row[flat] = np.array(rids, np.int64)[row_of.ravel()]
 
     def result(self) -> HalfEdgeLabeling:
-        if any(row is None for row in self.ports):
+        row = self.row[:-1]
+        if (row < 0).any():
             raise InternalError("a vertex was left unlabeled")
-        return HalfEdgeLabeling(tuple(tuple(row) for row in self.ports))
+        return HalfEdgeLabeling(tuple(map(self.rows.__getitem__, row.tolist())))
 
 
 def solve_log(
@@ -187,34 +354,12 @@ def solve_on_decomposition(
     subset: Iterable[VertexConfig],
     decomp: LayeredDecomposition,
 ) -> HalfEdgeLabeling:
-    cfgs = sorted(set(subset))
-    tree = decomp.tree
-    asg = _Assigner(problem, tree, cfgs)
+    asg = _Assigner(problem, decomp.tree, sorted(set(subset)))
     for kind, i, verts in decomp.labeling_order():
         if kind == "R":
-            for v in sorted(verts):
-                done = [u for u in tree.neighbors(v) if asg.labeled(u)]
-                if len(done) > 1:
-                    raise InternalError("rake vertex sees several labeled neighbors")
-                if done:
-                    asg.place_answering(v, done[0])
-                else:
-                    asg.place_free(v)
-            continue
-        for block in decomp.blocks[i - 1]:
-            # a tree has no chords, so distinct vertices each adjacent to the
-            # next induce a path
-            if not block or any(b not in tree.neighbors(a) for a, b in zip(block, block[1:])):
-                raise InternalError("compress block must induce a path")
-            # the block's own vertices are still unlabeled, so every labeled
-            # neighbor of an end lies outside the block
-            ends = block[:1] if len(block) == 1 else (block[0], block[-1])
-            contacts = [(v, u) for v in ends for u in tree.neighbors(v) if asg.labeled(u)]
-            if len(contacts) != 2 or contacts[0][0] != block[0] or contacts[1][0] != block[-1]:
-                raise InternalError(
-                    "compress block must touch exactly two labeled vertices, one at each end"
-                )
-            asg.fill_path(contacts[0][1], block, contacts[1][1])
+            asg.rake(np.fromiter(verts, np.int64, len(verts)))
+        else:
+            asg.compress(decomp.blocks[i - 1])
     return asg.result()
 
 

@@ -4,8 +4,16 @@ These are the tree, labeling and toast checks as they stood before PortTree
 moved to port arrays, kept as they were apart from their names: a tree of
 (neighbor, port) tuples checked port by port, a builder checking each edge
 as it comes, the edge-by-edge parser, the vertex-by-vertex labeling check,
-and verify_toast walking from piece i's boundary once per later piece.  The
-differential tests hold the package to their results.
+and verify_toast walking from piece i's boundary once per later piece.
+
+Then the rake-and-compress layering and layer-by-layer labeling as they
+stood before both moved to whole-layer array passes: a residual forest of
+Python sets walked vertex by vertex, decompose, post_process, and
+solve_on_decomposition placing one vertex at a time.  The only change
+beyond names is that the assigner keeps no witness memo, so it asks
+extend_path once per compress block.
+
+The differential tests hold the package to their results.
 """
 from __future__ import annotations
 
@@ -14,11 +22,27 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from lcltrees.problems import HalfEdgeLabeling, LclProblem, ValidityReport
-from lcltrees.solver import Toast, piece_boundary
-from lcltrees.trees import MAX_DELTA, TreeFormatError, TreeGenSpec, components, distances
+from lcltrees.pathstates import extend_path
+from lcltrees.problems import (
+    HalfEdgeLabeling,
+    InternalError,
+    LclProblem,
+    ValidityReport,
+    VertexConfig,
+)
+from lcltrees.rakecompress import Blocks, LayeredDecomposition, RawDecomposition
+from lcltrees.solver import NotEllFullError, Toast, build_partner_table, piece_boundary
+from lcltrees.trees import (
+    MAX_DELTA,
+    PortTree,
+    TreeFormatError,
+    TreeGenSpec,
+    bfs_tree,
+    components,
+    distances,
+)
 
 PortTarget = Optional[tuple[int, int]]
 
@@ -264,3 +288,226 @@ def ref_verify_toast(tree, toast: Toast) -> list[str]:
                     f"pieces {i} and {j} have boundary gap {gap}, want >= {toast.q}"
                 )
     return bad
+
+
+class _RefResidual:
+    """Mutable residual forest during either process."""
+
+    def __init__(self, tree: PortTree):
+        self.tree = tree
+        self.alive: set[int] = set(range(tree.n))
+        self.deg = [tree.real_degree(v) for v in range(tree.n)]
+
+    def remove(self, removed: set[int]) -> None:
+        for v in removed:
+            self.alive.discard(v)
+        for v in removed:
+            for u in self.tree.neighbors(v):
+                if u in self.alive:
+                    self.deg[u] -= 1
+
+    def low_degree(self, cap: int) -> set[int]:
+        return {v for v in self.alive if self.deg[v] <= cap}
+
+    def alive_neighbors(self, v: int) -> list[int]:
+        return [u for u in self.tree.neighbors(v) if u in self.alive]
+
+    def runs(self) -> list[list[int]]:
+        """Components of the degree-<=2 residual subgraph, each ordered as a
+        path starting from its smaller-id endpoint, ordered by their
+        smallest vertex."""
+        pool = self.low_degree(2)
+        runs = []
+        far_ends: set[int] = set()
+        # every run is a path, and one walk from the first of its endpoints
+        # in id order lists it in path order
+        for v in sorted(pool):
+            if v not in far_ends and sum(u in pool for u in self.tree.neighbors(v)) <= 1:
+                run, _ = bfs_tree(self.tree, [v], pool)
+                far_ends.add(run[-1])
+                runs.append(run)
+        runs.sort(key=min)
+        return runs
+
+
+def ref_decompose(tree: PortTree, gamma: int, ell: int) -> RawDecomposition:
+    """The unmodified process: gamma rakes then one compress, repeated."""
+    if gamma < 1 or ell < 1:
+        raise ValueError("gamma and ell must be positive")
+    res = _RefResidual(tree)
+    layers: list[tuple[str, frozenset[int]]] = []
+    iteration = 0
+    depth = 0
+    while res.alive:
+        iteration += 1
+        raked: set[int] = set()
+        for _ in range(gamma):
+            if not res.alive:
+                break
+            low = res.low_degree(1)
+            res.remove(low)
+            raked |= low
+        layers.append(("R", frozenset(raked)))
+        if not res.alive:
+            depth = iteration
+            break
+        compressed: set[int] = set()
+        for comp in res.runs():
+            if len(comp) >= ell:
+                compressed |= set(comp)
+        res.remove(compressed)
+        layers.append(("C", frozenset(compressed)))
+        if not res.alive:
+            # the next iteration's rakes find nothing left to do
+            depth = iteration + 1
+            break
+    return RawDecomposition(tree, gamma, ell, tuple(layers), depth)
+
+
+def ref_post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
+    """Layered decomposition satisfying the solver's three invariants."""
+    if ell_prime < 1:
+        raise ValueError("ell_prime must be positive")
+    res = _RefResidual(tree)
+    rake_layers: list[frozenset[int]] = []
+    blocks: list[Blocks] = []
+    while res.alive:
+        low = res.low_degree(1)
+        raked = set()
+        for v in low:
+            partner: Optional[int] = None
+            for u in res.alive_neighbors(v):
+                if u in low:
+                    partner = u
+            if partner is None or v < partner:
+                raked.add(v)
+        res.remove(raked)
+        rake_layers.append(frozenset(raked))
+        if not res.alive:
+            break
+        cut: list[list[int]] = []
+        for run in res.runs():
+            # an end keeps its place when it has an alive neighbor outside
+            # the run (a lone vertex: two), i.e. when its residual degree is 2
+            start = 0 if res.deg[run[0]] == 2 else 1
+            stop = len(run) - (0 if res.deg[run[-1]] == 2 else 1)
+            core = run[start:stop]
+            if len(core) < ell_prime:
+                continue  # erodes under later rakes instead
+            pos = 0
+            while len(core) - pos > 2 * ell_prime:
+                cut.append(core[pos : pos + ell_prime])
+                pos += ell_prime + 1  # the separator stays behind
+            cut.append(core[pos:])
+        res.remove({v for block in cut for v in block})
+        blocks.append(
+            tuple(sorted((tuple(b) if b[0] < b[-1] else tuple(b[::-1]) for b in cut), key=min))
+        )
+    return LayeredDecomposition(tree, ell_prime, tuple(rake_layers), tuple(blocks))
+
+
+class _RefAssigner:
+    """Shared port bookkeeping for both solvers."""
+
+    def __init__(self, problem: LclProblem, tree: PortTree, cfgs: list[VertexConfig]):
+        self.problem = problem
+        self.tree = tree
+        self.cfgs = cfgs
+        self.partner = build_partner_table(problem, cfgs)
+        self.ports: list[Optional[list[int]]] = [None] * tree.n
+
+    def labeled(self, v: int) -> bool:
+        return self.ports[v] is not None
+
+    def facing(self, u: int, v: int) -> int:
+        """Label on u's port toward v; u must be labeled."""
+        return self.ports[u][self.tree.port_to(u, v)]
+
+    def config_of(self, v: int) -> VertexConfig:
+        return VertexConfig.of(self.ports[v])
+
+    def place(self, v: int, directed: dict[int, int], config: VertexConfig) -> None:
+        """Set v's ports: directed maps neighbor -> label, leftovers ascend."""
+        rest = list(config.labels)
+        for lab in directed.values():
+            rest.remove(lab)
+        it = iter(rest)
+        row = []
+        for u in self.tree.port_neighbors(v):
+            lab = directed.get(u)
+            row.append(next(it) if lab is None else lab)
+        self.ports[v] = row
+
+    def place_free(self, v: int) -> None:
+        self.place(v, {}, self.cfgs[0])
+
+    def place_answering(self, v: int, u: int) -> None:
+        """Label v from its single labeled neighbor u via the partner table."""
+        a = self.facing(u, v)
+        config, b = self.partner[a]
+        self.place(v, {u: b}, config)
+
+    def fill_path(self, prev: int, path: Sequence[int], nxt: int) -> None:
+        """Witness-label the interior path between labeled prev and nxt."""
+        a1, c1 = self.facing(prev, path[0]), self.config_of(prev)
+        a2, c2 = self.facing(nxt, path[-1]), self.config_of(nxt)
+        k = len(path) + 2
+        witness = extend_path(self.problem, self.cfgs, a1, c1, a2, c2, k)
+        if witness is None:
+            raise NotEllFullError(
+                "path-extension",
+                f"no {k}-vertex path joins facing labels "
+                f"{self.problem.name_of(a1)} and {self.problem.name_of(a2)} "
+                f"inside the subset; the subset is not ell-full",
+                a1=a1,
+                c1=c1,
+                a2=a2,
+                c2=c2,
+                k=k,
+            )
+        for j, (config, wports) in enumerate(witness):
+            v = path[j]
+            before = prev if j == 0 else path[j - 1]
+            after = nxt if j == len(path) - 1 else path[j + 1]
+            self.place(v, {before: wports[0], after: wports[1]}, config)
+
+    def result(self) -> HalfEdgeLabeling:
+        if any(row is None for row in self.ports):
+            raise InternalError("a vertex was left unlabeled")
+        return HalfEdgeLabeling(tuple(tuple(row) for row in self.ports))
+
+
+def ref_solve_on_decomposition(
+    problem: LclProblem,
+    subset: Iterable[VertexConfig],
+    decomp: LayeredDecomposition,
+) -> HalfEdgeLabeling:
+    cfgs = sorted(set(subset))
+    tree = decomp.tree
+    asg = _RefAssigner(problem, tree, cfgs)
+    for kind, i, verts in decomp.labeling_order():
+        if kind == "R":
+            for v in sorted(verts):
+                done = [u for u in tree.neighbors(v) if asg.labeled(u)]
+                if len(done) > 1:
+                    raise InternalError("rake vertex sees several labeled neighbors")
+                if done:
+                    asg.place_answering(v, done[0])
+                else:
+                    asg.place_free(v)
+            continue
+        for block in decomp.blocks[i - 1]:
+            # a tree has no chords, so distinct vertices each adjacent to the
+            # next induce a path
+            if not block or any(b not in tree.neighbors(a) for a, b in zip(block, block[1:])):
+                raise InternalError("compress block must induce a path")
+            # the block's own vertices are still unlabeled, so every labeled
+            # neighbor of an end lies outside the block
+            ends = block[:1] if len(block) == 1 else (block[0], block[-1])
+            contacts = [(v, u) for v in ends for u in tree.neighbors(v) if asg.labeled(u)]
+            if len(contacts) != 2 or contacts[0][0] != block[0] or contacts[1][0] != block[-1]:
+                raise InternalError(
+                    "compress block must touch exactly two labeled vertices, one at each end"
+                )
+            asg.fill_path(contacts[0][1], block, contacts[1][1])
+    return asg.result()

@@ -1,5 +1,6 @@
-"""The array-backed trees, the column-wise labeling check and the one-walk
-verify_toast against the per-item versions kept in tests/reference.py."""
+"""The array-backed trees, the column-wise labeling check, the one-walk
+verify_toast, and the whole-layer rake-and-compress layering and labeling
+against the per-item versions kept in tests/reference.py."""
 
 import json
 from random import Random
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcltrees.fixtures import perfect_matching, random_problem, three_coloring
+from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
+from lcltrees.pathstates import VERDICT_LOGN, classify
 from lcltrees.problems import (
     EdgeConfig,
     HalfEdgeLabeling,
@@ -17,7 +19,8 @@ from lcltrees.problems import (
     VertexConfig,
     is_valid_labeling,
 )
-from lcltrees.solver import Toast, solve_log, verify_toast
+from lcltrees.rakecompress import decompose, post_process
+from lcltrees.solver import NotEllFullError, Toast, solve_log, solve_on_decomposition, verify_toast
 from lcltrees.trees import (
     PortTree,
     TreeFormatError,
@@ -32,8 +35,11 @@ from conftest import json_documents
 from reference import (
     RefPortTree,
     ref_gen_tree,
+    ref_decompose,
     ref_is_valid_labeling,
     ref_parse_tree,
+    ref_post_process,
+    ref_solve_on_decomposition,
     ref_verify_toast,
 )
 
@@ -276,3 +282,63 @@ def test_verify_toast_reports_match_the_reference(model):
     # sound toasts of disjoint balls, overlapping, too-close and
     # disconnected pieces all occurred
     assert min(seen.values()) > 0, seen
+
+
+# --- layering and layer labeling --------------------------------------------------
+
+LAYER_SIZES = (1, 2, 3, 4, 5, 6, 7, 17, 100, 641, 2000, 5000)
+
+
+def layer_trees(delta, largest=LAYER_SIZES[-1]):
+    for model in MODELS:
+        for n in LAYER_SIZES:
+            if n <= largest and not (model == "star" and n > delta + 1):
+                yield gen_tree(TreeGenSpec(n=n, delta=delta, seed=n, model=model))
+
+
+@pytest.mark.parametrize("delta", (3, 4, 5))
+def test_layerings_match_the_reference(delta):
+    for tree in layer_trees(delta):
+        for ell_prime in (1, 2, 3, 4):
+            got, want = post_process(tree, ell_prime), ref_post_process(tree, ell_prime)
+            assert got.rake_layers == want.rake_layers
+            assert got.blocks == want.blocks
+            for gamma in (1, 2):
+                raw = decompose(tree, gamma, ell_prime)
+                assert raw == ref_decompose(tree, gamma, ell_prime)
+
+
+def outcome(solve, problem, subset, decomp):
+    """The labeling, or the refutation's kind, message and detail."""
+    try:
+        return solve(problem, subset, decomp)
+    except NotEllFullError as e:
+        return (e.kind, str(e), e.detail)
+
+
+def in_problems():
+    """The fixtures with all their configs, then every random problem of
+    seeds 0..59 that classify puts in the O(log n) class, with its subset;
+    each with the largest tree size to label."""
+    for delta in (3, 4, 5):
+        for problem in (three_coloring(delta), perfect_matching(delta), two_coloring(delta)):
+            yield problem, problem.sorted_configs(), LAYER_SIZES[-1]
+    for seed in range(60):
+        problem = random_problem(seed)
+        report = classify(problem)
+        if report.verdict == VERDICT_LOGN:
+            rows = report.subset
+            subset = [VertexConfig.of(problem.label_by_name(x).id for x in r) for r in rows]
+            yield problem, subset, 100
+
+
+def test_layer_labelings_and_refutations_match_the_reference():
+    seen = {"labelings": 0, "refutations": 0}
+    for problem, subset, largest in in_problems():
+        for tree in layer_trees(problem.delta, largest):
+            for ell_prime in (1, 2, 3, 4):
+                decomp = post_process(tree, ell_prime)
+                want = outcome(ref_solve_on_decomposition, problem, subset, decomp)
+                assert outcome(solve_on_decomposition, problem, subset, decomp) == want
+                seen["refutations" if isinstance(want, tuple) else "labelings"] += 1
+    assert min(seen.values()) > 100, seen

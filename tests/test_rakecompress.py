@@ -8,19 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcltrees.problems import InternalError
+from lcltrees.fixtures import two_coloring
+from lcltrees.problems import HalfEdgeLabeling, InternalError
 from lcltrees.rakecompress import (
     LayeredDecomposition,
     RawDecomposition,
+    _cut_blocks,
+    _Forest,
     check_layered_invariants,
     decompose,
     post_process,
     simulated_rounds,
 )
-from lcltrees.solver import solve_on_decomposition
+from lcltrees.solver import NotEllFullError, solve_on_decomposition
 from lcltrees.trees import TreeBuilder, TreeGenSpec, components, gen_tree, ordered_path
 
 from conftest import path_tree, star_tree
+from reference import ref_post_process, ref_solve_on_decomposition
 
 
 # --- raw process ----------------------------------------------------------------
@@ -193,6 +197,74 @@ def test_determinism():
     assert a.compress_layers == b.compress_layers
 
 
+# --- runs by pointer doubling ------------------------------------------------------
+
+
+def built_tree(n, edges, delta=3):
+    b = TreeBuilder(n, delta)
+    for u, v in edges:
+        b.add_edge(u, v)
+    return b.build()
+
+
+def runs_of(tree):
+    """Each run vertex with its run's smaller-id and larger-id ends, its
+    distance from the smaller-id end and its run's length."""
+    pool, first, last, pos, length = _Forest(tree).runs()
+    columns = (pool, pool[first], pool[last], pos, length)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+# lone leaves 1, 2, 7, 10, 11 (residual degree 1), a run 3-4-5 whose two
+# ends keep residual degree 2, and a lone vertex 8 of residual degree 2
+ANCHORED = (
+    12,
+    [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8), (8, 9), (9, 10), (9, 11)],
+)
+
+
+def test_runs_rank_each_vertex_from_the_smaller_id_end():
+    assert runs_of(path_tree(1)) == [(0, 0, 0, 0, 1)]
+    assert runs_of(path_tree(2)) == [(0, 0, 1, 0, 2), (1, 0, 1, 1, 2)]
+    # the star's center has degree 3, so each leaf is a run of its own
+    assert runs_of(star_tree(4)) == [(v, v, v, 0, 1) for v in (1, 2, 3)]
+    # ids that do not rise along the path: 3 - 0 - 4 - 1 - 2
+    winding = built_tree(5, [(3, 0), (0, 4), (4, 1), (1, 2)])
+    assert runs_of(winding) == [
+        (0, 2, 3, 3, 5), (1, 2, 3, 1, 5), (2, 2, 3, 0, 5), (3, 2, 3, 4, 5), (4, 2, 3, 2, 5)
+    ]
+    assert runs_of(built_tree(*ANCHORED)) == [
+        (1, 1, 1, 0, 1),
+        (2, 2, 2, 0, 1),
+        (3, 3, 5, 0, 3),
+        (4, 3, 5, 1, 3),
+        (5, 3, 5, 2, 3),
+        (7, 7, 7, 0, 1),
+        (8, 8, 8, 0, 1),
+        (10, 10, 10, 0, 1),
+        (11, 11, 11, 0, 1),
+    ]
+
+
+def test_runs_rank_a_path_longer_than_any_power_of_two_it_crosses():
+    n = 2**17 + 3
+    tree = path_tree(n)
+    assert runs_of(tree) == [(v, 0, n - 1, v, n) for v in range(n)]
+    assert post_process(tree, 2) == ref_post_process(tree, 2)
+
+
+def test_run_ends_of_residual_degree_two_stay_in_the_core():
+    # the 3-4-5 core splits one, separator, one at ell' = 1 and stays whole
+    # at ell' = 2; the lone vertex 8 is a block only while ell' = 1
+    tree = built_tree(*ANCHORED)
+    forest = _Forest(tree)
+    assert _cut_blocks(forest, 1) == ((3,), (5,), (8,))
+    assert sorted(forest.alive.tolist()) == [0, 1, 2, 4, 6, 7, 9, 10, 11]
+    assert _cut_blocks(_Forest(tree), 2) == ((3, 4, 5),)
+    for ell_prime in (1, 2, 3):
+        assert post_process(tree, ell_prime) == ref_post_process(tree, ell_prime)
+
+
 # --- carried blocks -------------------------------------------------------------
 
 HANDOVER_SIZES = (1, 2, 3, 7, 60, 613, 5000)
@@ -263,6 +335,44 @@ def test_compress_layer_that_is_no_path_is_reported_and_refused(coloring3):
     assert any("is not a path" in msg for msg in check_layered_invariants(decomp))
     with pytest.raises(InternalError, match="must induce a path"):
         solve_on_decomposition(coloring3, sorted(coloring3.vertex_configs), decomp)
+
+
+def test_first_failing_block_decides_the_exception():
+    # on the path 0..8, rake layer {2, 5} takes the free row (all a), so
+    # block (3, 4) needs a 4-vertex path from a to a, which two-coloring
+    # lacks, and block (6, 8) is no path
+    coloring2 = two_coloring()
+    subset = sorted(coloring2.vertex_configs)
+    rake = (frozenset({0, 1, 7}), frozenset({2, 5}))
+    no_witness_first = LayeredDecomposition(path_tree(9), 2, rake, (((3, 4), (6, 8)),))
+    errors = []
+    for solve in (solve_on_decomposition, ref_solve_on_decomposition):
+        with pytest.raises(NotEllFullError) as err:
+            solve(coloring2, subset, no_witness_first)
+        errors.append((err.value.kind, err.value.detail))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "path-extension" and errors[0][1]["k"] == 4
+    no_path_first = LayeredDecomposition(path_tree(9), 2, rake, (((6, 8), (3, 4)),))
+    for solve in (solve_on_decomposition, ref_solve_on_decomposition):
+        with pytest.raises(InternalError, match="must induce a path"):
+            solve(coloring2, subset, no_path_first)
+
+
+def test_layers_that_hold_an_edge_are_refused(coloring3):
+    # the vertex-by-vertex solver labeled these in whichever order it
+    # visited them; a whole-layer pass refuses them
+    subset = sorted(coloring3.vertex_configs)
+    rake_edge = LayeredDecomposition(path_tree(3), 1, (frozenset({0, 1, 2}),), ())
+    assert isinstance(ref_solve_on_decomposition(coloring3, subset, rake_edge), HalfEdgeLabeling)
+    with pytest.raises(InternalError, match="rake layer must be an independent set"):
+        solve_on_decomposition(coloring3, subset, rake_edge)
+    # blocks (1,) and (5,) are adjacent: the second saw the first labeled
+    tree = built_tree(6, [(0, 1), (1, 2), (1, 5), (5, 4), (2, 3)])
+    rake = (frozenset({3}), frozenset({0, 2, 4}))
+    touching = LayeredDecomposition(tree, 1, rake, (((1,), (5,)),))
+    assert isinstance(ref_solve_on_decomposition(coloring3, subset, touching), HalfEdgeLabeling)
+    with pytest.raises(InternalError, match="blocks of one layer must not touch"):
+        solve_on_decomposition(coloring3, subset, touching)
 
 
 # --- invariant checker ----------------------------------------------------------

@@ -35,8 +35,9 @@ from lcltrees.solver import (
     solve_toast,
     verify_toast,
 )
-from lcltrees.trees import TreeGenSpec, ball, distances, gen_tree, ordered_path
+from lcltrees.trees import PortTree, TreeGenSpec, ball, distances, gen_tree, ordered_path
 
+import reference
 from conftest import path_tree, star_tree
 
 
@@ -203,31 +204,24 @@ def test_input_validation(coloring3):
 # --- witness memo -----------------------------------------------------------------
 
 
-class _Forgetful(dict):
-    """A witness memo that stores nothing, so every block asks extend_path."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def count_witness_calls(monkeypatch, forget=False):
+def count_witness_calls(monkeypatch, module=solver):
+    """Record the keys module asks extend_path for."""
     calls = []
-    real = solver.extend_path
+    real = module.extend_path
 
     def counting(problem, subset, *key):
         calls.append(key)
         return real(problem, subset, *key)
 
-    monkeypatch.setattr(solver, "extend_path", counting)
-    if forget:
-        real_init = _Assigner.__init__
-
-        def init(self, *args):
-            real_init(self, *args)
-            self.witnesses = _Forgetful()
-
-        monkeypatch.setattr(_Assigner, "__init__", init)
+    monkeypatch.setattr(module, "extend_path", counting)
     return calls
+
+
+def solve_without_memo(problem, subset, ell, tree):
+    """The per-vertex reference solver, which asks for a witness per block."""
+    return reference.ref_solve_on_decomposition(
+        problem, subset, reference.ref_post_process(tree, max(1, ell - 2))
+    )
 
 
 @pytest.mark.parametrize("model", ["path", "caterpillar", "uniform-attachment-capped"])
@@ -238,8 +232,8 @@ def test_witness_memo_asks_once_per_key_and_changes_nothing(
     for problem, ell in ((matching, 4), (coloring3, 3)):
         subset = full_subset(problem)
         with monkeypatch.context() as m:
-            uncached = count_witness_calls(m, forget=True)
-            reference = solve_log(problem, subset, ell, tree)
+            uncached = count_witness_calls(m, reference)
+            expected = solve_without_memo(problem, subset, ell, tree)
         blocks = post_process(tree, max(1, ell - 2)).blocks
         assert len(uncached) == sum(len(layer) for layer in blocks)
         with monkeypatch.context() as m:
@@ -248,18 +242,16 @@ def test_witness_memo_asks_once_per_key_and_changes_nothing(
         assert len(cached) == len(set(cached))
         assert set(cached) == set(uncached)
         assert len(cached) < len(uncached)
-        assert labeling == reference
+        assert labeling == expected
 
 
-def test_witness_memo_keeps_the_refutation(monkeypatch, coloring2):
+def test_witness_memo_keeps_the_refutation(coloring2):
     subset = full_subset(coloring2)
     tree = path_tree(40)
     errors = []
-    for forget in (True, False):
-        with monkeypatch.context() as m:
-            count_witness_calls(m, forget=forget)
-            with pytest.raises(NotEllFullError) as err:
-                solve_log(coloring2, subset, 4, tree)
+    for solve in (solve_without_memo, solve_log):
+        with pytest.raises(NotEllFullError) as err:
+            solve(coloring2, subset, 4, tree)
         errors.append((err.value.kind, err.value.detail))
     assert errors[0] == errors[1]
     assert errors[0][0] == "path-extension"
@@ -280,6 +272,24 @@ def test_witness_memo_remembers_a_missing_witness(monkeypatch, coloring2):
             asg.fill_path(prev, path, nxt)
         assert err.value.kind == "path-extension"
     assert len(calls) == 1
+
+
+def test_solve_log_labels_without_per_vertex_walks(monkeypatch, matching):
+    # the layering and the labeling read the port arrays a layer at a time
+    tree = uniform_tree(10_000, seed=3)
+    calls = []
+    real = PortTree.neighbors
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(PortTree, "neighbors", counting)
+    labeling = solve_log(matching, full_subset(matching), 4, tree)
+    assert calls == []
+    assert "ports" not in vars(tree)
+    monkeypatch.undo()
+    assert_solved(matching, tree, labeling, full_subset(matching))
 
 
 # --- differential sweep -----------------------------------------------------------
