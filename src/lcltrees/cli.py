@@ -129,11 +129,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    problem = load_problem(args.problem)
-    tree = parse_tree(_read(args.tree))
     if (args.subset is None) != (args.ell is None):
         print("error: --subset and --ell go together", file=sys.stderr)
         return EXIT_INPUT
+    problem = load_problem(args.problem)
+    tree = parse_tree(_read(args.tree))
 
     if args.subset is not None:
         subset = load_subset(args.subset, problem)

@@ -269,14 +269,16 @@ def _label_array(rows: tuple[tuple[int, ...], ...], size: int, num_labels: int) 
 
 
 def load_json(text: str, error: type[ValueError] = ProblemFormatError) -> object:
-    """The JSON value in text; a syntax error, or nesting too deep to parse,
-    raises error instead."""
+    """The JSON value in text; a syntax error, nesting too deep to parse, or
+    an integer with more digits than int() converts, raises error instead."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise error(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError:
         raise error("document nests too deeply to parse") from None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise error("an integer has too many digits to read") from None
 
 
 def parse_problem(text: str) -> LclProblem:

@@ -69,22 +69,31 @@ class LayeredDecomposition:
     blocks: tuple[Blocks, ...]
     # each compress layer's vertex set, derived from its blocks
     compress_layers: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
-    # vertex -> rank: 2i-1 in rake layer R_i, 2i in compress layer C_i
-    _rank: dict[int, int] = field(init=False, repr=False, compare=False)
+    # rank of each vertex: 2i-1 in rake layer R_i, 2i in compress layer C_i
+    _rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.blocks) != len(self.rake_layers) - 1:
             raise ValueError("expected one fewer compress layer than rake layers")
         compress = [[v for block in blocks for v in block] for blocks in self.blocks]
-        rank: dict[int, int] = {}
+        n = self.tree.n
+        rank = np.zeros(n, np.int64)
+        outside: set[int] = set()  # listed vertices that are not the tree's
+        listed = 0
         for first, layers in ((1, self.rake_layers), (2, compress)):
             for i, layer in enumerate(layers):
-                known = len(rank)
-                rank.update(dict.fromkeys(layer, first + 2 * i))
-                if len(rank) != known + len(layer):
-                    raise ValueError("layers overlap")
-        if rank.keys() != set(range(self.tree.n)):
+                verts = np.fromiter(layer, np.int64, len(layer))
+                inside = (verts >= 0) & (verts < n)
+                rank[verts[inside]] = first + 2 * i
+                outside.update(verts[~inside].tolist())
+                listed += len(layer)
+        placed = np.count_nonzero(rank)
+        # a vertex listed twice, in one layer or in two, is counted once
+        if listed != placed + len(outside):
+            raise ValueError("layers overlap")
+        if outside or placed != n:
             raise ValueError("layers do not partition the tree's vertices")
+        rank.flags.writeable = False
         object.__setattr__(self, "compress_layers", tuple(map(frozenset, compress)))
         object.__setattr__(self, "_rank", rank)
 
@@ -97,9 +106,9 @@ class LayeredDecomposition:
         return ("R", (r + 1) // 2) if r % 2 else ("C", r // 2)
 
     def rank_of(self, v: int) -> int:
-        if v not in self._rank:
+        if not 0 <= v < self.tree.n:
             raise ValueError(f"vertex {v} in no layer")
-        return self._rank[v]
+        return int(self._rank[v])
 
     def labeling_order(self) -> Iterator[tuple[str, int, frozenset[int]]]:
         """Layers from last removed to first: R_L, C_{L-1}, R_{L-1}, ..., R_1."""
@@ -288,7 +297,7 @@ def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
     """Empty list when all three structural invariants hold."""
     tree = decomp.tree
     bad: list[str] = []
-    rank = decomp._rank
+    rank = decomp._rank.tolist()
 
     for i, layer in enumerate(decomp.rake_layers, start=1):
         for v in layer:

@@ -10,19 +10,25 @@ back, both -1 on a virtual port.  Whoever fills the arrays checks what it
 wrote, once: parse_tree and TreeBuilder that ports lie in range, that no
 edge is a self-loop and that no port is used twice; the tuple constructor
 that ports lie in range and that each edge is seen from both ends.  Every
-tree then passes one shared check: n - 1 edges, and a single walk from
-vertex 0 that reaches every vertex.  Neighbor lists come from the arrays;
-.ports, the same ports as rows of (neighbor, port) pairs and None, is built
-only when read.
+tree then passes one shared check: n - 1 edges, and connectivity decided by
+hook and shortcut over the arrays, in O(log n) whole-array rounds.  The
+neighbor lists and .ports, the same ports as rows of (neighbor, port) pairs
+and None, are built only when first read.
+
+parse_tree reads a document in exactly the layout serialize_tree writes
+column by column, without json.loads; every other document goes through
+json.loads.  Both routes end in the same checks on the edge columns, so a
+document gives the same tree, or the same error, by either route.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from random import Random
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -89,30 +95,41 @@ class PortTree:
         self.nbr = nbr.reshape(-1, delta)
         self.back = back.reshape(-1, delta)
         self.nbr.flags.writeable = self.back.flags.writeable = False
-        real = self.nbr >= 0
-        # neighbors of every vertex in port order, one flat list with offsets
-        self._adjacent: list[int] = self.nbr[real].tolist()
-        self._offsets: list[int] = [0] + np.cumsum(real.sum(axis=1)).tolist()
 
     def _check_tree(self) -> None:
         n = self.n
-        if len(self._adjacent) != 2 * (n - 1):
+        if np.count_nonzero(self.nbr >= 0) != 2 * (n - 1):
             raise ValueError(f"tree on {n} vertices must have {n - 1} edges")
         if not self._spans():
             raise ValueError("tree is disconnected")
 
     def _spans(self) -> bool:
-        """Whether a walk from vertex 0 reaches every vertex."""
-        adjacent, offsets = self._adjacent, self._offsets
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        for v in stack:
-            for u in adjacent[offsets[v] : offsets[v + 1]]:
-                if not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
-        return len(stack) == self.n
+        """Whether the edges join every vertex into one component.
+
+        Hook and shortcut (Shiloach and Vishkin): every root hooks onto the
+        smallest root across the edges leaving its component, then pointer
+        jumping takes every vertex to its root.  A root never hooks onto a
+        larger id, so each component's root is its smallest vertex, and each
+        round merges every component that has an edge out of it with
+        another, so O(log n) rounds end it.
+        """
+        n = self.n
+        u, p = np.nonzero(self.nbr > np.arange(n, dtype=np.int32)[:, None])  # each edge once
+        v = self.nbr[u, p]
+        root = np.arange(n, dtype=np.int32)
+        while True:
+            ru, rv = root[u], root[v]
+            cross = ru != rv
+            if not cross.any():
+                return not root.any()
+            # edges inside a component stay inside it
+            u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while True:
+                up = root[root]
+                if np.array_equal(up, root):
+                    break
+                root = up
 
     @property
     def n(self) -> int:
@@ -133,6 +150,16 @@ class PortTree:
     def port_neighbors(self, v: int) -> tuple[int, ...]:
         """The neighbor on each port of v in port order, -1 on a virtual port."""
         return self._port_rows[v]
+
+    @cached_property
+    def _adjacent(self) -> list[int]:
+        """The neighbors of every vertex in port order, one flat list."""
+        return self.nbr[self.nbr >= 0].tolist()
+
+    @cached_property
+    def _offsets(self) -> list[int]:
+        """Where each vertex's neighbors start in _adjacent, and the end."""
+        return [0] + np.cumsum(np.count_nonzero(self.nbr >= 0, axis=1)).tolist()
 
     def neighbors(self, v: int) -> list[int]:
         return self._adjacent[self._offsets[v] : self._offsets[v + 1]]
@@ -352,16 +379,72 @@ def ball(tree: PortTree, v: int, radius: int) -> frozenset[int]:
 #
 # {"n": N, "delta": D, "edges": [{"u": u, "pu": pu, "v": v, "pv": pv}, ...]}
 # Ports not listed are virtual.
+#
+# parse_tree gets the edge columns u, pu, v, pv by one of two routes and
+# checks them with the same array checks.  Text in exactly the layout
+# serialize_tree writes (json.dumps(doc, indent=2) plus a newline, integers
+# of at most 18 digits) is scanned: regexes check the layout slice by slice,
+# and every digit run becomes an int64 in one numpy pass.  Any other text,
+# valid or not, goes through json.loads.
 
 
 _EDGE_KEYS = ("u", "pu", "v", "pv")
 _edge_fields = itemgetter(*_EDGE_KEYS)
+
+# an unsigned integer as json.dumps writes it, short enough for int64
+_NUMBER = "(?:0|[1-9][0-9]{0,17})"
+_HEAD = re.compile(f'\\{{\n  "n": ({_NUMBER}),\n  "delta": ({_NUMBER}),\n  "edges": \\[')
+_EDGE = "    \\{{\n{}\n    \\}}".format(
+    ",\n".join(f'      "{key}": {_NUMBER}' for key in _EDGE_KEYS)
+)
+_EDGES = re.compile(f"{_EDGE}(?:,\n{_EDGE})*")
+_NO_EDGES = "]\n}\n"
+_TAIL = "\n  ]\n}\n"
+# The layout is matched a slice at a time, each slice cut just after an edge
+# block's closing brace at least _SLICE characters past the slice's start:
+# a repeat holds a backtracking point per edge until it ends, so one match
+# over the whole list would grow with the number of edges.
+_SLICE = 1 << 18
+_CUT = "},\n    {\n"
+# every byte but an ASCII digit to a space
+_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+
+
+def _scan_edges(text: str) -> Optional[tuple[int, int, np.ndarray]]:
+    """n, delta and the (m, 4) columns u, pu, v, pv of a document in exactly
+    serialize_tree's layout; None for any other text."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    start = head.end()
+    columns = [np.zeros(0, np.int64)]
+    if not (text.startswith(_NO_EDGES, start) and len(text) == start + len(_NO_EDGES)):
+        if not (text.startswith("\n", start) and text.endswith(_TAIL)):
+            return None
+        pos, stop = start + 1, len(text) - len(_TAIL)
+        while True:
+            cut = text.find(_CUT, pos + _SLICE, stop)
+            end = stop if cut < 0 else cut + 1
+            if _EDGES.fullmatch(text, pos, end) is None:
+                return None
+            digits = text[pos:end].encode("ascii").translate(_DIGITS_ONLY)
+            columns.append(np.fromstring(digits, np.int64, sep=" "))
+            if cut < 0:
+                break
+            pos = end + 2  # past the ",\n" that joins two blocks
+    return int(head[1]), int(head[2]), np.concatenate(columns).reshape(-1, 4)
 
 
 def parse_tree(text: str) -> PortTree:
     """The tree a document describes; TreeFormatError names the first fault
     of the first check it fails: keys, field types, vertex range, self-loop,
     port range, a port used twice, a cycle."""
+    scanned = _scan_edges(text)
+    if scanned is not None:
+        n, delta, e = scanned
+        if n >= 1 and 3 <= delta <= MAX_DELTA and len(e) == n - 1:
+            return _tree_of_columns(n, delta, e, lambda i: dict(zip(_EDGE_KEYS, e[i].tolist())))
+    # every other document, and the faults of header and edge count
     doc = load_json(text, TreeFormatError)
     if not isinstance(doc, dict):
         raise TreeFormatError("tree document must be a JSON object")
@@ -394,37 +477,48 @@ def parse_tree(text: str) -> PortTree:
     except OverflowError:  # a field beyond int64 lies outside every range
         values = (min(max(x, -1), n + delta) for x in chain.from_iterable(fields))
         e = np.fromiter(values, np.int64, 4 * len(fields))
-    u, pu, v, pv = e.reshape(-1, 4).T
+    return _tree_of_columns(n, delta, e.reshape(-1, 4), edges.__getitem__)
+
+
+def _tree_of_columns(
+    n: int, delta: int, e: np.ndarray, edge: Callable[[int], dict]
+) -> PortTree:
+    """The tree whose edges are the rows u, pu, v, pv of e, n >= 1 and delta
+    in range; edge(i) is edge i as the document gives it, for messages.
+    Checks vertex range, self-loops, port range, ports used twice and cycles
+    in that order, each over all edges at once."""
+    u, pu, v, pv = e.T
 
     def first(mask: np.ndarray) -> Optional[int]:
         hits = np.flatnonzero(mask)
         return int(hits[0]) if hits.size else None
 
-    i = first((u < 0) | (u >= n) | (v < 0) | (v >= n))
-    if i is not None:
-        raise TreeFormatError(f"edge {edges[i]!r} has vertex out of range")
-    i = first(u == v)
-    if i is not None:
-        raise TreeFormatError(f"self-loop at vertex {fields[i][0]}")
-
     def end(k: int) -> str:
         """End k % 2 of edge k // 2 as vertex:port, as the document gives it."""
-        return "{}:{}".format(*fields[k // 2][k % 2 * 2 : k % 2 * 2 + 2])
+        fields = _edge_fields(edge(k // 2))
+        return "{}:{}".format(*fields[k % 2 * 2 : k % 2 * 2 + 2])
 
-    # both ends of every edge in document order: u0, v0, u1, v1, ...
-    w, p = np.stack([u, v], axis=1).ravel(), np.stack([pu, pv], axis=1).ravel()
-    i = first((p < 0) | (p >= delta))
+    i = first((u < 0) | (u >= n) | (v < 0) | (v >= n))
     if i is not None:
-        raise TreeFormatError(f"port {end(i)} out of range")
-    slot = w * delta + p
+        raise TreeFormatError(f"edge {edge(i)!r} has vertex out of range")
+    i = first(u == v)
+    if i is not None:
+        raise TreeFormatError(f"self-loop at vertex {edge(i)['u']}")
+    # ends are numbered in document order: u0, v0, u1, v1, ...
+    firsts = [first((ports < 0) | (ports >= delta)) for ports in (pu, pv)]
+    bad = [2 * i + k for k, i in enumerate(firsts) if i is not None]
+    if bad:
+        raise TreeFormatError(f"port {end(min(bad))} out of range")
+    su, sv = u * delta + pu, v * delta + pv
     nbr = np.full(n * delta, -1, np.int32)
     back = np.full(n * delta, -1, np.int32)
-    nbr[slot] = np.stack([v, u], axis=1).ravel()
-    back[slot] = np.stack([pv, pu], axis=1).ravel()
-    if np.count_nonzero(nbr >= 0) != slot.size:
+    nbr[su], nbr[sv], back[su], back[sv] = v, u, pv, pu
+    if np.count_nonzero(nbr >= 0) != 2 * len(e):
+        slot = np.stack([su, sv], axis=1).ravel()
         order = np.argsort(slot, kind="stable")
         i = int(order[1:][slot[order[1:]] == slot[order[:-1]]].min())
         raise TreeFormatError(f"port {end(i)} assigned twice")
+    del su, sv  # free the slots before the connectivity check
     try:
         return PortTree._of_arrays(delta, nbr.reshape(-1, delta), back.reshape(-1, delta))
     except ValueError:

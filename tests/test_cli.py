@@ -398,6 +398,38 @@ def test_solve_and_verify_never_build_port_tuples(tmp_path, monkeypatch):
         assert "labeling is valid" in text
 
 
+def test_solve_and_verify_never_build_neighbor_lists(tmp_path, monkeypatch):
+    files = input_files(tmp_path)
+
+    def refuse(_tree):
+        raise AssertionError("the tree's neighbor lists were built")
+
+    monkeypatch.setattr(PortTree, "_adjacent", property(refuse))
+    monkeypatch.setattr(PortTree, "_offsets", property(refuse))
+    for argv in commands_reading(files, "tree"):
+        code, text = quiet_cli(*argv)
+        assert code == 0, text
+        assert "labeling is valid" in text
+
+
+@pytest.mark.parametrize("half", [["--subset", "subset.json"], ["--ell", "3"]])
+def test_solve_reports_a_lone_subset_or_ell_before_reading_any_file(tmp_path, half):
+    missing = str(tmp_path / "missing.json")
+    code, text = quiet_cli("solve", "--problem", missing, "--tree", missing, *half)
+    assert code == 2
+    assert text == "error: --subset and --ell go together\n"
+
+
+@pytest.mark.parametrize("kind", ["problem", "tree", "subset", "labeling"])
+def test_an_integer_too_long_to_read_is_an_input_error(tmp_path, kind):
+    files = input_files(tmp_path)
+    files[kind].write_text("[" + "7" * 5000 + "]")
+    for argv in commands_reading(files, kind):
+        code, text = quiet_cli(*argv)
+        assert code == 2
+        assert "error: an integer has too many digits to read" in text
+
+
 @pytest.mark.parametrize("kind", ["problem", "tree", "subset", "labeling"])
 def test_deeply_nested_json_is_an_input_error(tmp_path, kind):
     files = input_files(tmp_path)

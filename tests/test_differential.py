@@ -1,6 +1,7 @@
-"""The array-backed trees, the column-wise labeling check, the one-walk
-verify_toast, and the whole-layer rake-and-compress layering and labeling
-against the per-item versions kept in tests/reference.py."""
+"""The array-backed trees, the column route of parse_tree, the column-wise
+labeling check, the one-walk verify_toast, and the whole-layer
+rake-and-compress layering and labeling against the per-item versions kept
+in tests/reference.py."""
 
 import json
 from random import Random
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcltrees import trees
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
 from lcltrees.pathstates import VERDICT_LOGN, classify
 from lcltrees.problems import (
@@ -165,12 +167,150 @@ _EDGE_KEYS = ("u", "pu", "v", "pv")
     )
 )
 def test_any_document_parses_or_fails_like_the_reference(doc):
-    text = json.dumps(doc)
+    for text in (json.dumps(doc), indented(doc)):
+        try:
+            want = ref_parse_tree(text)
+        except TreeFormatError:
+            with pytest.raises(TreeFormatError):
+                parse_tree(text)
+            continue
+        assert_same_tree(parse_tree(text), want)
+
+
+# --- the column route of parse_tree ---------------------------------------------
+
+
+def indented(doc) -> str:
+    """The document in the layout serialize_tree and lcltrees gen write."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def takes_column_route(text: str) -> bool:
+    return trees._scan_edges(text) is not None
+
+
+def assert_same_arrays(tree: PortTree, ref: RefPortTree) -> None:
+    """tree's port arrays hold exactly ref's ports."""
+    assert (tree.n, tree.delta) == (ref.n, ref.delta)
+    for v, row in enumerate(ref.ports):
+        want = [(-1, -1) if tgt is None else tgt for tgt in row]
+        assert list(zip(tree.nbr[v].tolist(), tree.back[v].tolist())) == want
+
+
+def assert_fails_alike(text: str) -> None:
+    with pytest.raises(TreeFormatError) as want:
+        ref_parse_tree(text)
+    with pytest.raises(TreeFormatError) as got:
+        parse_tree(text)
+    assert str(got.value) == str(want.value)
+
+
+# slice lengths: one that cuts every few edges, and the parser's own
+SLICES = (200, trees._SLICE)
+
+
+@pytest.mark.parametrize("slice_chars", SLICES)
+@pytest.mark.parametrize("model", ("path", "caterpillar", "uniform-attachment-capped"))
+def test_generated_trees_take_the_column_route_to_the_reference_arrays(
+    model, slice_chars, monkeypatch
+):
+    monkeypatch.setattr(trees, "_SLICE", slice_chars)
+    for n in (*range(1, 12), 100, 641, 2000, 5000):
+        text = serialize_tree(gen_tree(TreeGenSpec(n=n, delta=4, seed=n, model=model)))
+        assert takes_column_route(text)
+        assert_same_arrays(parse_tree(text), ref_parse_tree(text))
+
+
+def test_a_tree_past_several_slices_matches_the_reference():
+    text = serialize_tree(gen_tree(TreeGenSpec(n=20_000, delta=3, seed=5)))
+    assert len(text) > 5 * trees._SLICE
+    assert takes_column_route(text)
+    assert_same_arrays(parse_tree(text), ref_parse_tree(text))
+
+
+@pytest.mark.parametrize("slice_chars", SLICES)
+@pytest.mark.parametrize("name,doc", _single_faults(), ids=[n for n, _ in _single_faults()])
+def test_a_single_fault_in_gen_layout_raises_the_reference_message(
+    name, doc, slice_chars, monkeypatch
+):
+    monkeypatch.setattr(trees, "_SLICE", slice_chars)
+    assert_fails_alike(indented(doc))
+
+
+def edges_before_cut(text: str) -> int:
+    """How many edges the first slice of text holds."""
+    start = text.index("[\n") + 2
+    cut = text.find(trees._CUT, start + trees._SLICE)
+    assert cut > 0
+    return text.count("    {\n", start, cut)
+
+
+@pytest.mark.parametrize("side", (0, 1), ids=("last-before-cut", "first-after-cut"))
+@pytest.mark.parametrize(
+    "fault,change",
+    [
+        # vertex k reaches vertex k - 1 on its port 0 already
+        ("port assigned twice", dict(pu=0)),
+        ("port too large", dict(pv=3)),
+        ("self-loop", None),
+    ],
+)
+def test_a_fault_beside_a_slice_cut_raises_the_reference_message(fault, change, side):
+    doc = _path_doc(9000)
+    k = edges_before_cut(indented(doc)) - 1 + side
+    edge = doc["edges"][k]
+    edge.update(change or dict(v=edge["u"]))
+    text = indented(doc)
+    # every change keeps each number's length, so the cut stays put
+    assert edges_before_cut(text) - 1 + side == k
+    assert takes_column_route(text)
+    assert_fails_alike(text)
+
+
+def near_gen_layout():
+    """Valid JSON that differs from gen's layout: each takes the JSON route."""
+    doc = _path_doc(5)
+    text = indented(doc)
+    edge = '"v": 1,'
+    assert text.count(edge) == 1
+
+    def number(value):
+        return text.replace(edge, f'"v": {value},')
+
+    reordered = dict(doc, edges=[dict(reversed(e.items())) for e in doc["edges"]])
+    return {
+        "crlf": text.replace("\n", "\r\n"),
+        "no final newline": text[:-1],
+        "compact": json.dumps(doc),
+        "reordered keys": indented(reordered),
+        "reordered header": indented({"delta": 3, "n": 5, "edges": doc["edges"]}),
+        "leading zero": number("01"),
+        "minus zero": number("-0"),
+        "negative": number("-1"),
+        "19 digits": number("1" + "0" * 18),
+        "beyond int64": number("9" * 19),
+        "5,000 digits": number("1" * 5000),
+        "exponent": number("1e0"),
+        "true": number("true"),
+        "tab": text.replace('"v": 1', '"v":\t1'),
+        "extra key": indented(dict(doc, extra=1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(near_gen_layout()))
+def test_near_gen_layout_gives_the_json_route_result(name):
+    text = near_gen_layout()[name]
+    assert not takes_column_route(text)
+    if name == "5,000 digits":
+        with pytest.raises(ValueError, match="integer string conversion"):
+            ref_parse_tree(text)
+        with pytest.raises(TreeFormatError, match="too many digits"):
+            parse_tree(text)
+        return
     try:
         want = ref_parse_tree(text)
     except TreeFormatError:
-        with pytest.raises(TreeFormatError):
-            parse_tree(text)
+        assert_fails_alike(text)
         return
     assert_same_tree(parse_tree(text), want)
 

@@ -272,6 +272,24 @@ def test_parse_labeling_errors(matching, text, match):
         parse_labeling(text, matching)
 
 
+HUGE = "7" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_problem, f'{{"delta": {HUGE}, "labels": ["a"], "vertex_configs": [], '
+                        '"edge_configs": []}'),
+        (lambda text: parse_labeling(text, perfect_matching()),
+         f'[{{"vertex": {HUGE}, "ports": ["M", "U", "U"]}}]'),
+    ],
+    ids=["problem", "labeling"],
+)
+def test_an_integer_too_long_to_read_is_a_format_error(parse, text):
+    with pytest.raises(ProblemFormatError, match="too many digits"):
+        parse(text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     json_documents(

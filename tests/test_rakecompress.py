@@ -177,6 +177,28 @@ def test_layer_lookup_rejects_vertices_outside_the_tree():
             decomp.rank_of(v)
 
 
+def test_ranks_follow_the_layers_and_vertices_outside_the_tree_are_refused():
+    tree = path_tree(4)
+    for outside in (4, -1):
+        with pytest.raises(ValueError, match="partition"):
+            LayeredDecomposition(tree, 2, (frozenset({0, 1, 2, 3, outside}),), ())
+    # vertex 7 listed twice overlaps before it fails to partition
+    with pytest.raises(ValueError, match="overlap"):
+        LayeredDecomposition(tree, 2, (frozenset({0, 3, 7}), frozenset({2})), (((1, 7),),))
+    n = 3000
+    decomp = post_process(gen_tree(TreeGenSpec(n=n, delta=3, seed=7)), 3)
+    want = {}
+    for first, layers in ((1, decomp.rake_layers), (2, decomp.compress_layers)):
+        for i, layer in enumerate(layers):
+            want.update(dict.fromkeys(layer, first + 2 * i))
+    assert [decomp.rank_of(v) for v in range(n)] == [want[v] for v in range(n)]
+    for v in (-n, -n - 1, -1, n, n + 1):
+        with pytest.raises(ValueError, match=f"vertex {v} in no layer"):
+            decomp.rank_of(v)
+        with pytest.raises(ValueError, match=f"vertex {v} in no layer"):
+            decomp.layer_of(v)
+
+
 def test_labeling_order_walks_outward():
     decomp = post_process(path_tree(13), 4)
     order = [(kind, i) for kind, i, _ in decomp.labeling_order()]

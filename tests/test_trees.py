@@ -1,5 +1,8 @@
 import json
+from collections import Counter
+from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,3 +241,116 @@ def test_parse_tree_raises_only_format_errors(doc):
         parse_tree(json.dumps(doc))
     except TreeFormatError:
         pass
+
+
+def test_an_integer_too_long_to_read_is_a_format_error():
+    for text in (
+        '{"n": %s, "delta": 3, "edges": []}' % ("7" * 5000),
+        json.dumps({"n": 2, "delta": 3, "edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]},
+                   indent=2).replace('"v": 1', '"v": ' + "1" * 5000),
+    ):
+        with pytest.raises(TreeFormatError, match="too many digits"):
+            parse_tree(text)
+
+
+# --- connectivity ---------------------------------------------------------------
+
+
+def walk_spans(graph) -> bool:
+    """Whether a walk from vertex 0 reaches every vertex: the check that
+    PortTree._spans replaced, kept as its reference."""
+    rows = graph.nbr.tolist()
+    seen = bytearray(graph.n)
+    seen[0] = 1
+    stack = [0]
+    for v in stack:
+        for u in rows[v]:
+            if u >= 0 and not seen[u]:
+                seen[u] = 1
+                stack.append(u)
+    return len(stack) == graph.n
+
+
+def port_graph(n, delta, edges):
+    """The graph on these edges, each end on its vertex's next free port,
+    with port arrays but none of a tree's checks."""
+    nbr = np.full((n, delta), -1, np.int32)
+    back = np.full((n, delta), -1, np.int32)
+    degree = [0] * n
+    for u, v in edges:
+        pu, pv = degree[u], degree[v]
+        nbr[u, pu], back[u, pu], nbr[v, pv], back[v, pv] = v, pv, u, pu
+        degree[u] += 1
+        degree[v] += 1
+    graph = PortTree.__new__(PortTree)
+    graph._fill(delta, nbr, back)
+    return graph
+
+
+def id_orders(n, rng):
+    """Vertex ids along a path: sorted, reversed, zig-zag and random."""
+    ids = list(range(n))
+    zigzag = [ids[i // 2] if i % 2 == 0 else ids[n - 1 - i // 2] for i in range(n)]
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    return {"sorted": ids, "reversed": ids[::-1], "zig-zag": zigzag, "random": shuffled}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 17, 1000, 100_000))
+def test_spans_matches_a_walk_on_paths_in_any_id_order(n):
+    for name, order in id_orders(n, Random(n)).items():
+        edges = list(zip(order, order[1:]))
+        path = port_graph(n, 3, edges)
+        assert path._spans() and walk_spans(path), name
+        if n >= 5:
+            # drop an edge past the middle, close a triangle at the start:
+            # still n - 1 edges, now in two components
+            m = n // 2 + 1
+            split = port_graph(n, 3, edges[:m] + edges[m + 1 :] + [(order[0], order[2])])
+            assert not split._spans() and not walk_spans(split), name
+
+
+@pytest.mark.parametrize("model,n,delta", [("star", 65, 64), ("caterpillar", 5001, 4)])
+def test_spans_matches_a_walk_on_a_star_and_a_caterpillar(model, n, delta):
+    edges = [(u, v) for u, _, v, _ in gen_tree(TreeGenSpec(n, delta, 0, model)).edges()]
+    # the last edge's leaf moves away: its other end doubles one of its edges
+    a, _ = edges[-1]
+    degree = Counter(x for edge in edges for x in edge)
+    w = next(x for edge in edges[:-1] if a in edge for x in edge if x != a and degree[x] < delta)
+    split = edges[:-1] + [(a, w)]
+    relabel = list(range(n))
+    Random(n).shuffle(relabel)
+    for ids in (list(range(n)), relabel):
+        tree = port_graph(n, delta, [(ids[u], ids[v]) for u, v in edges])
+        assert tree._spans() and walk_spans(tree)
+        graph = port_graph(n, delta, [(ids[u], ids[v]) for u, v in split])
+        assert not graph._spans() and not walk_spans(graph)
+
+
+def edge_docs(*edges):
+    return [dict(zip(("u", "pu", "v", "pv"), edge)) for edge in edges]
+
+
+@pytest.mark.parametrize(
+    "n,edges,cycle",
+    [
+        # 0 - 1 twice, on ports 0 and 1 of each; vertex 2 alone
+        (3, edge_docs((0, 0, 1, 0), (0, 1, 1, 1)), "0 -- 1"),
+        # the triangle 0 - 1 - 2; vertex 3 alone
+        (4, edge_docs((0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 0, 1)), "2 -- 0"),
+    ],
+    ids=["doubled edge", "cycle and a lone vertex"],
+)
+def test_a_doubled_edge_and_a_cycle_beside_a_lone_vertex_are_refused(n, edges, cycle):
+    rows = [[None] * 3 for _ in range(n)]
+    for e in edges:
+        rows[e["u"]][e["pu"]] = (e["v"], e["pv"])
+        rows[e["v"]][e["pv"]] = (e["u"], e["pu"])
+    with pytest.raises(ValueError) as got:
+        PortTree(3, tuple(map(tuple, rows)))
+    assert str(got.value) == "tree is disconnected"
+    doc = {"n": n, "delta": 3, "edges": edges}
+    for text in (json.dumps(doc), json.dumps(doc, indent=2) + "\n"):
+        with pytest.raises(TreeFormatError) as got:
+            parse_tree(text)
+        assert str(got.value) == f"cycle detected at edge {cycle}"
