@@ -254,20 +254,14 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="also write the result to this path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lcltrees",
-        description="Classify and solve locally checkable labelings on trees",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="decide the ell-full condition")
+def _classify_args(p: argparse.ArgumentParser) -> None:
     _add_problem(p)
     p.add_argument("--budget", type=int, help=f"max subsets to try (${BUDGET_ENV})")
     _add_format(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("solve", help="label a tree with the log-round solver")
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
     _add_problem(p)
     p.add_argument("--tree", required=True, help="tree file")
     p.add_argument("--subset", help="subset file (JSON arrays of label names)")
@@ -278,13 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="labeling file to write (default stdout)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="check a labeling against a problem")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_problem(p)
     p.add_argument("--tree", required=True)
     p.add_argument("--labeling", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen", help="generate a tree deterministically")
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -296,14 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="tree file to write (default stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("decompose", help="dump rake/compress layers per vertex")
+
+def _decompose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree", required=True)
     p.add_argument("--gamma", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--output")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("classes", help="census of extendability classes")
+
+def _classes_args(p: argparse.ArgumentParser) -> None:
     _add_problem(p)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -311,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_classes)
 
-    p = sub.add_parser("oracle", help="brute-force reference checks")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
     q = osub.add_parser("solve", help="exhaustive labeling search")
@@ -334,11 +333,42 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget", type=int, default=2_000_000, help="max search steps")
     q.set_defaults(func=cmd_oracle_connects)
 
+
+# every subcommand in help order: name, help string, and what adds its arguments
+SUBCOMMANDS = (
+    ("classify", "decide the ell-full condition", _classify_args),
+    ("solve", "label a tree with the log-round solver", _solve_args),
+    ("verify", "check a labeling against a problem", _verify_args),
+    ("gen", "generate a tree deterministically", _gen_args),
+    ("decompose", "dump rake/compress layers per vertex", _decompose_args),
+    ("classes", "census of extendability classes", _classes_args),
+    ("oracle", "brute-force reference checks", _oracle_args),
+)
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The lcltrees parser, built for parsing argv.
+
+    Every subcommand is registered, so the top-level help and usage errors
+    are whole, but only those named somewhere in argv get their arguments:
+    argparse runs the subcommand named by the first positional, which need
+    not be argv[0].
+    """
+    parser = argparse.ArgumentParser(
+        prog="lcltrees",
+        description="Classify and solve locally checkable labelings on trees",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name in argv:
+            add_arguments(p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NotEllFullError as e:

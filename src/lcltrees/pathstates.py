@@ -16,6 +16,21 @@ The ell-full test then makes one pass over the power cycle: for each
 exponent m up to index + period - 1 it records whether entry . step^m .
 exit is all-true, and every ell is decided from the all-true suffix of
 those flags.
+
+Before the search, each problem trims its configs once, on the table.  In
+the graph of the configs still kept, a state is forward-live when a walk
+from it reaches a cycle and backward-live when a cycle reaches it; a config
+goes when one of its labels a has no forward-live state in entry_row(a) or
+no backward-live state in exit_vector(a), and the trim repeats until no
+config goes.  It is sound:
+  - an ell-full S joins every pair of its labels by walks of every length
+    k >= ell, so those walks start at forward-live and end at backward-live
+    states of graph(S);
+  - graph(S) is an induced subgraph of graph(T) for every T containing S,
+    so those states stay live in T, and no config of S is ever dropped;
+  - so every ell-full subset lies inside the fixpoint.
+The search still runs over every subset in the same order and charges each
+to the budget, but settles one outside the fixpoint without a state graph.
 """
 from __future__ import annotations
 
@@ -79,6 +94,43 @@ class StateTable:
                 inlet[i, a] = s.config.count(a) >= (2 if a == s.out_label else 1)
         self.edge = problem.edge_matrix
         self.admit = _bool_matmul(self.edge, inlet.T)
+
+    @cached_property
+    def live_configs(self) -> frozenset[VertexConfig]:
+        """The configs the liveness trim keeps: every ell-full subset's superset."""
+        configs = list(self.span)
+        starts = np.array([self.span[c].start for c in configs], dtype=np.intp)
+        sizes = [len(self.span[c]) for c in configs]
+        kept = np.ones(len(self.states), dtype=bool)
+        while True:
+            picked = np.flatnonzero(kept)
+            step = self.admit[self.out[picked, None], picked]
+            forward = np.zeros_like(kept)
+            forward[picked[_walks_forever(step)]] = True
+            backward = np.zeros_like(kept)
+            backward[picked[_walks_forever(step.T)]] = True
+            # label a may face the path: some forward-live state admits it,
+            # and some backward-live state sends a label that edges with it
+            ok = (self.admit & forward).any(axis=1) & self.edge[self.out[backward]].any(axis=0)
+            stays = np.logical_and.reduceat(ok[self.out] & kept, starts)
+            now = np.repeat(stays, sizes)
+            if np.array_equal(now, kept):
+                return frozenset(c for c, s in zip(configs, stays) if s)
+            kept = now
+
+
+def _walks_forever(step: np.ndarray) -> np.ndarray:
+    """Mask of the states that some walk of every length starts from.
+
+    Peels the states with no successor left until none goes; what stays
+    is exactly the set of states from which a walk reaches a cycle.
+    """
+    live = np.ones(len(step), dtype=bool)
+    while True:
+        now = live & step[:, live].any(axis=1)
+        if np.array_equal(now, live):
+            return live
+        live = now
 
 
 class PathStateGraph:
@@ -273,16 +325,24 @@ def find_ell_full_set(problem: LclProblem, max_subsets: int = 4096) -> SubsetSea
     exhaustive means the outcome is definitive: either a subset was found,
     or every nonempty subset was ruled out.  A result with no subset and
     exhaustive=False only says the budget ran out.
+
+    Only subsets inside the liveness fixpoint (StateTable.live_configs)
+    can be ell-full (see the module docstring), so only they get a state
+    graph.  subsets_examined still counts every subset settled in search
+    order and charged to the budget, whether or not it needed a graph.
     """
     if max_subsets < 1:
         raise ValueError("subset budget must be positive")
     configs = problem.sorted_configs()
+    live = problem.state_table.live_configs
     examined = 0
     for size in range(len(configs), 0, -1):
         for combo in combinations(configs, size):
             if examined >= max_subsets:
                 return SubsetSearchResult(None, None, False, examined)
             examined += 1
+            if not live.issuperset(combo):
+                continue
             graph = build_state_graph(problem, combo)
             ell = _minimal_ell(graph)
             if ell is not None:

@@ -335,24 +335,6 @@ def components(tree: PortTree, vertices: Iterable[int]) -> list[list[int]]:
     return comps
 
 
-def ordered_path(tree: PortTree, vertices: Collection[int]) -> list[int]:
-    """The vertices along the path they induce, from its smaller-id endpoint.
-
-    Raises InternalError when they induce no path: callers pass sets that
-    the tree's shape makes paths.
-    """
-    within = set(vertices)
-    order, _ = bfs_tree(tree, [min(within)], within)
-    # the vertex reached last is an endpoint, and a walk from an endpoint
-    # reaches each vertex of a path from the one before it
-    order, parent = bfs_tree(tree, [order[-1]], within)
-    if len(order) != len(within) or any(
-        parent[v] != u for u, v in zip(order, order[1:])
-    ):
-        raise InternalError("vertex set must induce a path")
-    return order if order[0] < order[-1] else order[::-1]
-
-
 def distances(
     tree: PortTree, sources: Iterable[int], within: Optional[Collection[int]] = None
 ) -> dict[int, int]:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
+from lcltrees.problems import EdgeConfig, Label, LclProblem, VertexConfig
 from lcltrees.trees import TreeGenSpec, gen_tree
 
 
@@ -28,6 +29,26 @@ def random4():
 @pytest.fixture
 def random6():
     return random_problem(6)
+
+
+# Two-coloring on labels a and b padded with configs that hold label p or q,
+# which no edge config partners: every padded problem is a NOT, and only
+# {aaa, bbb} survives the liveness trim.  The three large paddings and the
+# small one are the padded problems the classify benchmark runs.
+PADDINGS = (
+    ("ppp", "qqq", "aap", "bbq", "app", "bqq", "ppq", "abp"),
+    ("ppp", "qqq", "aap", "bbq", "app", "bqq", "ppq", "pqq", "abp"),
+    ("ppp", "qqq", "aap", "bbq", "app", "bqq", "ppq", "pqq", "aaq", "abp"),
+)
+SMALL_NOT_PADDING = ("ppp", "qqq", "aap")
+
+
+def padded_two_coloring(names, padding):
+    """Two-coloring plus padding configs; label i is named names[i]."""
+    id_of = {x: i for i, x in enumerate(names)}
+    configs = frozenset(VertexConfig.of(id_of[x] for x in c) for c in ("aaa", "bbb") + padding)
+    edges = frozenset({EdgeConfig.of(id_of["a"], id_of["b"])})
+    return LclProblem(3, tuple(Label(i, x) for i, x in enumerate(names)), configs, edges)
 
 
 def path_tree(n, delta=3):

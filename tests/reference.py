@@ -13,18 +13,36 @@ solve_on_decomposition placing one vertex at a time.  The only change
 beyond names is that the assigner keeps no witness memo, so it asks
 extend_path once per compress block.
 
+Then three pieces as they stood before smaller versions replaced them:
+the subset search that builds a state graph for every subset it examines
+(with the classify that wraps it), the command-line parser that adds every
+subcommand's arguments whatever the command line names, and ordered_path,
+the walk that lists a block's vertices from its smaller-id endpoint.
+
 The differential tests hold the package to their results.
 """
 from __future__ import annotations
 
+import argparse
 import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import combinations
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from lcltrees.pathstates import extend_path
+from lcltrees import cli
+from lcltrees.pathstates import (
+    VERDICT_LOGN,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_NOT,
+    ClassificationReport,
+    SubsetSearchResult,
+    _minimal_ell,
+    build_state_graph,
+    extend_path,
+)
 from lcltrees.problems import (
     HalfEdgeLabeling,
     InternalError,
@@ -511,3 +529,147 @@ def ref_solve_on_decomposition(
                 )
             asg.fill_path(contacts[0][1], block, contacts[1][1])
     return asg.result()
+
+
+# --- the subset search, the parser and the path walk ----------------------------
+
+
+def ref_find_ell_full_set(problem: LclProblem, max_subsets: int = 4096) -> SubsetSearchResult:
+    if max_subsets < 1:
+        raise ValueError("subset budget must be positive")
+    configs = problem.sorted_configs()
+    examined = 0
+    for size in range(len(configs), 0, -1):
+        for combo in combinations(configs, size):
+            if examined >= max_subsets:
+                return SubsetSearchResult(None, None, False, examined)
+            examined += 1
+            graph = build_state_graph(problem, combo)
+            ell = _minimal_ell(graph)
+            if ell is not None:
+                return SubsetSearchResult(
+                    tuple(combo), ell, True, examined, graph.certificate()
+                )
+    return SubsetSearchResult(None, None, True, examined)
+
+
+def ref_classify(problem: LclProblem, max_subsets: int = 4096) -> ClassificationReport:
+    result = ref_find_ell_full_set(problem, max_subsets)
+    if result.subset is not None:
+        names = tuple(
+            tuple(problem.name_of(x) for x in c) for c in result.subset
+        )
+        return ClassificationReport(
+            VERDICT_LOGN,
+            names,
+            result.ell,
+            result.certificate,
+            True,
+            result.subsets_examined,
+            max_subsets,
+        )
+    verdict = VERDICT_NOT if result.exhaustive else VERDICT_INCONCLUSIVE
+    return ClassificationReport(
+        verdict, None, None, None, result.exhaustive, result.subsets_examined, max_subsets
+    )
+
+
+def ref_build_parser() -> argparse.ArgumentParser:
+    _add_problem, _add_format = cli._add_problem, cli._add_format
+    parser = argparse.ArgumentParser(
+        prog="lcltrees",
+        description="Classify and solve locally checkable labelings on trees",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", help="decide the ell-full condition")
+    _add_problem(p)
+    p.add_argument("--budget", type=int, help=f"max subsets to try (${cli.BUDGET_ENV})")
+    _add_format(p)
+    p.set_defaults(func=cli.cmd_classify)
+
+    p = sub.add_parser("solve", help="label a tree with the log-round solver")
+    _add_problem(p)
+    p.add_argument("--tree", required=True, help="tree file")
+    p.add_argument("--subset", help="subset file (JSON arrays of label names)")
+    p.add_argument("--ell", type=int, help="ell for the given subset")
+    p.add_argument("--toast", type=int, help="solve via a toast with this gap q")
+    p.add_argument("--centers", help="comma-separated toast ball centers")
+    p.add_argument("--budget", type=int, help="subset budget for auto-classify")
+    p.add_argument("--output", help="labeling file to write (default stdout)")
+    p.set_defaults(func=cli.cmd_solve)
+
+    p = sub.add_parser("verify", help="check a labeling against a problem")
+    _add_problem(p)
+    p.add_argument("--tree", required=True)
+    p.add_argument("--labeling", required=True)
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("gen", help="generate a tree deterministically")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--delta", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--model",
+        default="uniform-attachment-capped",
+        choices=["path", "star", "caterpillar", "uniform-attachment-capped"],
+    )
+    p.add_argument("--output", help="tree file to write (default stdout)")
+    p.set_defaults(func=cli.cmd_gen)
+
+    p = sub.add_parser("decompose", help="dump rake/compress layers per vertex")
+    p.add_argument("--tree", required=True)
+    p.add_argument("--gamma", type=int, required=True)
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--output")
+    p.set_defaults(func=cli.cmd_decompose)
+
+    p = sub.add_parser("classes", help="census of extendability classes")
+    _add_problem(p)
+    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=6)
+    _add_format(p)
+    p.set_defaults(func=cli.cmd_classes)
+
+    p = sub.add_parser("oracle", help="brute-force reference checks")
+    osub = p.add_subparsers(dest="oracle_command", required=True)
+
+    q = osub.add_parser("solve", help="exhaustive labeling search")
+    _add_problem(q)
+    q.add_argument("--tree", required=True)
+    q.add_argument("--max-vertices", type=int, default=12)
+    q.add_argument("--budget", type=int, default=2_000_000, help="max search steps")
+    q.add_argument("--output", help="write the labeling if one is found")
+    q.set_defaults(func=cli.cmd_oracle_solve)
+
+    q = osub.add_parser("connects", help="path extendability between two configs")
+    _add_problem(q)
+    q.add_argument("--subset", help="subset file; defaults to all of the configs")
+    q.add_argument("--a1", required=True, help="facing label at the left endpoint")
+    q.add_argument("--c1", required=True, help="left endpoint config, comma names")
+    q.add_argument("--a2", required=True)
+    q.add_argument("--c2", required=True)
+    q.add_argument("--k", type=int, required=True, help="path length in vertices")
+    q.add_argument("--max-vertices", type=int, default=12)
+    q.add_argument("--budget", type=int, default=2_000_000, help="max search steps")
+    q.set_defaults(func=cli.cmd_oracle_connects)
+
+    return parser
+
+
+def ref_ordered_path(tree: PortTree, vertices: Collection[int]) -> list[int]:
+    """The vertices along the path they induce, from its smaller-id endpoint.
+
+    Raises InternalError when they induce no path.
+    """
+    within = set(vertices)
+    order, _ = bfs_tree(tree, [min(within)], within)
+    # the vertex reached last is an endpoint, and a walk from an endpoint
+    # reaches each vertex of a path from the one before it
+    order, parent = bfs_tree(tree, [order[-1]], within)
+    if len(order) != len(within) or any(
+        parent[v] != u for u, v in zip(order, order[1:])
+    ):
+        raise InternalError("vertex set must induce a path")
+    return order if order[0] < order[-1] else order[::-1]

@@ -1,18 +1,27 @@
 """The array-backed trees, the column route of parse_tree, the column-wise
-labeling check, the one-walk verify_toast, and the whole-layer
-rake-and-compress layering and labeling against the per-item versions kept
-in tests/reference.py."""
+labeling check, the one-walk verify_toast, the whole-layer
+rake-and-compress layering and labeling, the trimmed subset search and the
+command-line parser against the versions kept in tests/reference.py."""
 
+import contextlib
+import io
 import json
+from itertools import permutations
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcltrees import trees
+from lcltrees import cli, trees
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
-from lcltrees.pathstates import VERDICT_LOGN, classify
+from lcltrees.pathstates import (
+    VERDICT_INCONCLUSIVE,
+    VERDICT_LOGN,
+    VERDICT_NOT,
+    classify,
+    serialize_report,
+)
 from lcltrees.problems import (
     EdgeConfig,
     HalfEdgeLabeling,
@@ -33,9 +42,11 @@ from lcltrees.trees import (
     serialize_tree,
 )
 
-from conftest import json_documents
+from conftest import PADDINGS, SMALL_NOT_PADDING, json_documents, padded_two_coloring
 from reference import (
     RefPortTree,
+    ref_build_parser,
+    ref_classify,
     ref_gen_tree,
     ref_decompose,
     ref_is_valid_labeling,
@@ -482,3 +493,122 @@ def test_layer_labelings_and_refutations_match_the_reference():
                 assert outcome(solve_on_decomposition, problem, subset, decomp) == want
                 seen["refutations" if isinstance(want, tuple) else "labelings"] += 1
     assert min(seen.values()) > 100, seen
+
+
+# --- the trimmed subset search -------------------------------------------------------
+
+
+def classify_corpus(num_labels):
+    """Random problems of seeds 0..199 with num_labels labels; the fixtures
+    and the padded two-colorings ride along with the 3-label ones."""
+    most = 5 if num_labels == 3 else 8
+    problems = [
+        random_problem(seed, num_labels=num_labels, max_vertex_configs=most)
+        for seed in range(200)
+    ]
+    if num_labels == 3:
+        problems += [three_coloring(), two_coloring(), perfect_matching()]
+        problems += [padded_two_coloring(names, p) for p in PADDINGS for names in ("abpq", "qbap")]
+        problems += [
+            padded_two_coloring(names, SMALL_NOT_PADDING)
+            for names in list(permutations("abpqr"))[::12]
+        ]
+    return problems
+
+
+@pytest.mark.parametrize("num_labels", (3, 4, 5))
+def test_classify_reports_match_the_exhaustive_search(num_labels):
+    verdicts = []
+    for i, problem in enumerate(classify_corpus(num_labels)):
+        report = classify(problem)
+        assert serialize_report(report) == serialize_report(ref_classify(problem))
+        verdicts.append(report.verdict)
+        # budgets that run out before, at and after the subset the search settles on
+        if i % 7 == 0 or len(problem.vertex_configs) > 5:
+            for budget in (1, 2, 5, 64):
+                report = classify(problem, budget)
+                assert serialize_report(report) == serialize_report(ref_classify(problem, budget))
+                verdicts.append(report.verdict)
+    assert {VERDICT_LOGN, VERDICT_NOT, VERDICT_INCONCLUSIVE} <= set(verdicts)
+
+
+# --- the command-line parser ---------------------------------------------------------
+
+
+def parse_outcome(parser, argv):
+    """What parsing argv gives: printed text and exit code, or the namespace."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def same_parse(argv):
+    argv = list(argv)
+    assert parse_outcome(cli.build_parser(argv), argv) == parse_outcome(ref_build_parser(), argv)
+
+
+ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--foo"],
+    ["--foo", "classify", "--problem", "x"],
+    ["--", "classify", "--problem", "x"],
+    ["classify"],
+    ["classify", "--problem"],
+    ["classify", "--problem", "x"],
+    ["classify", "--prob", "x", "--b", "7", "--format", "json", "--output", "o"],
+    ["classify", "--problem", "x", "--format", "xml"],
+    ["classify", "--problem", "x", "--budget", "many"],
+    ["classify", "--problem", "x", "--bogus"],
+    ["classify", "--problem", "x", "solve"],
+    ["classify", "--problem", "solve", "--budget", "3"],
+    ["solve", "--problem", "x"],
+    ["solve", "--problem", "x", "--tree", "t", "--subset", "s", "--ell", "3", "--toast", "4",
+     "--centers", "1,2", "--budget", "9", "--output", "o"],
+    ["verify", "--problem", "x", "--tree", "t"],
+    ["verify", "--problem", "x", "--tree", "t", "--labeling", "l"],
+    ["gen", "--n", "abc"],
+    ["gen", "--n", "5", "--model", "tree"],
+    ["gen", "--n", "5", "--delta", "4", "--seed", "2", "--model", "path", "--output", "o"],
+    ["decompose", "--tree", "t", "--gamma", "1"],
+    ["decompose", "--tree", "t", "--gamma", "1", "--ell", "2", "--output", "o"],
+    ["classes", "--problem", "x"],
+    ["classes", "--problem", "x", "--max-size", "3", "--seed", "1", "--samples", "2",
+     "--format", "json"],
+    ["oracle"],
+    ["oracle", "bogus"],
+    ["oracle", "solve", "--problem", "x"],
+    ["oracle", "solve", "--problem", "x", "--tree", "t", "--max-vertices", "9"],
+    ["oracle", "connects", "--problem", "x", "--a1", "a", "--c1", "a,a,a", "--a2", "b",
+     "--c2", "b,b,b", "--k", "4", "--subset", "s", "--budget", "10"],
+    ["oracle", "connects", "--problem", "x", "--k", "4"],
+    ["solve", "classify", "--problem", "x"],
+]
+HELP = [[cmd, "--help"] for cmd, _, _ in cli.SUBCOMMANDS]
+HELP += [["oracle", "solve", "-h"], ["oracle", "connects", "--help"]]
+
+
+@pytest.mark.parametrize("columns", ("80", "200"))
+def test_help_and_usage_errors_match_the_reference_parser(columns, monkeypatch):
+    # argparse wraps help to $COLUMNS
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in ARGVS + HELP:
+        same_parse(argv)
+
+
+TOKENS = [cmd for cmd, _, _ in cli.SUBCOMMANDS] + [
+    "-h", "--", "--problem", "--tree", "--budget", "--ell", "--n", "--format", "json",
+    "--model", "path", "--a1", "--k", "--max-vertices", "--output", "x", "3", "-1", "--bogus",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=8))
+def test_any_command_line_parses_like_the_reference_parser(argv):
+    same_parse(argv)

@@ -1,3 +1,5 @@
+from itertools import combinations, islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,12 +32,13 @@ from lcltrees.problems import (
     EdgeConfig,
     HalfEdgeLabeling,
     InternalError,
+    Label,
     LclProblem,
     VertexConfig,
     is_valid_labeling,
 )
 
-from conftest import path_tree
+from conftest import PADDINGS, SMALL_NOT_PADDING, padded_two_coloring, path_tree
 
 AAA = VertexConfig.of([0, 0, 0])
 BBB = VertexConfig.of([1, 1, 1])
@@ -44,10 +47,9 @@ MUU = VertexConfig.of([0, 1, 1])
 
 
 def all_nonempty_subsets(problem):
-    from itertools import combinations
-
+    """In find_ell_full_set's search order: largest first, then lexicographic."""
     cfgs = problem.sorted_configs()
-    for r in range(1, len(cfgs) + 1):
+    for r in range(len(cfgs), 0, -1):
         yield from combinations(cfgs, r)
 
 
@@ -274,7 +276,7 @@ def test_extend_path_raises_when_backtrack_breaks_the_step_relation(matching, mo
         extend_path(matching, [MUU], 0, MUU, 0, MUU, 5)
 
 
-def test_classify_builds_one_state_graph_per_examined_subset(monkeypatch):
+def test_classify_builds_a_state_graph_only_inside_the_fixpoint(monkeypatch):
     built = []
     build = pathstates.build_state_graph
 
@@ -285,16 +287,70 @@ def test_classify_builds_one_state_graph_per_examined_subset(monkeypatch):
     monkeypatch.setattr(pathstates, "build_state_graph", counting)
     problems = [three_coloring(), two_coloring(), perfect_matching()]
     problems += [random_problem(seed) for seed in range(20)]
+    problems += [random_problem(seed, num_labels=4, max_vertex_configs=8) for seed in range(20)]
     verdicts = set()
+    skipped = 0
     for problem in problems:
         built.clear()
         report = classify(problem)
         verdicts.add(report.verdict)
-        assert len(built) == report.subsets_examined
+        # exactly the examined subsets inside the fixpoint, in search order
+        live = problem.state_table.live_configs
+        examined = list(islice(all_nonempty_subsets(problem), report.subsets_examined))
+        assert built == [s for s in examined if live.issuperset(s)]
+        skipped += report.subsets_examined - len(built)
         if report.verdict == VERDICT_LOGN:
             # the certificate is the found subset's, built once during the search
             assert report.certificate == build(problem, built[-1]).certificate()
     assert verdicts == {VERDICT_LOGN, VERDICT_NOT}
+    assert skipped > 0
+
+    built.clear()
+    report = classify(padded_two_coloring("abpq", PADDINGS[-1]))
+    assert report.verdict == VERDICT_NOT
+    assert report.subsets_examined == 2**12 - 1
+    assert len(built) == 3
+
+
+def test_every_ell_full_subset_lies_inside_the_liveness_fixpoint():
+    found = trimmed = 0
+    for num_labels in (3, 4):
+        for seed in range(80):
+            problem = random_problem(seed, num_labels=num_labels, max_vertex_configs=6)
+            live = problem.state_table.live_configs
+            trimmed += len(live) < len(problem.vertex_configs)
+            for subset in all_nonempty_subsets(problem):
+                if pathstates._minimal_ell(build_state_graph(problem, subset)) is not None:
+                    found += 1
+                    assert live.issuperset(subset)
+    # the check means something only if both sides occur often
+    assert found > 1000
+    assert trimmed > 30
+
+
+def test_liveness_fixpoint_is_idempotent():
+    for num_labels in (3, 4, 5):
+        for seed in range(60):
+            problem = random_problem(seed, num_labels=num_labels, max_vertex_configs=8)
+            live = problem.state_table.live_configs
+            kept = LclProblem(problem.delta, problem.labels, live, problem.edge_configs)
+            assert kept.state_table.live_configs == live
+
+
+@pytest.mark.parametrize("padding", PADDINGS + (SMALL_NOT_PADDING,))
+def test_padded_two_colorings_trim_to_the_two_colors(padding):
+    for names in ("abpq", "qpba", "pbqa", "abpqr", "rqpba"):
+        problem = padded_two_coloring(names, padding)
+        live = {tuple(problem.name_of(x) for x in c) for c in problem.state_table.live_configs}
+        assert live == {("a", "a", "a"), ("b", "b", "b")}
+
+
+def test_an_edgeless_problem_trims_to_nothing():
+    labels = tuple(Label(i, n) for i, n in enumerate("ab"))
+    configs = frozenset(VertexConfig.of(c) for c in ((0, 0, 0), (0, 0, 1), (1, 1, 1)))
+    problem = LclProblem(3, labels, configs, frozenset())
+    assert problem.state_table.live_configs == frozenset()
+    assert classify(problem).verdict == VERDICT_NOT
 
 
 def test_classify_three_coloring_report(coloring3):

@@ -21,10 +21,10 @@ from lcltrees.rakecompress import (
     simulated_rounds,
 )
 from lcltrees.solver import NotEllFullError, solve_on_decomposition
-from lcltrees.trees import TreeBuilder, TreeGenSpec, components, gen_tree, ordered_path
+from lcltrees.trees import TreeBuilder, TreeGenSpec, components, gen_tree
 
 from conftest import path_tree, star_tree
-from reference import ref_post_process, ref_solve_on_decomposition
+from reference import ref_ordered_path, ref_post_process, ref_solve_on_decomposition
 
 
 # --- raw process ----------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_post_process_hands_over_the_blocks_a_walk_finds(model):
             for layer in decomp.rake_layers + decomp.compress_layers:
                 digest.update(repr(sorted(layer)).encode())
             for layer, blocks in zip(decomp.compress_layers, decomp.blocks):
-                walked = [ordered_path(tree, c) for c in components(tree, layer)]
+                walked = [ref_ordered_path(tree, c) for c in components(tree, layer)]
                 assert [list(b) for b in blocks] == walked
     assert digest.hexdigest() == LAYER_DIGESTS[model]
 

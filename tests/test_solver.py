@@ -2,11 +2,7 @@
 refutations, rounds accounting, and the toast extension algorithm."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +12,6 @@ from lcltrees.oracle import brute_force_connects, brute_force_solve
 from lcltrees.pathstates import VERDICT_LOGN, classify
 from lcltrees.problems import (
     EdgeConfig,
-    InternalError,
     Label,
     LclProblem,
     VertexConfig,
@@ -35,7 +30,7 @@ from lcltrees.solver import (
     solve_toast,
     verify_toast,
 )
-from lcltrees.trees import PortTree, TreeGenSpec, ball, distances, gen_tree, ordered_path
+from lcltrees.trees import PortTree, TreeGenSpec, ball, distances, gen_tree
 
 import reference
 from conftest import path_tree, star_tree
@@ -581,29 +576,3 @@ def test_solve_toast_generated_sweep(matching, coloring3):
         assert_solved(problem, tree, labeling, full_subset(problem))
         solved += 1
     assert seed < 200
-
-
-def test_ordered_path_on_a_star_raises_internal_error():
-    star = star_tree(4)
-    with pytest.raises(InternalError, match="must induce a path"):
-        ordered_path(star, range(star.n))
-
-
-def test_ordered_path_raises_under_python_O():
-    # a plain assert would vanish under -O and hand back a partial path
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "from lcltrees.problems import InternalError\n"
-        "from lcltrees.trees import TreeGenSpec, gen_tree, ordered_path\n"
-        "star = gen_tree(TreeGenSpec(n=4, delta=3, seed=0, model='star'))\n"
-        "try:\n"
-        "    ordered_path(star, range(4))\n"
-        "except InternalError:\n"
-        "    print('raised')\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcltrees.problems import InternalError
 from lcltrees.trees import (
     MAX_DELTA,
     PortTree,
@@ -20,7 +19,6 @@ from lcltrees.trees import (
     distance,
     distances,
     gen_tree,
-    ordered_path,
     parse_tree,
     serialize_tree,
 )
@@ -111,14 +109,6 @@ def test_components_order_by_smallest_vertex():
     assert components(t, {4}) == [[4]]
     assert components(t, []) == []
     assert components(star_tree(4), [3, 0, 1]) == [[0, 1, 3]]
-
-
-def test_ordered_path_starts_at_the_smaller_endpoint():
-    assert ordered_path(path_tree(8), {5, 3, 4}) == [3, 4, 5]
-    assert ordered_path(path_tree(8), [6]) == [6]
-    assert ordered_path(star_tree(4), [2, 0, 1]) == [1, 0, 2]
-    with pytest.raises(InternalError, match="must induce a path"):
-        ordered_path(path_tree(8), {1, 3})
 
 
 def test_distances_from_several_sources_within_a_set():
