@@ -132,6 +132,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if (args.subset is None) != (args.ell is None):
         print("error: --subset and --ell go together", file=sys.stderr)
         return EXIT_INPUT
+    if args.centers is not None and args.toast is None:
+        print("error: --centers needs --toast", file=sys.stderr)
+        return EXIT_INPUT
     problem = load_problem(args.problem)
     tree = parse_tree(_read(args.tree))
 

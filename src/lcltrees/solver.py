@@ -6,9 +6,9 @@ earlier-labeled neighbor answer it through a partner table, and compress
 blocks are filled in by explicit path witnesses.  It labels a whole layer
 per step in array passes: a rake layer is one gather through a (facing
 label, port) table, a compress layer one witness lookup per distinct block
-key and one gather of witness rows.  solve_toast does the same vertex by
-vertex, through the same tables, inner-to-outer along a toast (a laminar
-family of well-separated pieces).
+key and one gather of witness rows.  solve_toast labels inner-to-outer
+along a toast (a laminar family of well-separated pieces) with the same
+passes: a breadth-first level answers its parents in one gather.
 Both raise a certified refutation when the subset turns out not to be
 ell-full, and both only ever read the subset, never the full config list.
 """
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
 from .rakecompress import Blocks, LayeredDecomposition, post_process, simulated_rounds
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
-from .trees import PortTree, ball, bfs_tree, components, distances
+from .trees import PortTree, ball, bfs_tree, capped_distances, components, distances
 
 class NotEllFullError(Exception):
     """Carries a concrete counterexample to the subset being ell-full."""
@@ -100,8 +100,8 @@ class _Assigner:
     Three tables decide every row: the free row (the smallest subset config,
     ascending), answer[a, p] for a vertex answering label a across its port
     p, and the witness rows by (witness, position, port before, port after).
-    rake and compress label a whole layer of solve_log in array passes; the
-    per-vertex methods label solve_toast's vertices through the same tables.
+    Both solvers write rows only through place_answers (each vertex answers
+    one labeled neighbor, or is free) and compress (blocks by witnesses).
     """
 
     def __init__(self, problem: LclProblem, tree: PortTree, cfgs: list[VertexConfig]):
@@ -116,7 +116,8 @@ class _Assigner:
         # one extra slot, always -1, answers the -1 of a virtual port
         self.row = np.full(tree.n + 1, -1, np.int64)
         self.free = self._row({}, cfgs[0])
-        self.answer = np.full((problem.num_labels, tree.delta), -1, np.int64)
+        # the extra last column, all free rows, answers port -1: no neighbor
+        self.answer = np.full((problem.num_labels, tree.delta + 1), self.free, np.int64)
         for a, (config, b) in build_partner_table(problem, cfgs).items():
             for p in range(tree.delta):
                 self.answer[a, p] = self._row({p: b}, config)
@@ -147,36 +148,6 @@ class _Assigner:
         if len(self._table) != len(self.rows):
             self._table = np.array(self.rows, np.int64)
         return self._table[self.row[verts], ports]
-
-    def labeled(self, v: int) -> bool:
-        return self.row.item(v) >= 0
-
-    def facing(self, u: int, v: int) -> int:
-        """Label on u's port toward v; u must be labeled."""
-        return self.rows[self.row.item(u)][self.tree.port_to(u, v)]
-
-    def place_free(self, v: int) -> None:
-        self.row[v] = self.free
-
-    def place_answering(self, v: int, u: int) -> None:
-        """Label v from its single labeled neighbor u via the partner table."""
-        self.row[v] = self.answer[self.facing(u, v), self.tree.port_to(v, u)]
-
-    def fill_path(self, prev: int, path: Sequence[int], nxt: int) -> None:
-        """Witness-label the interior path between labeled prev and nxt."""
-        port_to = self.tree.port_to
-        key = (
-            self.facing(prev, path[0]),
-            self._row_config[self.row.item(prev)],
-            self.facing(nxt, path[-1]),
-            self._row_config[self.row.item(nxt)],
-            len(path) + 2,
-        )
-        w = self._witness(key)
-        for j, v in enumerate(path):
-            before = prev if j == 0 else path[j - 1]
-            after = nxt if j == len(path) - 1 else path[j + 1]
-            self.row[v] = self._witness_row(w, j, port_to(v, before), port_to(v, after))
 
     def _witness(self, key: tuple[int, ...]) -> int:
         """The memo index of the witness for key; NotEllFullError when
@@ -215,6 +186,14 @@ class _Assigner:
             )
         return rid
 
+    def place_answers(self, verts: np.ndarray, ports: np.ndarray) -> None:
+        """Label each vertex to answer the labeled neighbor on its given
+        port, or with the free row where the port is -1."""
+        tree = self.tree
+        # port -1 reads the last port, whose label answer[:, -1] ignores
+        facing = self._labels(tree.nbr[verts, ports], tree.back[verts, ports])
+        self.row[verts] = self.answer[facing, ports]
+
     def rake(self, verts: np.ndarray) -> None:
         """Label a rake layer: a vertex with no labeled neighbor takes the
         free row, one with a single labeled neighbor answers it.  A layer
@@ -228,11 +207,7 @@ class _Assigner:
         count = done.sum(axis=1)
         if (count > 1).any():
             raise InternalError("rake vertex sees several labeled neighbors")
-        rid = np.full(verts.size, self.free)
-        i = np.flatnonzero(count)
-        p = done[i].argmax(axis=1)
-        rid[i] = self.answer[self._labels(nbr[i, p], self.tree.back[verts[i], p]), p]
-        self.row[verts] = rid
+        self.place_answers(verts, np.where(count > 0, done.argmax(axis=1), -1))
 
     def compress(self, blocks: Blocks) -> None:
         """Label a compress layer by path witnesses, one per distinct key.
@@ -418,35 +393,51 @@ class Toast:
 
 def piece_boundary(tree: PortTree, piece: frozenset[int]) -> frozenset[int]:
     """Members adjacent to the outside; empty for the whole vertex set."""
-    return frozenset(
-        v for v in piece if any(u not in piece for u in tree.neighbors(v))
-    )
+    verts = np.fromiter(piece, np.int64, len(piece))
+    return frozenset(verts[~_inward(tree, verts).all(axis=1)].tolist())
+
+
+def _inward(tree: PortTree, verts: np.ndarray) -> np.ndarray:
+    """Whether each port of the given vertices stays among them, as virtual ports do."""
+    inside = np.zeros(tree.n + 1, bool)
+    inside[verts] = inside[-1] = True  # the spare slot answers port -1
+    return inside[tree.nbr[verts]]
 
 
 def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
-    """Violation descriptions; empty when the toast is structurally sound."""
+    """Violation descriptions; empty when the toast is structurally sound.
+
+    A piece (a forest, as every vertex set of a tree) is connected when it
+    holds |piece| - 1 edges.  Only gaps below q are reported, so q - 1
+    frontier steps measure them; none is measured to a piece outside the tree.
+    """
     bad = []
-    everything = frozenset(range(tree.n))
     pieces = toast.pieces
     if len(set(pieces)) != len(pieces):
         bad.append("duplicate piece")
+    boundaries = []
     for idx, piece in enumerate(pieces):
-        if len(components(tree, piece)) > 1:
+        verts = np.fromiter((v if 0 <= v < tree.n else -1 for v in piece), np.int64, len(piece))
+        if verts.min() < 0:
+            bad.append(f"piece {idx} holds a vertex outside the tree")
+            boundaries.append(verts[:0])
+            continue
+        inward = _inward(tree, verts)
+        if inward.sum() - (tree.nbr[verts] < 0).sum() != 2 * len(verts) - 2:
             bad.append(f"piece {idx} is disconnected")
-    if everything not in pieces:
+        boundaries.append(verts[~inward.all(axis=1)])
+    if frozenset(range(tree.n)) not in pieces:
         bad.append("no piece covers the whole tree, so some pair is uncovered")
-    boundaries = [piece_boundary(tree, p) for p in pieces]
-    # one walk per boundary that has a later piece to measure against
-    dists = [distances(tree, bd) if bd else {} for bd in boundaries[:-1]]
+    near = [capped_distances(tree, bd, toast.q) for bd in boundaries[:-1]]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             a, b = pieces[i], pieces[j]
             if not (a <= b or b <= a or not (a & b)):
                 bad.append(f"pieces {i} and {j} overlap without nesting")
                 continue
-            if not boundaries[i] or not boundaries[j]:
+            if not boundaries[i].size or not boundaries[j].size:
                 continue
-            gap = min(dists[i][v] for v in boundaries[j])
+            gap = int(near[i][boundaries[j]].min())
             if gap < toast.q:
                 bad.append(
                     f"pieces {i} and {j} have boundary gap {gap}, want >= {toast.q}"
@@ -499,69 +490,58 @@ def solve_toast(
     if problems_found:
         raise ValueError("toast is not valid: " + "; ".join(problems_found))
     asg = _Assigner(problem, tree, cfgs)
-
     for piece in sorted(toast.pieces, key=lambda p: (len(p), sorted(p))):
-        region = [v for v in piece if not asg.labeled(v)]
-        for comp in components(tree, region):
-            _label_region_component(asg, ell, set(comp))
+        verts = np.fromiter(piece, np.int64, len(piece))
+        for comp in components(tree, verts[asg.row[verts] < 0].tolist()):
+            _label_region_component(asg, ell, comp)
     return asg.result()
 
 
-def _label_region_component(asg: _Assigner, ell: int, comp: set[int]) -> None:
+def _label_region_component(asg: _Assigner, ell: int, comp: list[int]) -> None:
+    """Label a component of unlabeled vertices one breadth-first level at a
+    time from its root: the contact vertex, or with two or more contacts the
+    vertex farthest from them, with an ell-vertex segment reserved behind
+    each.  A segment is a compress block, listed top to contact, at its top's
+    level."""
     tree = asg.tree
-    contacts = []  # (v inside, b outside already labeled)
-    for v in sorted(comp):
-        for b in tree.neighbors(v):
-            if b not in comp and asg.labeled(b):
-                contacts.append((v, b))
-    if len(contacts) <= 1:
-        root = contacts[0][0] if contacts else min(comp)
-    else:
-        # two or more finished pieces touch this component: reserve an
-        # ell-segment behind each contact and fill those by path witnesses,
-        # greedy elsewhere
-        mindist = distances(tree, [v for v, _ in contacts], comp)
-        root = max(comp, key=lambda v: (mindist[v], -v))
+    within = set(comp)
+    # comp is unlabeled, so every labeled neighbor lies outside it
+    at, port = np.nonzero(asg.row[tree.nbr[comp]] >= 0)
+    contacts = [comp[i] for i in at.tolist()]
+    root, root_port = (contacts[0], int(port[0])) if contacts else (min(comp), -1)
+    if len(contacts) > 1:
+        mindist = distances(tree, contacts, within)
+        root, root_port = min(mindist, key=lambda v: (-mindist[v], v)), -1
         if mindist[root] < ell:
             raise InternalError("q-gap should leave room for every reservation")
-    order, parent = bfs_tree(tree, [root], comp)
-    if len(order) != len(comp):
+    order, parent = bfs_tree(tree, [root], within)
+    if len(order) != len(within):
         raise InternalError("region component must be connected")
-    if len(contacts) <= 1:
-        for v in order:
-            if v == root:
-                if contacts:
-                    asg.place_answering(v, contacts[0][1])
-                else:
-                    asg.place_free(v)
-            else:
-                asg.place_answering(v, parent[v])
-        return
-
-    segment_of: dict[int, int] = {}
-    segments: list[list[int]] = []
-    for i, (v, _b) in enumerate(contacts):
+    depth = {root: 0}
+    for v, u in islice(parent.items(), 1, None):
+        depth[v] = depth[u] + 1
+    segments = []
+    for v in contacts if len(contacts) > 1 else ():
         seg = [v]
         while len(seg) < ell:
             seg.append(parent[seg[-1]])
-        for x in seg:
-            if x in segment_of or x == root:
-                raise InternalError("reserved segments must not overlap or hold the root")
-            segment_of[x] = i
-        segments.append(seg)
-    for v in order:
-        if asg.labeled(v):
-            continue
-        i = segment_of.get(v)
-        if i is None:
-            if v == root:
-                asg.place_free(v)
-            else:
-                asg.place_answering(v, parent[v])
-        else:
-            seg = segments[i]
-            # v is the segment vertex nearest the root, so its parent is done
-            path = list(reversed(seg))
-            if path[0] != v or not asg.labeled(parent[v]):
-                raise InternalError("a reserved segment must hang off a labeled vertex")
-            asg.fill_path(parent[v], path, contacts[i][1])
+        segments.append(seg[::-1])  # top to contact
+    reserved = list(chain.from_iterable(segments))
+    if len(set(reserved)) < len(reserved) or root in reserved:
+        raise InternalError("reserved segments must not overlap or hold the root")
+    at_top = {seg[0]: seg for seg in segments}
+    walk = np.array(order)
+    blocks_at: dict[int, list[list[int]]] = {}
+    for top in walk[np.isin(walk, list(at_top))].tolist():
+        blocks_at.setdefault(depth[top], []).append(at_top[top])
+    above = np.fromiter(islice(parent.values(), 1, None), np.int64, len(order) - 1)
+    ports = np.append(root_port, (tree.nbr[walk[1:]] == above[:, None]).argmax(axis=1))
+    level = np.fromiter(depth.values(), np.int64, len(order))
+    keep = ~np.isin(walk, reserved)
+    bounds = np.cumsum(np.append(0, keep))[np.flatnonzero(np.diff(level, prepend=-1, append=-1))]
+    walk, ports, bounds = walk[keep], ports[keep], bounds.tolist()
+    for lev, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a < b:
+            asg.place_answers(walk[a:b], ports[a:b])
+        if lev in blocks_at:
+            asg.compress(blocks_at[lev])

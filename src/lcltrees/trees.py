@@ -352,9 +352,25 @@ def distance(tree: PortTree, u: int, v: int) -> int:
     return distances(tree, [u])[v]
 
 
+def capped_distances(tree: PortTree, sources: np.ndarray, cap: int) -> np.ndarray:
+    """Distance from the nearest source to each vertex, cap standing for
+    cap or more: at most cap - 1 frontier steps over the port arrays."""
+    cap = min(cap, tree.n)  # no distance in a tree reaches n
+    dist = np.full(tree.n + 1, cap)
+    dist[sources] = dist[-1] = 0  # the spare slot answers port -1
+    frontier = sources
+    for d in range(1, cap):
+        reached = tree.nbr[frontier].ravel()
+        frontier = np.unique(reached[dist[reached] == cap])
+        if not frontier.size:
+            break
+        dist[frontier] = d
+    return dist[:-1]
+
+
 def ball(tree: PortTree, v: int, radius: int) -> frozenset[int]:
-    dist = distances(tree, [v])
-    return frozenset(u for u in range(tree.n) if dist[u] <= radius)
+    dist = capped_distances(tree, np.array([v]), radius + 1)
+    return frozenset(np.flatnonzero(dist <= radius).tolist())
 
 
 # --- file format -------------------------------------------------------------

@@ -4,7 +4,8 @@ These are the tree, labeling and toast checks as they stood before PortTree
 moved to port arrays, kept as they were apart from their names: a tree of
 (neighbor, port) tuples checked port by port, a builder checking each edge
 as it comes, the edge-by-edge parser, the vertex-by-vertex labeling check,
-and verify_toast walking from piece i's boundary once per later piece.
+verify_toast walking from piece i's boundary once per later piece, and
+piece_boundary testing each member's neighbors against the piece.
 
 Then the rake-and-compress layering and layer-by-layer labeling as they
 stood before both moved to whole-layer array passes: a residual forest of
@@ -18,6 +19,12 @@ the subset search that builds a state graph for every subset it examines
 (with the classify that wraps it), the command-line parser that adds every
 subcommand's arguments whatever the command line names, and ordered_path,
 the walk that lists a block's vertices from its smaller-id endpoint.
+
+Then solve_toast as it stood before it labeled through the solver's
+array passes: each region component walked from its root, one vertex at a
+time, through _RefAssigner's per-vertex methods (which place the same rows
+the package's assigner placed vertex by vertex), reserved segments filled
+by path witnesses as the walk reaches them.
 
 The differential tests hold the package to their results.
 """
@@ -51,7 +58,12 @@ from lcltrees.problems import (
     VertexConfig,
 )
 from lcltrees.rakecompress import Blocks, LayeredDecomposition, RawDecomposition
-from lcltrees.solver import NotEllFullError, Toast, build_partner_table, piece_boundary
+from lcltrees.solver import (
+    NotEllFullError,
+    Toast,
+    _check_solver_inputs,
+    build_partner_table,
+)
 from lcltrees.trees import (
     MAX_DELTA,
     PortTree,
@@ -279,6 +291,13 @@ def ref_is_valid_labeling(
     return ValidityReport(tuple(vertex_bad), tuple(edge_bad))
 
 
+def ref_piece_boundary(tree, piece: frozenset[int]) -> frozenset[int]:
+    """Members adjacent to the outside; empty for the whole vertex set."""
+    return frozenset(
+        v for v in piece if any(u not in piece for u in tree.neighbors(v))
+    )
+
+
 def ref_verify_toast(tree, toast: Toast) -> list[str]:
     bad = []
     everything = frozenset(range(tree.n))
@@ -290,7 +309,7 @@ def ref_verify_toast(tree, toast: Toast) -> list[str]:
             bad.append(f"piece {idx} is disconnected")
     if everything not in pieces:
         bad.append("no piece covers the whole tree, so some pair is uncovered")
-    boundaries = [piece_boundary(tree, p) for p in pieces]
+    boundaries = [ref_piece_boundary(tree, p) for p in pieces]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             a, b = pieces[i], pieces[j]
@@ -529,6 +548,89 @@ def ref_solve_on_decomposition(
                 )
             asg.fill_path(contacts[0][1], block, contacts[1][1])
     return asg.result()
+
+
+def ref_solve_toast(
+    problem: LclProblem,
+    subset: Iterable[VertexConfig],
+    ell: int,
+    tree: PortTree,
+    toast: Toast,
+) -> HalfEdgeLabeling:
+    """Label the tree piece by piece, inner pieces first."""
+    cfgs = _check_solver_inputs(problem, subset, ell, tree)
+    if toast.q < 2 * ell + 2:
+        raise ValueError(f"toast gap {toast.q} is below 2*ell+2 = {2 * ell + 2}")
+    problems_found = ref_verify_toast(tree, toast)
+    if problems_found:
+        raise ValueError("toast is not valid: " + "; ".join(problems_found))
+    asg = _RefAssigner(problem, tree, cfgs)
+
+    for piece in sorted(toast.pieces, key=lambda p: (len(p), sorted(p))):
+        region = [v for v in piece if not asg.labeled(v)]
+        for comp in components(tree, region):
+            _ref_label_region_component(asg, ell, set(comp))
+    return asg.result()
+
+
+def _ref_label_region_component(asg: _RefAssigner, ell: int, comp: set[int]) -> None:
+    tree = asg.tree
+    contacts = []  # (v inside, b outside already labeled)
+    for v in sorted(comp):
+        for b in tree.neighbors(v):
+            if b not in comp and asg.labeled(b):
+                contacts.append((v, b))
+    if len(contacts) <= 1:
+        root = contacts[0][0] if contacts else min(comp)
+    else:
+        # two or more finished pieces touch this component: reserve an
+        # ell-segment behind each contact and fill those by path witnesses,
+        # greedy elsewhere
+        mindist = distances(tree, [v for v, _ in contacts], comp)
+        root = max(comp, key=lambda v: (mindist[v], -v))
+        if mindist[root] < ell:
+            raise InternalError("q-gap should leave room for every reservation")
+    order, parent = bfs_tree(tree, [root], comp)
+    if len(order) != len(comp):
+        raise InternalError("region component must be connected")
+    if len(contacts) <= 1:
+        for v in order:
+            if v == root:
+                if contacts:
+                    asg.place_answering(v, contacts[0][1])
+                else:
+                    asg.place_free(v)
+            else:
+                asg.place_answering(v, parent[v])
+        return
+
+    segment_of: dict[int, int] = {}
+    segments: list[list[int]] = []
+    for i, (v, _b) in enumerate(contacts):
+        seg = [v]
+        while len(seg) < ell:
+            seg.append(parent[seg[-1]])
+        for x in seg:
+            if x in segment_of or x == root:
+                raise InternalError("reserved segments must not overlap or hold the root")
+            segment_of[x] = i
+        segments.append(seg)
+    for v in order:
+        if asg.labeled(v):
+            continue
+        i = segment_of.get(v)
+        if i is None:
+            if v == root:
+                asg.place_free(v)
+            else:
+                asg.place_answering(v, parent[v])
+        else:
+            seg = segments[i]
+            # v is the segment vertex nearest the root, so its parent is done
+            path = list(reversed(seg))
+            if path[0] != v or not asg.labeled(parent[v]):
+                raise InternalError("a reserved segment must hang off a labeled vertex")
+            asg.fill_path(parent[v], path, contacts[i][1])
 
 
 # --- the subset search, the parser and the path walk ----------------------------

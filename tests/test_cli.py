@@ -420,6 +420,13 @@ def test_solve_reports_a_lone_subset_or_ell_before_reading_any_file(tmp_path, ha
     assert text == "error: --subset and --ell go together\n"
 
 
+def test_solve_reports_centers_without_a_toast_before_reading_any_file(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, text = quiet_cli("solve", "--problem", missing, "--tree", missing, "--centers", "3")
+    assert code == 2
+    assert text == "error: --centers needs --toast\n"
+
+
 @pytest.mark.parametrize("kind", ["problem", "tree", "subset", "labeling"])
 def test_an_integer_too_long_to_read_is_an_input_error(tmp_path, kind):
     files = input_files(tmp_path)

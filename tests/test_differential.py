@@ -25,18 +25,28 @@ from lcltrees.pathstates import (
 from lcltrees.problems import (
     EdgeConfig,
     HalfEdgeLabeling,
+    InternalError,
     Label,
     LclProblem,
     VertexConfig,
     is_valid_labeling,
 )
 from lcltrees.rakecompress import decompose, post_process
-from lcltrees.solver import NotEllFullError, Toast, solve_log, solve_on_decomposition, verify_toast
+from lcltrees.solver import (
+    NotEllFullError,
+    Toast,
+    piece_boundary,
+    solve_log,
+    solve_on_decomposition,
+    solve_toast,
+    verify_toast,
+)
 from lcltrees.trees import (
     PortTree,
     TreeFormatError,
     TreeGenSpec,
     ball,
+    distances,
     gen_tree,
     parse_tree,
     serialize_tree,
@@ -51,8 +61,10 @@ from reference import (
     ref_decompose,
     ref_is_valid_labeling,
     ref_parse_tree,
+    ref_piece_boundary,
     ref_post_process,
     ref_solve_on_decomposition,
+    ref_solve_toast,
     ref_verify_toast,
 )
 
@@ -410,6 +422,7 @@ def test_labeling_shape_errors_match_the_reference():
 def test_verify_toast_reports_match_the_reference(model):
     rng = Random(model)
     seen = {"clean": 0, "nesting": 0, "gap": 0, "disconnected": 0}
+    seen.update({"gap below q": 0, "gap at q": 0, "gap above q": 0})
     for n in (12, 40, 200):
         tree = gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
         everything = frozenset(range(n))
@@ -427,11 +440,26 @@ def test_verify_toast_reports_match_the_reference(model):
             toast = Toast(rng.randrange(2, 7), tuple(pieces))
             want = ref_verify_toast(tree, toast)
             assert verify_toast(tree, toast) == want
+            for piece in pieces:
+                assert piece_boundary(tree, piece) == ref_piece_boundary(tree, piece)
             seen["clean"] += not want and len(set(pieces) - {everything}) >= 2
             for kind in ("nesting", "gap", "disconnected"):
                 seen[kind] += any(kind in line for line in want)
+        # a vertex at gap q - 1, q, q + 1 and as far as the tree allows from
+        # a ball's boundary: the edges of the capped frontier
+        inner = ball(tree, n // 3, 2)
+        dist = distances(tree, ref_piece_boundary(tree, inner))
+        for q in (2, 3, 5):
+            for gap in (q - 1, q, q + 1, max(dist.values())):
+                far = [v for v in range(n) if dist[v] == gap and v not in inner]
+                if far:
+                    toast = Toast(q, (inner, frozenset(far[:1]), everything))
+                    want = ref_verify_toast(tree, toast)
+                    assert verify_toast(tree, toast) == want
+                    assert any("gap" in line for line in want) == (gap < q)
+                    seen[f"gap {'below' if gap < q else 'at' if gap == q else 'above'} q"] += 1
     # sound toasts of disjoint balls, overlapping, too-close and
-    # disconnected pieces all occurred
+    # disconnected pieces, and gaps on both sides of q, all occurred
     assert min(seen.values()) > 0, seen
 
 
@@ -493,6 +521,42 @@ def test_layer_labelings_and_refutations_match_the_reference():
                 assert outcome(solve_on_decomposition, problem, subset, decomp) == want
                 seen["refutations" if isinstance(want, tuple) else "labelings"] += 1
     assert min(seen.values()) > 100, seen
+
+
+def toast_outcome(solve, problem, subset, ell, tree, toast):
+    """The labeling's ports, or the exception's type, message and detail."""
+    try:
+        return (HalfEdgeLabeling, solve(problem, subset, ell, tree, toast).ports)
+    except NotEllFullError as e:
+        return (NotEllFullError, e.kind, str(e), e.detail)
+    except (ValueError, InternalError) as e:
+        return (type(e), str(e))
+
+
+def test_toast_labelings_and_refutations_match_the_reference():
+    """Every problem of in_problems on path, caterpillar and uniform trees
+    (up to 5000 vertices for the fixtures, 641 for the random problems),
+    ell 2 and 3 at q = 2ell+2 and 2ell+5, one to three balls of random
+    radius up to q, centered in successive id ranges, under the whole
+    tree."""
+    rng = Random(12)
+    seen = {"labelings": 0, "refutations": 0, "unsound": 0}
+    for problem, subset, largest in in_problems():
+        for model in ("path", "caterpillar", "uniform-attachment-capped"):
+            for n in (17, 100, 641, 5000) if largest >= 5000 else (17, 100, 641):
+                tree = gen_tree(TreeGenSpec(n=n, delta=problem.delta, seed=n, model=model))
+                everything = frozenset(range(n))
+                for ell, q in rng.sample([(2, 6), (2, 9), (3, 8), (3, 11)], 2):
+                    k = rng.randint(1, 3)
+                    centers = [rng.randrange(i * n // k, (i + 1) * n // k) for i in range(k)]
+                    balls = (ball(tree, c, rng.randint(1, q)) for c in centers)
+                    pieces = tuple(dict.fromkeys(b for b in balls if b != everything))
+                    toast = Toast(q, pieces + (everything,))
+                    want = toast_outcome(ref_solve_toast, problem, subset, ell, tree, toast)
+                    assert toast_outcome(solve_toast, problem, subset, ell, tree, toast) == want
+                    kind = {HalfEdgeLabeling: "labelings", ValueError: "unsound"}
+                    seen[kind.get(want[0], "refutations")] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # --- the trimmed subset search -------------------------------------------------------

@@ -4,6 +4,7 @@ refutations, rounds accounting, and the toast extension algorithm."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lcltrees import solver
@@ -258,13 +259,10 @@ def test_witness_memo_remembers_a_missing_witness(monkeypatch, coloring2):
     subset = full_subset(coloring2)
     calls = count_witness_calls(monkeypatch)
     asg = _Assigner(coloring2, path_tree(8), subset)
-    asg.place_free(0)
-    asg.place_free(3)
-    asg.place_free(4)
-    asg.place_free(7)
-    for prev, path, nxt in ((0, [1, 2], 3), (4, [5, 6], 7)):
+    asg.place_answers(np.array([0, 3, 4, 7]), np.full(4, -1))
+    for block in ((1, 2), (5, 6)):
         with pytest.raises(NotEllFullError) as err:
-            asg.fill_path(prev, path, nxt)
+            asg.compress((block,))
         assert err.value.kind == "path-extension"
     assert len(calls) == 1
 
@@ -424,6 +422,25 @@ def test_verify_toast_catches_structural_faults():
 
     bad = verify_toast(tree, Toast(4, (frozenset({0, 5}), whole)))
     assert any("disconnected" in msg for msg in bad)
+
+
+def test_toast_pieces_outside_the_tree_are_violations(matching):
+    tree = path_tree(20)
+    whole = frozenset(range(20))
+    for piece in (frozenset({19, 20}), frozenset({-1, 0}), frozenset({2**70, 3})):
+        toast = Toast(6, (piece, whole))
+        # as sets the two still overlap without nesting; no gap is measured
+        assert verify_toast(tree, toast) == [
+            "piece 0 holds a vertex outside the tree",
+            "pieces 0 and 1 overlap without nesting",
+        ]
+        with pytest.raises(ValueError, match="piece 0 holds a vertex outside the tree"):
+            solve_toast(matching, full_subset(matching), 2, tree, toast)
+    bad = verify_toast(tree, Toast(6, (frozenset({20}),)))
+    assert bad == [
+        "piece 0 holds a vertex outside the tree",
+        "no piece covers the whole tree, so some pair is uncovered",
+    ]
 
 
 def test_build_toast_single_center():

@@ -89,6 +89,16 @@ def test_distance_and_ball():
     assert ball(t, 0, 10) == frozenset(range(6))
 
 
+def test_ball_is_every_vertex_within_the_radius():
+    for model in ("path", "caterpillar", "uniform-attachment-capped"):
+        t = gen_tree(TreeGenSpec(n=300, delta=3, seed=4, model=model))
+        for v in (0, 17, 299):
+            dist = distances(t, [v])
+            for radius in (-1, 0, 1, 3, 10**9):
+                want = frozenset(u for u, d in dist.items() if d <= radius)
+                assert ball(t, v, radius) == want
+
+
 def test_bfs_tree_orders_by_distance_and_records_parents():
     t = path_tree(5)
     order, parent = bfs_tree(t, [2])
