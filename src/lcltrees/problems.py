@@ -4,15 +4,25 @@ A problem is a finite label alphabet together with the allowed size-Delta
 vertex multisets and the allowed size-2 edge multisets.  A labeling assigns
 one label to every port (half-edge) of every vertex; virtual ports count
 toward the vertex constraint but have no edge constraint.
+
+A HalfEdgeLabeling is row-indexed: its distinct port rows as tuples, plus
+one int64 array holding each vertex's index into them.  The solver and
+parse_labeling build labelings in this form, and is_valid_labeling and
+serialize_labeling handle each distinct row once and reach the vertices
+through the index array; the per-vertex tuples are built only when read.
+parse_labeling scans the layout serialize_labeling writes without
+json.loads, and reads every other document through json.loads; both
+routes give the same labeling, and only the second raises messages.
 """
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -160,18 +170,66 @@ class LclProblem:
         return sorted(self.vertex_configs)
 
 
-@dataclass(frozen=True)
 class HalfEdgeLabeling:
-    """ports[v][p] is the label id on port p of vertex v."""
+    """A label id on every port of every vertex, each distinct row stored once.
 
-    ports: tuple[tuple[int, ...], ...]
+    rows holds the distinct port rows as tuples, every one of them some
+    vertex's, and row_of, a read-only int64 array, indexes each vertex's row
+    in rows: rows[row_of[v]][p] is the label id on port p of vertex v.  The
+    per-vertex tuples, .ports, are built only when first read.  Two
+    labelings are equal when their ports are.
+    """
+
+    def __init__(self, ports: Iterable[Sequence[int]]) -> None:
+        """The labeling whose vertex v carries the row ports[v].  Rows are
+        kept as given, ragged or not; rows that compare equal while holding
+        values of other types (1 and 1.0, say) stay apart."""
+        ids: dict[tuple, int] = {}
+        row_of = [
+            ids.setdefault((row, tuple(map(type, row))), len(ids)) for row in map(tuple, ports)
+        ]
+        self._fill(tuple(row for row, _ in ids), np.array(row_of, np.int64))
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[tuple[int, ...], ...], row_of: np.ndarray) -> "HalfEdgeLabeling":
+        """The labeling of distinct rows, each some vertex's, and the int64
+        index of every vertex's row."""
+        labeling = cls.__new__(cls)
+        labeling._fill(rows, row_of)
+        return labeling
+
+    def _fill(self, rows: tuple[tuple[int, ...], ...], row_of: np.ndarray) -> None:
+        self.rows = rows
+        self.row_of = row_of
+        self.row_of.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.ports)
+        return len(self.row_of)
+
+    @cached_property
+    def ports(self) -> tuple[tuple[int, ...], ...]:
+        """ports[v][p]: the label id on port p of vertex v."""
+        return tuple(map(self.rows.__getitem__, self.row_of.tolist()))
 
     def vertex_config(self, v: int) -> VertexConfig:
-        return VertexConfig.of(self.ports[v])
+        return VertexConfig.of(self.rows[self.row_of[v]])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HalfEdgeLabeling):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        # each pair of rows, one in self and one in other, that a vertex holds
+        width = max(len(other.rows), 1)
+        mine, theirs = divmod(np.unique(self.row_of * width + other.row_of), width)
+        return all(self.rows[i] == other.rows[j] for i, j in zip(mine.tolist(), theirs.tolist()))
+
+    def __hash__(self) -> int:
+        return hash(self.ports)
+
+    def __repr__(self) -> str:
+        return f"HalfEdgeLabeling(rows={self.rows!r}, row_of={self.row_of!r})"
 
 
 @dataclass(frozen=True)
@@ -203,20 +261,23 @@ def is_valid_labeling(problem: LclProblem, tree, labeling: HalfEdgeLabeling) -> 
 
     Virtual ports participate in vertex configs only.  The tree argument is a
     PortTree; vertex count and delta must match the labeling and the problem.
-    The labels go into one array, and both checks run column-wise over it:
-    each vertex's sorted labels become one base-(|labels|+1) number looked up
-    among the allowed configs' numbers, and each real edge's two labels are
-    read from the tree's port arrays and looked up in edge_matrix.
+    Each distinct row is checked once, for its length and its config: its
+    sorted labels become one base-(|labels|+1) number looked up among the
+    allowed configs' numbers, and every vertex takes its row's verdict.  Each
+    real edge's two labels are gathered from the rows through row_of at the
+    tree's port arrays and looked up in edge_matrix.
     """
     if labeling.n != tree.n:
         raise ValueError(f"labeling has {labeling.n} vertices, tree has {tree.n}")
     if tree.delta != problem.delta:
         raise ValueError("tree delta differs from problem delta")
-    rows, n, delta = labeling.ports, tree.n, problem.delta
-    if set(map(len, rows)) != {delta}:
-        v = next(v for v, row in enumerate(rows) if len(row) != delta)
-        raise ValueError(f"vertex {v} has {len(rows[v])} ports, want {delta}")
-    labels = _label_array(rows, n * delta, problem.num_labels)
+    rows, row_of, n, delta = labeling.rows, labeling.row_of, tree.n, problem.delta
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wrong = np.flatnonzero(lengths[row_of] != delta)
+    if wrong.size:
+        v = int(wrong[0])
+        raise ValueError(f"vertex {v} has {lengths[row_of[v]]} ports, want {delta}")
+    table = _label_array(rows, len(rows) * delta, problem.num_labels).reshape(-1, delta)
 
     # id num_labels stands for every id out of range, so its rows match no
     # config; base**delta, above every row's number, ends the allowed list
@@ -225,31 +286,34 @@ def is_valid_labeling(problem: LclProblem, tree, labeling: HalfEdgeLabeling) -> 
     weights = np.array([base**j for j in reversed(range(delta))], dtype=dtype)
     configs = np.array([c.labels for c in problem.vertex_configs], dtype=dtype)
     allowed = np.sort(np.append(configs.reshape(-1, delta) @ weights, base**delta))
-    keys = np.sort(labels.reshape(n, delta), axis=1).astype(dtype) @ weights
-    vertex_bad = np.flatnonzero(allowed[np.searchsorted(allowed, keys)] != keys)
+    keys = np.sort(table, axis=1).astype(dtype) @ weights
+    vertex_bad = np.flatnonzero((allowed[np.searchsorted(allowed, keys)] != keys)[row_of])
 
     # each real edge once, from its end u < v, in port-array order as
-    # tree.edges() lists it; slot s is port s % delta of vertex s // delta
-    nbr, back = tree.nbr.ravel().astype(np.intp), tree.back.ravel()
-    slot_u = np.flatnonzero(nbr > np.arange(n * delta) // delta)
-    slot_v = nbr[slot_u] * delta + back[slot_u]
+    # tree.edges() lists it
+    u, pu = np.nonzero(tree.nbr > np.arange(n, dtype=np.int32)[:, None])
+    v, pv = tree.nbr[u, pu], tree.back[u, pu]
     pairs = np.zeros((base, base), dtype=bool)
     pairs[:-1, :-1] = problem.edge_matrix
-    bad = ~pairs[labels[slot_u], labels[slot_v]]
-    u, pu = divmod(slot_u[bad], delta)
-    v, pv = divmod(slot_v[bad], delta)
+    bad = ~pairs[table[row_of[u], pu], table[row_of[v], pv]]
+    u, pu, v, pv = u[bad], pu[bad], v[bad], pv[bad]
     return ValidityReport(
-        tuple((x, VertexConfig.of(rows[x])) for x in vertex_bad.tolist()),
         tuple(
-            (a, pa, b, pb, rows[a][pa], rows[b][pb])
-            for a, pa, b, pb in zip(u.tolist(), pu.tolist(), v.tolist(), pv.tolist())
+            (x, VertexConfig.of(rows[r]))
+            for x, r in zip(vertex_bad.tolist(), row_of[vertex_bad].tolist())
+        ),
+        tuple(
+            (a, pa, b, pb, rows[ra][pa], rows[rb][pb])
+            for a, pa, b, pb, ra, rb in zip(
+                *(x.tolist() for x in (u, pu, v, pv, row_of[u], row_of[v]))
+            )
         ),
     )
 
 
 def _label_array(rows: tuple[tuple[int, ...], ...], size: int, num_labels: int) -> np.ndarray:
-    """The label ids port by port in one flat array, num_labels in place of
-    every id that is not an integer in 0..num_labels-1."""
+    """The label ids of the rows port by port in one flat array, num_labels
+    in place of every id that is not an integer in 0..num_labels-1."""
     try:
         # array("q") refuses, where numpy would truncate, a float or a string
         flat = np.frombuffer(array("q", chain.from_iterable(rows)), np.int64)
@@ -266,6 +330,17 @@ def _label_array(rows: tuple[tuple[int, ...], ...], size: int, num_labels: int) 
 # problem: {"delta": D, "labels": [...names...],
 #           "vertex_configs": [[name]*D, ...], "edge_configs": [[name, name], ...]}
 # labeling: [{"vertex": v, "ports": [name]*D}, ...]
+#
+# parse_labeling gets a labeling by one of two routes.  Text in exactly the
+# layout serialize_labeling writes (json.dumps(doc, indent=2) plus a
+# newline, vertex ids of at most 18 digits, in any order) is scanned: one
+# record regex per problem checks the layout slice by slice, the vertex ids
+# become an int64 array in one numpy pass per slice, and each distinct ports
+# list is decoded once.  Any other text, valid or not, goes through
+# json.loads and the record-by-record checks, which alone raise messages.
+
+# an unsigned integer as json.dumps writes it, short enough for int64
+_NUMBER = "(?:0|[1-9][0-9]{0,17})"
 
 
 def load_json(text: str, error: type[ValueError] = ProblemFormatError) -> object:
@@ -341,56 +416,134 @@ def serialize_problem(problem: LclProblem) -> str:
 
 
 def parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
+    """The labeling a document gives; ProblemFormatError names the first
+    fault: the document's type, an entry's keys, a vertex id, a repeated
+    vertex, a row's length or an unknown label, in record order, then an
+    empty list or ids other than 0..n-1."""
+    scanned = _scan_labeling(text, problem)
+    if scanned is not None:
+        return scanned
     doc = load_json(text)
     if not isinstance(doc, list):
         raise ProblemFormatError("labeling document must be a JSON list")
-    rows: dict[int, tuple[int, ...]] = {}
-    # label ids by row of names: a labeling repeats a few rows many times
-    ids_of: dict[tuple, tuple[int, ...]] = {}
+    # each vertex's index into rows: a labeling repeats a few rows many times
+    row_of: dict[int, int] = {}
+    rows: list[tuple[int, ...]] = []
+    row_ids: dict[tuple, int] = {}  # row of names -> index into rows
     for entry in doc:
         if not isinstance(entry, dict) or "vertex" not in entry or "ports" not in entry:
             raise ProblemFormatError(f"labeling entry {entry!r} needs vertex and ports")
         v = entry["vertex"]
         if not isinstance(v, int) or v < 0:
             raise ProblemFormatError(f"bad vertex id {v!r}")
-        if v in rows:
+        if v in row_of:
             raise ProblemFormatError(f"vertex {v} listed twice")
         names = entry["ports"]
         if not isinstance(names, list) or len(names) != problem.delta:
             raise ProblemFormatError(f"vertex {v}: ports must list exactly delta labels")
         key = tuple(names)
         try:
-            ids = ids_of.get(key)
+            r = row_ids.get(key)
         except TypeError:  # an unhashable name, which names no label
-            ids = None
-        if ids is None:
+            r = None
+        if r is None:
             try:
-                ids = ids_of[key] = tuple(problem.label_by_name(s).id for s in names)
+                rows.append(tuple(problem.label_by_name(s).id for s in names))
             except KeyError as e:
                 raise ProblemFormatError(f"vertex {v}: {e.args[0]}") from e
-        rows[v] = ids
-    if not rows:
+            r = row_ids[key] = len(rows) - 1
+        row_of[v] = r
+    if not row_of:
         raise ProblemFormatError("labeling is empty")
-    n = len(rows)
+    n = len(row_of)
     # the ids are distinct and nonnegative, so they are 0..n-1 when the largest is n-1
-    if max(rows) != n - 1:
+    if max(row_of) != n - 1:
         raise ProblemFormatError("vertex ids must be exactly 0..n-1")
-    return HalfEdgeLabeling(tuple(map(rows.__getitem__, range(n))))
+    return HalfEdgeLabeling._of_rows(
+        tuple(rows), np.fromiter(map(row_of.__getitem__, range(n)), np.int64, n)
+    )
+
+
+# The record list is matched a slice at a time, each slice cut just after a
+# record's closing brace at least _SLICE characters past the slice's start,
+# as trees._scan_edges cuts the edge list.
+_SLICE = 1 << 18
+_CUT = "},\n  {\n"
+_VERTEX, _PORTS, _CLOSE = '  {\n    "vertex": ', ',\n    "ports": ', "\n  }"
+
+
+def _record_pattern(problem: LclProblem) -> re.Pattern:
+    """One record of serialize_labeling's layout, its vertex id and its
+    ports list as groups, and after it the ",\n" that joins it to the next
+    record or, for the last, the end of the slice.  A port is a label name
+    as json.dumps writes it, and no such name is a prefix of another: only
+    the closing quote is an unescaped one."""
+    name = "(?:{})".format("|".join(re.escape(json.dumps(lab.name)) for lab in problem.labels))
+    ports = f"\\[\n      {name}(?:,\n      {name}){{{problem.delta - 1}}}\n    \\]"
+    head, middle, tail = map(re.escape, (_VERTEX, _PORTS, _CLOSE))
+    # a joining ",\n" is never the slice's last text
+    after = "(?:,\n(?!\\Z)|\\Z)"
+    return re.compile(f"{head}({_NUMBER}){middle}({ports}){tail}{after}")
+
+
+def _scan_labeling(text: str, problem: LclProblem) -> Optional[HalfEdgeLabeling]:
+    """The labeling of a document in exactly serialize_labeling's layout,
+    with at least one record and vertex ids 0..n-1 in any order; None for
+    any other text.
+
+    Splitting a slice at the records leaves the text around and between
+    them, which is empty exactly when the records tile the slice.  The
+    pieces are strings only, which the garbage collector does not track,
+    and each distinct ports list is decoded once.
+    """
+    if not (text.startswith("[\n") and text.endswith("\n]\n")):
+        return None
+    record = _record_pattern(problem)
+    row_ids: dict[str, int] = {}  # ports list -> index into rows
+    vertices, row_of = [], []
+    pos, stop = 2, len(text) - 3
+    while True:
+        cut = text.find(_CUT, pos + _SLICE, stop)
+        end = stop if cut < 0 else cut + 1
+        # around and between the records, then each record's id and list
+        pieces = record.split(text[pos:end])
+        if len(pieces) == 1 or any(pieces[::3]):
+            return None
+        vertices.append(np.fromstring(" ".join(pieces[1::3]), np.int64, sep=" "))
+        lists = pieces[2::3]
+        for ports in dict.fromkeys(lists):
+            row_ids.setdefault(ports, len(row_ids))
+        row_of.append(np.fromiter(map(row_ids.__getitem__, lists), np.int64, len(lists)))
+        if cut < 0:
+            break
+        pos = end + 2  # past the ",\n" that joins two records
+    vertex = np.concatenate(vertices)
+    n = len(vertex)
+    if vertex.max() >= n:
+        return None
+    listed = np.zeros(n, bool)
+    listed[vertex] = True
+    if not listed.all():
+        return None
+    rows = tuple(
+        tuple(problem.label_by_name(name).id for name in json.loads(ports)) for ports in row_ids
+    )
+    ordered = np.empty(n, np.int64)
+    ordered[vertex] = np.concatenate(row_of)
+    return HalfEdgeLabeling._of_rows(rows, ordered)
 
 
 def serialize_labeling(labeling: HalfEdgeLabeling, problem: LclProblem) -> str:
     """The labeling as json.dumps(doc, indent=2) writes it, byte for byte,
-    built in one pass: each label name is escaped once and each distinct
-    port row is rendered once."""
+    built in one pass: each label name is escaped once, each distinct row
+    rendered once, and each vertex's record is one f-string."""
     names = [json.dumps(lab.name) for lab in problem.labels]
-    rows: dict[tuple[int, ...], str] = {}
-    parts = []
-    for v, row in enumerate(labeling.ports):
-        text = rows.get(row)
-        if text is None:
-            listed = ",\n      ".join(names[x] for x in row)
-            text = rows[row] = f"[\n      {listed}\n    ]" if row else "[]"
-        parts.append(f'  {{\n    "vertex": {v},\n    "ports": {text}\n  }}')
-    if not parts:
+    tails = []
+    for row in labeling.rows:
+        listed = ",\n      ".join(names[x] for x in row)
+        tails.append(f"{_PORTS}[\n      {listed}\n    ]{_CLOSE}" if row else f"{_PORTS}[]{_CLOSE}")
+    if not labeling.n:
         return "[]\n"
-    return "[\n" + ",\n".join(parts) + "\n]\n"
+    of_vertex = map(tails.__getitem__, labeling.row_of.tolist())
+    records = ",\n".join(f"{_VERTEX}{v}{tail}" for v, tail in enumerate(of_vertex))
+    return f"[\n{records}\n]\n"

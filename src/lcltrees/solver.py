@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Iterable, Optional
 
 import numpy as np
@@ -299,10 +299,13 @@ class _Assigner:
         self.row[flat] = np.array(rids, np.int64)[row_of.ravel()]
 
     def result(self) -> HalfEdgeLabeling:
+        """The labeling of the rows some vertex holds, in the order they were made."""
         row = self.row[:-1]
         if (row < 0).any():
             raise InternalError("a vertex was left unlabeled")
-        return HalfEdgeLabeling(tuple(map(self.rows.__getitem__, row.tolist())))
+        used = np.bincount(row, minlength=len(self.rows)) > 0
+        rows = tuple(compress(self.rows, used.tolist()))
+        return HalfEdgeLabeling._of_rows(rows, (np.cumsum(used) - 1)[row])
 
 
 def solve_log(

@@ -32,7 +32,7 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .problems import InternalError, load_json
+from .problems import _NUMBER, InternalError, load_json
 
 PortTarget = Optional[tuple[int, int]]  # (neighbor, neighbor's port) or None
 
@@ -389,8 +389,6 @@ def ball(tree: PortTree, v: int, radius: int) -> frozenset[int]:
 _EDGE_KEYS = ("u", "pu", "v", "pv")
 _edge_fields = itemgetter(*_EDGE_KEYS)
 
-# an unsigned integer as json.dumps writes it, short enough for int64
-_NUMBER = "(?:0|[1-9][0-9]{0,17})"
 _HEAD = re.compile(f'\\{{\n  "n": ({_NUMBER}),\n  "delta": ({_NUMBER}),\n  "edges": \\[')
 _EDGE = "    \\{{\n{}\n    \\}}".format(
     ",\n".join(f'      "{key}": {_NUMBER}' for key in _EDGE_KEYS)

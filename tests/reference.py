@@ -26,6 +26,9 @@ time, through _RefAssigner's per-vertex methods (which place the same rows
 the package's assigner placed vertex by vertex), reserved segments filled
 by path witnesses as the walk reaches them.
 
+Then parse_labeling as it stood before labelings were row-indexed and the
+writer's layout got a scan route: json.loads, then one record at a time.
+
 The differential tests hold the package to their results.
 """
 from __future__ import annotations
@@ -54,8 +57,10 @@ from lcltrees.problems import (
     HalfEdgeLabeling,
     InternalError,
     LclProblem,
+    ProblemFormatError,
     ValidityReport,
     VertexConfig,
+    load_json,
 )
 from lcltrees.rakecompress import Blocks, LayeredDecomposition, RawDecomposition
 from lcltrees.solver import (
@@ -775,3 +780,41 @@ def ref_ordered_path(tree: PortTree, vertices: Collection[int]) -> list[int]:
     ):
         raise InternalError("vertex set must induce a path")
     return order if order[0] < order[-1] else order[::-1]
+
+
+def ref_parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
+    doc = load_json(text)
+    if not isinstance(doc, list):
+        raise ProblemFormatError("labeling document must be a JSON list")
+    rows: dict[int, tuple[int, ...]] = {}
+    # label ids by row of names: a labeling repeats a few rows many times
+    ids_of: dict[tuple, tuple[int, ...]] = {}
+    for entry in doc:
+        if not isinstance(entry, dict) or "vertex" not in entry or "ports" not in entry:
+            raise ProblemFormatError(f"labeling entry {entry!r} needs vertex and ports")
+        v = entry["vertex"]
+        if not isinstance(v, int) or v < 0:
+            raise ProblemFormatError(f"bad vertex id {v!r}")
+        if v in rows:
+            raise ProblemFormatError(f"vertex {v} listed twice")
+        names = entry["ports"]
+        if not isinstance(names, list) or len(names) != problem.delta:
+            raise ProblemFormatError(f"vertex {v}: ports must list exactly delta labels")
+        key = tuple(names)
+        try:
+            ids = ids_of.get(key)
+        except TypeError:  # an unhashable name, which names no label
+            ids = None
+        if ids is None:
+            try:
+                ids = ids_of[key] = tuple(problem.label_by_name(s).id for s in names)
+            except KeyError as e:
+                raise ProblemFormatError(f"vertex {v}: {e.args[0]}") from e
+        rows[v] = ids
+    if not rows:
+        raise ProblemFormatError("labeling is empty")
+    n = len(rows)
+    # the ids are distinct and nonnegative, so they are 0..n-1 when the largest is n-1
+    if max(rows) != n - 1:
+        raise ProblemFormatError("vertex ids must be exactly 0..n-1")
+    return HalfEdgeLabeling(tuple(map(rows.__getitem__, range(n))))

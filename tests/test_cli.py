@@ -11,11 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lcltrees import problems, trees
 from lcltrees.cli import main
 from lcltrees.fixtures import random_problem, three_coloring
 from lcltrees.pathstates import classify, parse_report
 from lcltrees.problems import (
     EdgeConfig,
+    HalfEdgeLabeling,
     InternalError,
     Label,
     LclProblem,
@@ -410,6 +412,36 @@ def test_solve_and_verify_never_build_neighbor_lists(tmp_path, monkeypatch):
         code, text = quiet_cli(*argv)
         assert code == 0, text
         assert "labeling is valid" in text
+
+
+def test_solve_and_verify_never_build_labeling_port_tuples(tmp_path, monkeypatch):
+    files = input_files(tmp_path)
+
+    def refuse(_labeling):
+        raise AssertionError("labeling.ports was built")
+
+    monkeypatch.setattr(HalfEdgeLabeling, "ports", property(refuse))
+    for argv in commands_reading(files, "tree"):
+        code, text = quiet_cli(*argv)
+        assert code == 0, text
+        assert "labeling is valid" in text
+
+
+def test_verify_scans_a_gen_tree_and_a_solve_labeling_without_json_loads(tmp_path, monkeypatch):
+    files = input_files(tmp_path)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("load_json was called")
+
+    # the fixture name keeps the problem file, which load_json reads, out of it
+    monkeypatch.setattr(problems, "load_json", refuse)
+    monkeypatch.setattr(trees, "load_json", refuse)
+    tree, labeling = str(files["tree"]), str(files["labeling"])
+    code, text = quiet_cli(
+        "verify", "--problem", "three-coloring", "--tree", tree, "--labeling", labeling
+    )
+    assert code == 0, text
+    assert "labeling is valid" in text
 
 
 @pytest.mark.parametrize("half", [["--subset", "subset.json"], ["--ell", "3"]])

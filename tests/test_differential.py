@@ -1,5 +1,6 @@
-"""The array-backed trees, the column route of parse_tree, the column-wise
-labeling check, the one-walk verify_toast, the whole-layer
+"""The array-backed trees, the column route of parse_tree, the row-indexed
+labelings with their check and the scan route of parse_labeling, the
+one-walk verify_toast, the whole-layer
 rake-and-compress layering and labeling, the trimmed subset search and the
 command-line parser against the versions kept in tests/reference.py."""
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcltrees import cli, trees
+from lcltrees import cli, problems, trees
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
 from lcltrees.pathstates import (
     VERDICT_INCONCLUSIVE,
@@ -28,8 +29,11 @@ from lcltrees.problems import (
     InternalError,
     Label,
     LclProblem,
+    ProblemFormatError,
     VertexConfig,
     is_valid_labeling,
+    parse_labeling,
+    serialize_labeling,
 )
 from lcltrees.rakecompress import decompose, post_process
 from lcltrees.solver import (
@@ -60,6 +64,7 @@ from reference import (
     ref_gen_tree,
     ref_decompose,
     ref_is_valid_labeling,
+    ref_parse_labeling,
     ref_parse_tree,
     ref_piece_boundary,
     ref_post_process,
@@ -413,6 +418,209 @@ def test_labeling_shape_errors_match_the_reference():
         with pytest.raises(ValueError) as got:
             is_valid_labeling(problem, tree, lab)
         assert str(got.value) == str(want.value)
+
+
+def reindexed(labeling: HalfEdgeLabeling) -> HalfEdgeLabeling:
+    """The same labeling with its rows stored in reverse order."""
+    last = len(labeling.rows) - 1
+    return HalfEdgeLabeling._of_rows(labeling.rows[::-1], last - labeling.row_of)
+
+
+def in_range(labeling: HalfEdgeLabeling, num_labels: int) -> bool:
+    return all(type(x) is int and 0 <= x < num_labels for row in labeling.rows for x in row)
+
+
+@pytest.mark.parametrize("model", ("path", "caterpillar", "uniform-attachment-capped"))
+def test_built_solved_and_parsed_labelings_compare_equal_and_report_alike(model):
+    rng = Random(model)
+    problems = [three_coloring(), perfect_matching(), random_problem(4), random_problem(6)]
+    for n in (1, 2, 9, 150, 1200):
+        tree = gen_tree(TreeGenSpec(n=n, delta=3, seed=n, model=model))
+        for problem in problems:
+            cfgs = problem.sorted_configs()
+            solved = problem is problems[0]
+            base = (
+                solve_log(problem, cfgs, 3, tree)
+                if solved
+                else HalfEdgeLabeling(tuple(cfgs[v % len(cfgs)].labels for v in range(n)))
+            )
+            for count in (0, 1, 5, n):
+                lab = corrupt(base, rng, problem.num_labels, count)
+                report = is_valid_labeling(problem, tree, lab)
+                forms = [reindexed(lab)]
+                if solved and count == 0:
+                    forms.append(base)
+                if in_range(lab, problem.num_labels):
+                    forms.append(parse_labeling(serialize_labeling(lab, problem), problem))
+                for form in forms:
+                    assert form == lab and lab == form
+                    assert form.ports == lab.ports
+                    assert is_valid_labeling(problem, tree, form) == report
+
+
+def test_empty_and_ragged_labelings_keep_their_text_and_shape_errors():
+    problem = three_coloring()
+    tree = gen_tree(TreeGenSpec(n=2, delta=3, seed=0))
+    ref_tree = RefPortTree(3, tree.ports)
+    for rows in ((), ((), (0, 1, 2))):
+        lab = HalfEdgeLabeling(rows)
+        doc = [
+            {"vertex": v, "ports": [problem.name_of(x) for x in row]} for v, row in enumerate(rows)
+        ]
+        assert serialize_labeling(lab, problem) == json.dumps(doc, indent=2) + "\n"
+        with pytest.raises(ValueError) as want:
+            ref_is_valid_labeling(problem, ref_tree, lab)
+        with pytest.raises(ValueError) as got:
+            is_valid_labeling(problem, tree, lab)
+        assert str(got.value) == str(want.value)
+
+
+# --- labeling files ---------------------------------------------------------------
+
+
+def odd_names_problem() -> LclProblem:
+    """Names that json.dumps escapes, or writes as they are though no JSON
+    writer must."""
+    names = ['a"b', "c\\d", "é", "", "\u2713", "\U0001f600", "tab\there", "\n"]
+    return LclProblem(
+        3,
+        tuple(Label(i, name) for i, name in enumerate(names)),
+        frozenset({VertexConfig.of([0, 1, 2])}),
+        frozenset({EdgeConfig.of(0, 1)}),
+    )
+
+
+def random_labeling(problem: LclProblem, n: int, rng: Random) -> HalfEdgeLabeling:
+    k = problem.num_labels
+    return HalfEdgeLabeling(
+        tuple(tuple(rng.randrange(k) for _ in range(problem.delta)) for _ in range(n))
+    )
+
+
+def takes_scan_route(text: str, problem: LclProblem) -> bool:
+    return problems._scan_labeling(text, problem) is not None
+
+
+def labeling_outcome(parse, text: str, problem: LclProblem):
+    """The labeling, or the format error's message."""
+    try:
+        return parse(text, problem)
+    except ProblemFormatError as e:
+        return str(e)
+
+
+def assert_parses_alike(text: str, problem: LclProblem) -> None:
+    got = labeling_outcome(parse_labeling, text, problem)
+    want = labeling_outcome(ref_parse_labeling, text, problem)
+    assert type(got) is type(want) and got == want
+
+
+LABELING_PROBLEMS = [three_coloring(), two_coloring(), perfect_matching(), perfect_matching(5)]
+LABELING_PROBLEMS += [random_problem(seed) for seed in range(20)] + [odd_names_problem()]
+
+
+def test_written_labelings_take_the_scan_route_to_the_reference_labeling():
+    rng = Random(13)
+    for problem in LABELING_PROBLEMS:
+        for n in (1, 2, 37):
+            text = serialize_labeling(random_labeling(problem, n, rng), problem)
+            assert takes_scan_route(text, problem)
+            assert_parses_alike(text, problem)
+    for problem in (three_coloring(), perfect_matching()):
+        tree = gen_tree(TreeGenSpec(n=500, delta=3, seed=2))
+        report = classify(problem)
+        lab = solve_log(problem, report.subset, report.minimal_ell, tree)
+        text = serialize_labeling(lab, problem)
+        assert takes_scan_route(text, problem)
+        assert_parses_alike(text, problem)
+
+
+def test_a_labeling_past_several_slices_matches_the_reference():
+    problem = perfect_matching()
+    text = serialize_labeling(random_labeling(problem, 12_000, Random(5)), problem)
+    assert len(text) > 3 * problems._SLICE
+    assert takes_scan_route(text, problem)
+    assert_parses_alike(text, problem)
+
+
+@pytest.mark.parametrize("shift", (-1, 0, 1))
+def test_a_record_on_a_slice_cut_matches_the_reference(shift, monkeypatch):
+    problem = odd_names_problem()
+    text = serialize_labeling(random_labeling(problem, 300, Random(shift)), problem)
+    # the slice from the list's start at offset 2 reaches a record boundary exactly
+    boundary = text.index(problems._CUT, 5000)
+    monkeypatch.setattr(problems, "_SLICE", boundary - 2 + shift)
+    assert takes_scan_route(text, problem)
+    assert_parses_alike(text, problem)
+    monkeypatch.setattr(problems, "_SLICE", 150)
+    assert takes_scan_route(text, problem)
+    assert_parses_alike(text, problem)
+
+
+def near_labeling_layout():
+    """Texts near the writer's layout for perfect matching: valid or not,
+    each gives the reference's labeling or message."""
+    problem = perfect_matching()
+    lab = HalfEdgeLabeling(((0, 1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 1, 1)))
+    text = serialize_labeling(lab, problem)
+    doc = json.loads(text)
+    vertex = '"vertex": 2,'
+    assert text.count(vertex) == 1
+
+    def number(value):
+        return text.replace(vertex, f'"vertex": {value},')
+
+    def shifted(by):
+        return json.dumps([dict(e, vertex=e["vertex"] + by) for e in doc], indent=2) + "\n"
+
+    shuffled = doc[:]
+    Random(1).shuffle(shuffled)
+    return {
+        "shuffled": (json.dumps(shuffled, indent=2) + "\n", True),
+        "repeated vertex": (number(1), False),
+        "missing vertex": (json.dumps(doc[:2] + doc[3:], indent=2) + "\n", False),
+        "ids from 1": (shifted(1), False),
+        "unknown name": (text.replace('"M"', '"Q"', 1), False),
+        "escaped name": (text.replace('"U"', '"\\u0055"', 1), False),
+        "crlf": (text.replace("\n", "\r\n"), False),
+        "no final newline": (text[:-1], False),
+        "trailing spaces": (text.replace(",\n", ",  \n", 1), False),
+        "leading zero": (number("01"), False),
+        "19 digits": (number("1" + "0" * 18), False),
+        "5,000 digits": (number("7" * 5000), False),
+        "trailing comma": (text[:-3] + ",\n]\n", False),
+        "trailing comma and newline": (text[:-3] + ",\n\n]\n", False),
+        "compact": (json.dumps(doc), False),
+        "empty list": ("[]\n", False),
+        "empty written list": ("[\n]\n", False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(near_labeling_layout()))
+def test_near_labeling_layout_parses_like_the_reference(name):
+    text, scanned = near_labeling_layout()[name]
+    problem = perfect_matching()
+    assert takes_scan_route(text, problem) == scanned
+    assert_parses_alike(text, problem)
+
+
+FUZZ_CHARS = '0123456789 ,:"[]{}\n\\MUabvertxpos-'
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(("delete", "insert", "replace")),
+    st.integers(0, 10**6),
+    st.sampled_from(FUZZ_CHARS),
+    st.sampled_from((0, 1)),
+)
+def test_one_changed_character_parses_like_the_reference(change, at, char, which):
+    problem = (perfect_matching(), odd_names_problem())[which]
+    text = serialize_labeling(random_labeling(problem, 4, Random(which)), problem)
+    i = at % (len(text) + (change == "insert"))
+    tail = text[i:] if change == "insert" else text[i + 1 :]
+    text = text[:i] + ("" if change == "delete" else char) + tail
+    assert_parses_alike(text, problem)
 
 
 # --- toasts ---------------------------------------------------------------------
