@@ -108,7 +108,11 @@ def _label_id(name: str, problem: LclProblem) -> int:
 def _subset_budget(value: Optional[int]) -> int:
     if value is not None:
         return value
-    return int(os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET)))
+    text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
 
 
 def _named_subset(problem: LclProblem, report_subset) -> tuple[VertexConfig, ...]:
@@ -135,6 +139,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.centers is not None and args.toast is None:
         print("error: --centers needs --toast", file=sys.stderr)
         return EXIT_INPUT
+    if args.toast is not None and args.toast < 2:
+        print("error: toast gap q must be at least 2", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        centers = [int(x) for x in args.centers.split(",")] if args.centers else []
+    except ValueError:
+        print(
+            f"error: --centers must be comma-separated vertex ids, got {args.centers!r}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     problem = load_problem(args.problem)
     tree = parse_tree(_read(args.tree))
 
@@ -157,7 +172,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"auto-classified: {report.verdict}, ell={ell}")
 
     if args.toast is not None:
-        centers = [int(x) for x in args.centers.split(",")] if args.centers else []
         toast = build_toast(tree, args.toast, centers)
         labeling = solve_toast(problem, subset, ell, tree, toast)
     else:
@@ -350,12 +364,16 @@ SUBCOMMANDS = (
 
 
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The lcltrees parser, built for parsing argv.
+    """The full lcltrees parser, built for parsing argv.
 
-    Every subcommand is registered, so the top-level help and usage errors
-    are whole, but only those named somewhere in argv get their arguments:
-    argparse runs the subcommand named by the first positional, which need
-    not be argv[0].
+    parse_args falls back to it for every command line that does not parse
+    cleanly under its subcommand alone: no command, a top-level option or
+    `--` before it, an unknown command, or arguments the subcommand leaves
+    over.  Only this parser prints the top-level help and the usage errors
+    that name every subcommand, so those stay as argparse words them.  Every
+    subcommand is registered, but only those named somewhere in argv get
+    their arguments: argparse runs the subcommand named by the first
+    positional, which need not be argv[0].
     """
     parser = argparse.ArgumentParser(
         prog="lcltrees",
@@ -369,9 +387,30 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed as build_parser(argv).parse_args(argv) parses it.
+
+    When argv[0] names a subcommand, only that subcommand's parser is built,
+    with the prog the full parser gives it, and it parses the rest of argv:
+    the full parser hands all of that to the same subparser, so namespace,
+    help and errors are the same.  Leftover arguments are reported under the
+    top-level usage, so a command line with leftovers, like any line that
+    does not start with a command, goes to the full parser.
+    """
+    for name, _, add_arguments in SUBCOMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"lcltrees {name}")
+            add_arguments(parser)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                args.command = name
+                return args
+    return build_parser(argv).parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except NotEllFullError as e:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, report round-trips, and the
 gen / solve / verify pipeline on real files."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -86,6 +87,19 @@ def test_budget_flag_and_env_var_yield_inconclusive(capsys, monkeypatch):
     monkeypatch.setenv("LCLTREES_BUDGET", "1")
     code, out, _ = run_cli(capsys, "classify", "--problem", "two-coloring")
     assert code == 3
+
+
+def test_a_malformed_budget_env_var_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("LCLTREES_BUDGET", "x")
+    code, out, err = run_cli(capsys, "classify", "--problem", "two-coloring")
+    assert (code, out) == (2, "")
+    assert err == "error: LCLTREES_BUDGET must be an integer, got 'x'\n"
+    # the variable is read only when --budget is absent
+    code, out, _ = run_cli(
+        capsys, "classify", "--problem", "two-coloring", "--budget", "1"
+    )
+    assert code == 3
+    assert "INCONCLUSIVE" in out
 
 
 def test_huge_config_set_with_tiny_budget_is_inconclusive(tmp_path, capsys):
@@ -457,6 +471,56 @@ def test_solve_reports_centers_without_a_toast_before_reading_any_file(tmp_path)
     code, text = quiet_cli("solve", "--problem", missing, "--tree", missing, "--centers", "3")
     assert code == 2
     assert text == "error: --centers needs --toast\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--toast", "0"], "toast gap q must be at least 2"),
+        (["--toast", "1", "--centers", "3"], "toast gap q must be at least 2"),
+        (["--toast", "4", "--centers", "a"],
+         "--centers must be comma-separated vertex ids, got 'a'"),
+        (["--toast", "4", "--centers", "1,,2"],
+         "--centers must be comma-separated vertex ids, got '1,,2'"),
+    ],
+)
+def test_solve_reports_a_bad_toast_or_centers_before_reading_any_file(tmp_path, flags, message):
+    missing = str(tmp_path / "missing.json")
+    code, text = quiet_cli("solve", "--problem", missing, "--tree", missing, *flags)
+    assert code == 2
+    assert text == f"error: {message}\n"
+
+
+def test_a_command_that_parses_builds_only_its_own_parser(tmp_path, monkeypatch):
+    files = input_files(tmp_path)
+    problem, tree = str(files["problem"]), str(files["tree"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out = str(tmp_path / "out")
+    connects = ["--a1", "a", "--c1", "a,a,a", "--a2", "b", "--c2", "b,b,b", "--k", "4"]
+    runs = [
+        (["classify", "--problem", "two-coloring"], 1),
+        (commands_reading(files, "subset")[0] + ["--output", out], 1),
+        (commands_reading(files, "labeling")[0], 1),
+        (["gen", "--n", "12", "--output", out], 1),
+        (["decompose", "--tree", tree, "--gamma", "1", "--ell", "4", "--output", out], 1),
+        (["classes", "--problem", "perfect-matching", "--max-size", "4", "--samples", "2"], 1),
+        # oracle's own parser and its two subcommands
+        (["oracle", "solve", "--problem", problem, "--tree", tree], 3),
+        (["oracle", "connects", "--problem", "two-coloring", *connects], 3),
+    ]
+    for argv, most in runs:
+        built.clear()
+        code, text = quiet_cli(*argv)
+        assert code == 0, text
+        assert 1 <= len(built) <= most, (argv, built)
+        assert built[0] == f"lcltrees {argv[0]}"
 
 
 @pytest.mark.parametrize("kind", ["problem", "tree", "subset", "labeling"])

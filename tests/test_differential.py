@@ -807,20 +807,22 @@ def test_classify_reports_match_the_exhaustive_search(num_labels):
 # --- the command-line parser ---------------------------------------------------------
 
 
-def parse_outcome(parser, argv):
-    """What parsing argv gives: printed text and exit code, or the namespace."""
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: printed text and exit code, or the namespace."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse(argv))
         except SystemExit as e:
             result = ("exit", e.code)
     return result, out.getvalue(), err.getvalue()
 
 
 def same_parse(argv):
+    """main's own parse of argv matches the reference parser's."""
     argv = list(argv)
-    assert parse_outcome(cli.build_parser(argv), argv) == parse_outcome(ref_build_parser(), argv)
+    ref = ref_build_parser().parse_args
+    assert parse_outcome(cli.parse_args, argv) == parse_outcome(ref, argv)
 
 
 ARGVS = [
@@ -861,6 +863,21 @@ ARGVS = [
      "--c2", "b,b,b", "--k", "4", "--subset", "s", "--budget", "10"],
     ["oracle", "connects", "--problem", "x", "--k", "4"],
     ["solve", "classify", "--problem", "x"],
+    # leftovers after a command that parsed, reported under the top-level usage
+    ["verify", "--problem", "x", "--tree", "t", "--labeling", "l", "extra"],
+    ["gen", "--n", "5", "--", "extra"],
+    ["oracle", "solve", "--problem", "x", "--tree", "t", "extra"],
+    ["oracle", "connects", "--problem", "x", "--a1", "a", "--c1", "a", "--a2", "b",
+     "--c2", "b", "--k", "2", "--bogus", "1"],
+    # `--` after the command name
+    ["classify", "--"],
+    ["classify", "--", "--problem", "x"],
+    ["classify", "--problem", "x", "--"],
+    ["oracle", "--", "solve", "--problem", "x", "--tree", "t"],
+    # help at the end of a complete command line
+    ["classify", "--problem", "x", "-h"],
+    ["decompose", "--tree", "t", "--gamma", "1", "--ell", "2", "--help"],
+    ["oracle", "solve", "--problem", "x", "--tree", "t", "-h"],
 ]
 HELP = [[cmd, "--help"] for cmd, _, _ in cli.SUBCOMMANDS]
 HELP += [["oracle", "solve", "-h"], ["oracle", "connects", "--help"]]
