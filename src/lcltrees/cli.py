@@ -36,7 +36,7 @@ from .problems import (
     serialize_labeling,
 )
 from .rakecompress import decompose
-from .solver import NotEllFullError, build_toast, solve_log, solve_toast
+from .solver import NotEllFullError, _solve_toast, build_toast, solve_log
 from .trees import TreeFormatError, TreeGenSpec, gen_tree, parse_tree, serialize_tree
 
 EXIT_OK = 0
@@ -172,8 +172,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"auto-classified: {report.verdict}, ell={ell}")
 
     if args.toast is not None:
-        toast = build_toast(tree, args.toast, centers)
-        labeling = solve_toast(problem, subset, ell, tree, toast)
+        toast = build_toast(tree, args.toast, centers)  # verifies the toast
+        labeling = _solve_toast(problem, subset, ell, tree, toast, verified=True)
     else:
         labeling = solve_log(problem, subset, ell, tree)
 

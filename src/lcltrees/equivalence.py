@@ -11,10 +11,11 @@ decomposition (pumping_decompose).
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .problems import LclProblem
 from .trees import PortTree, TreeBuilder, TreeGenSpec, bfs_tree, components, gen_tree
@@ -119,12 +120,13 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
 
     The tree is rooted at the first pole.  Each vertex maps the interfaces
     of the poles in its subtree to the set of labels it can show its parent.
-    The map is held inverted, as label set (a bitmask) -> offsets of those
-    interfaces in the table's enumeration, and interfaces whose set is empty
-    are dropped since no labeling completes them.  A subtree without poles
-    thus holds one entry at offset 0, computed once for every interface, and
-    a vertex combines the product of its children's entries with its own
-    interface space if it is a pole.
+    A subtree without poles gives every interface the same set, so it is
+    held as that one label mask.  A polar vertex (a pole or an ancestor of
+    one) holds the map inverted, as label set (a bitmask) -> offsets of
+    those interfaces in the table's enumeration, and drops interfaces whose
+    set is empty since no labeling completes them; it combines the product
+    of its children's entries, a pole-free child being the one entry
+    (mask, [0]), with its own interface space if it is a pole.
     """
     tree = poled.tree
     if tree.delta != problem.delta:
@@ -149,25 +151,39 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
     children: dict[int, list[int]] = {v: [] for v in order}
     for v in order[1:]:
         children[parent[v]].append(v)
+    polar: set[int] = set()
+    for v in poled.poles:
+        while v is not None and v not in polar:
+            polar.add(v)
+            v = parent[v]
 
-    step = _VertexStep(problem)
+    step = _shared_steps.get(id(problem)) or _VertexStep(problem)
+    kid_ok = step.kid_ok
     every = (1 << nl) - 1
-    # reach[v]: feasible up-label mask -> offsets of the interfaces giving it
-    reach: dict[int, dict[int, list[int]]] = {}
+    # reach[v]: the up-label mask of a pole-free subtree, or for a polar
+    # vertex feasible up-label mask -> offsets of the interfaces giving it
+    reach: dict[int, int | dict[int, list[int]]] = {}
     for v in reversed(order):
         kids = children[v]
         kid_mask = [every] * len(kids)  # a fixed real port narrows its child
         parent_mask = every
-        fixed_virtual = []
-        for p, lab in fixed_at.get(v, ()):  # route fixed ports to their role
-            u = tree.port_neighbors(v)[p]
-            if u < 0:
-                fixed_virtual.append(lab)
-            elif u == parent[v]:
-                parent_mask = 1 << lab
-            else:
-                kid_mask[kids.index(u)] = 1 << lab
-        need = tuple(sorted(fixed_virtual))
+        need: tuple[int, ...] = ()
+        if v in fixed_at:  # route fixed ports to their role
+            fixed_virtual = []
+            for p, lab in fixed_at[v]:
+                u = tree.port_neighbors(v)[p]
+                if u < 0:
+                    fixed_virtual.append(lab)
+                elif u == parent[v]:
+                    parent_mask = 1 << lab
+                else:
+                    kid_mask[kids.index(u)] = 1 << lab
+            need = tuple(sorted(fixed_virtual))
+        if v not in polar:
+            oks = [kid_ok(reach.pop(c)) & narrow for c, narrow in zip(kids, kid_mask)]
+            oks.sort()
+            reach[v] = step(tuple(oks), None, need, False) & parent_mask
+            continue
         if v in pole_of:
             i = pole_of[v]
             # an interface that contradicts the fixed labels fits nowhere
@@ -179,15 +195,19 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
         else:
             wants = [(None, 0)]
         is_root = v == root
+        entries = [
+            reach.pop(c).items() if c in polar else ((reach.pop(c), [0]),)
+            for c in kids
+        ]
         here: dict[int, list[int]] = {}
-        for combo in product(*(reach.pop(c).items() for c in kids)):
-            kid_ok = tuple(sorted(
-                step.kid_ok(child_ups) & narrow
+        for combo in product(*entries):
+            oks = tuple(sorted(
+                kid_ok(child_ups) & narrow
                 for (child_ups, _), narrow in zip(combo, kid_mask)
             ))
             offsets = None
             for want, base in wants:
-                ups = step(kid_ok, want, need, is_root) & parent_mask
+                ups = step(oks, want, need, is_root) & parent_mask
                 if not ups:
                     continue
                 if offsets is None:
@@ -203,8 +223,31 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
     return HTable(nl, arities, bits)
 
 
+# id(problem) -> the _VertexStep every table of a running class_census shares
+_shared_steps: dict[int, _VertexStep] = {}
+
+
+@contextmanager
+def _sharing_steps(problem: LclProblem) -> Iterator[None]:
+    """Let every h_table on problem inside the block share one _VertexStep.
+
+    Its memo depends only on the problem, so sharing changes no table; the
+    step is dropped when the block ends, so no memo outlives the call that
+    opened it.
+    """
+    key, step = id(problem), _VertexStep(problem)
+    if _shared_steps.setdefault(key, step) is not step:  # another block shares one
+        yield
+        return
+    try:
+        yield
+    finally:
+        del _shared_steps[key]
+
+
 class _VertexStep:
-    """The per-vertex step of h_table, memoized for the length of one call.
+    """The per-vertex step of h_table, memoized for the length of one call,
+    or of one class_census, whose tables share it.
 
     Called with the label sets each child edge admits on this vertex's side
     (fixed child labels already applied), the wanted virtual multiset of a
@@ -522,30 +565,25 @@ def class_census(
     of the rooted tables that can host path edges."""
     if max_size < 1 or samples_per_size < 1:
         raise ValueError("census sizes must be positive")
-    class1: list[HTable] = []
+    # first-seen order; HTable is frozen, so hashable
+    class1: dict[HTable, None] = {}
     cumulative = []
-    for size in range(1, max_size + 1):
-        for i in range(samples_per_size):
-            spec = TreeGenSpec(
-                n=size,
-                delta=problem.delta,
-                seed=seed * 100_003 + size * 101 + i,
-                model="uniform-attachment-capped",
-            )
-            tree = gen_tree(spec)
-            for v in range(size):
-                if tree.real_degree(v) < tree.delta:
-                    table = h_table(problem, PoledTree(tree, (v,)))
-                    if table not in class1:
-                        class1.append(table)
-        cumulative.append(len(class1))
+    with _sharing_steps(problem):
+        for size in range(1, max_size + 1):
+            for i in range(samples_per_size):
+                spec = TreeGenSpec(
+                    n=size,
+                    delta=problem.delta,
+                    seed=seed * 100_003 + size * 101 + i,
+                    model="uniform-attachment-capped",
+                )
+                tree = gen_tree(spec)
+                for v in range(size):
+                    if tree.real_degree(v) < tree.delta:
+                        class1[h_table(problem, PoledTree(tree, (v,)))] = None
+            cumulative.append(len(class1))
     wide = [t for t in class1 if t.arities[0] >= 2]
-    class2: list[HTable] = []
-    for t1 in wide:
-        for t2 in wide:
-            table = concat_bipolar(problem, [t1, t2])
-            if table not in class2:
-                class2.append(table)
+    class2 = {concat_bipolar(problem, [t1, t2]): None for t1 in wide for t2 in wide}
     return CensusReport(
         max_size=max_size,
         samples_per_size=samples_per_size,

@@ -9,7 +9,8 @@ is the neighbor on port p of v and back[v, p] that neighbor's port leading
 back, both -1 on a virtual port.  Whoever fills the arrays checks what it
 wrote, once: parse_tree and TreeBuilder that ports lie in range, that no
 edge is a self-loop and that no port is used twice; the tuple constructor
-that ports lie in range and that each edge is seen from both ends.  Every
+that ports lie in range and that each edge is seen from both ends; gen_tree,
+which gives each new vertex's edge the next free ports, nothing more.  Every
 tree then passes one shared check: n - 1 edges, and connectivity decided by
 hook and shortcut over the arrays, in O(log n) whole-array rounds.  The
 neighbor lists and .ports, the same ports as rows of (neighbor, port) pairs
@@ -265,43 +266,65 @@ class TreeGenSpec:
 
 
 def gen_tree(spec: TreeGenSpec) -> PortTree:
-    """Deterministic tree generator; same spec, same tree."""
+    """Deterministic tree generator; same spec, same tree.
+
+    Every model attaches vertex v = 1..n-1 to an earlier parent by an edge
+    on the next free port of each end: port 0 of v, and at the parent the
+    port after the edges it already has, which is its degree.
+    """
     n, delta = spec.n, spec.delta
     if n < 1:
         raise ValueError("n must be positive")
-    b = TreeBuilder(n, delta)
+    if delta > MAX_DELTA:
+        raise TreeFormatError(f"delta {delta} is above the maximum {MAX_DELTA}")
+    if delta < 3:
+        raise TreeFormatError("delta must be at least 3")
     if spec.model == "path":
-        for v in range(1, n):
-            b.add_edge(v - 1, v)
+        parents = list(range(n - 1))
+        ports = [min(v, 1) for v in parents]
     elif spec.model == "star":
         if n > delta + 1:
             raise ValueError(f"star on {n} vertices needs delta >= {n - 1}")
-        for v in range(1, n):
-            b.add_edge(0, v)
+        parents = [0] * (n - 1)
+        ports = list(range(n - 1))
     elif spec.model == "caterpillar":
         spine = (n + 1) // 2
-        for v in range(1, spine):
-            b.add_edge(v - 1, v)
+        parents = list(range(spine - 1))
+        ports = [min(v, 1) for v in parents]
+        degree = [2] * spine  # the spine path's edges
+        degree[0] = degree[-1] = 1 if spine > 1 else 0
         leg = 0
         for v in range(spine, n):
-            while b.degree(leg) >= delta:
+            while degree[leg] >= delta:
                 leg = (leg + 1) % spine
-            b.add_edge(leg, v)
+            parents.append(leg)
+            ports.append(degree[leg])
+            degree[leg] += 1
             leg = (leg + 1) % spine
     elif spec.model == "uniform-attachment-capped":
         rng = Random(spec.seed)
         eligible = [0]
+        degree = [1] * n  # every vertex but 0 holds its parent edge on arrival
+        degree[0] = 0
+        parents, ports = [], []
         for v in range(1, n):
             i = rng.randrange(len(eligible))
             parent = eligible[i]
-            b.add_edge(parent, v)
-            if b.degree(parent) >= delta:
+            parents.append(parent)
+            ports.append(degree[parent])
+            degree[parent] += 1
+            if degree[parent] >= delta:
                 eligible[i] = eligible[-1]
                 eligible.pop()
             eligible.append(v)
     else:
         raise ValueError(f"unknown tree model {spec.model!r}")
-    return b.build()
+    up, port, kid = np.array(parents, np.int64), np.array(ports, np.int64), np.arange(1, n)
+    nbr = np.full((n, delta), -1, np.int32)
+    back = np.full((n, delta), -1, np.int32)
+    nbr[kid, 0], back[kid, 0] = up, port
+    nbr[up, port], back[up, port] = kid, 0
+    return PortTree._of_arrays(delta, nbr, back)
 
 
 def bfs_tree(

@@ -29,20 +29,33 @@ by path witnesses as the walk reaches them.
 Then parse_labeling as it stood before labelings were row-indexed and the
 writer's layout got a scan route: json.loads, then one record at a time.
 
+Then h_table and class_census as they stood before a pole-free subtree
+became one label mask: every vertex holds its up-label sets as a dict of
+offsets, and every table of a census builds its own vertex step.
+
 The differential tests hold the package to their results.
 """
 from __future__ import annotations
 
 import argparse
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from itertools import combinations
+from itertools import combinations, product
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from lcltrees import cli
+from lcltrees.equivalence import (
+    CensusReport,
+    HTable,
+    PoledTree,
+    _contains,
+    _multisets,
+    _VertexStep,
+    concat_bipolar,
+)
 from lcltrees.pathstates import (
     VERDICT_LOGN,
     VERDICT_INCONCLUSIVE,
@@ -77,6 +90,7 @@ from lcltrees.trees import (
     bfs_tree,
     components,
     distances,
+    gen_tree,
 )
 
 PortTarget = Optional[tuple[int, int]]
@@ -818,3 +832,123 @@ def ref_parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
     if max(rows) != n - 1:
         raise ProblemFormatError("vertex ids must be exactly 0..n-1")
     return HalfEdgeLabeling(tuple(map(rows.__getitem__, range(n))))
+
+
+def ref_h_table(problem: LclProblem, poled: PoledTree) -> HTable:
+    tree = poled.tree
+    if tree.delta != problem.delta:
+        raise ValueError("tree delta differs from problem delta")
+    for _v, _p, lab in poled.fixed:
+        if not 0 <= lab < problem.num_labels:
+            raise ValueError(f"fixed label id {lab} out of range")
+    arities = poled.arities()
+    nl = problem.num_labels
+    spaces = [_multisets(nl, size) for size in arities]
+    # offset of an interface tuple = sum of index * stride over the poles
+    strides = [1] * len(spaces)
+    for i in range(len(spaces) - 2, -1, -1):
+        strides[i] = strides[i + 1] * len(spaces[i + 1])
+    root = poled.poles[0]
+    pole_of = {v: i for i, v in enumerate(poled.poles)}
+    fixed_at: dict[int, list[tuple[int, int]]] = {}
+    for v, p, lab in poled.fixed:
+        fixed_at.setdefault(v, []).append((p, lab))
+
+    order, parent = bfs_tree(tree, [root])
+    children: dict[int, list[int]] = {v: [] for v in order}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+
+    step = _VertexStep(problem)
+    every = (1 << nl) - 1
+    # reach[v]: feasible up-label mask -> offsets of the interfaces giving it
+    reach: dict[int, dict[int, list[int]]] = {}
+    for v in reversed(order):
+        kids = children[v]
+        kid_mask = [every] * len(kids)  # a fixed real port narrows its child
+        parent_mask = every
+        fixed_virtual = []
+        for p, lab in fixed_at.get(v, ()):  # route fixed ports to their role
+            u = tree.port_neighbors(v)[p]
+            if u < 0:
+                fixed_virtual.append(lab)
+            elif u == parent[v]:
+                parent_mask = 1 << lab
+            else:
+                kid_mask[kids.index(u)] = 1 << lab
+        need = tuple(sorted(fixed_virtual))
+        if v in pole_of:
+            i = pole_of[v]
+            # an interface that contradicts the fixed labels fits nowhere
+            wants = [
+                (want, j * strides[i])
+                for j, want in enumerate(spaces[i])
+                if _contains(Counter(want), Counter(need))
+            ]
+        else:
+            wants = [(None, 0)]
+        is_root = v == root
+        here: dict[int, list[int]] = {}
+        for combo in product(*(reach.pop(c).items() for c in kids)):
+            kid_ok = tuple(sorted(
+                step.kid_ok(child_ups) & narrow
+                for (child_ups, _), narrow in zip(combo, kid_mask)
+            ))
+            offsets = None
+            for want, base in wants:
+                ups = step(kid_ok, want, need, is_root) & parent_mask
+                if not ups:
+                    continue
+                if offsets is None:
+                    offsets = [0]
+                    for _child_ups, offs in combo:
+                        offsets = [a + b for a in offsets for b in offs]
+                here.setdefault(ups, []).extend(base + o for o in offsets)
+        reach[v] = here
+    bits = 0
+    for offs in reach[root].values():
+        for o in offs:
+            bits |= 1 << o
+    return HTable(nl, arities, bits)
+
+
+def ref_class_census(
+    problem: LclProblem,
+    max_size: int,
+    seed: int = 0,
+    samples_per_size: int = 6,
+) -> CensusReport:
+    if max_size < 1 or samples_per_size < 1:
+        raise ValueError("census sizes must be positive")
+    class1: list[HTable] = []
+    cumulative = []
+    for size in range(1, max_size + 1):
+        for i in range(samples_per_size):
+            spec = TreeGenSpec(
+                n=size,
+                delta=problem.delta,
+                seed=seed * 100_003 + size * 101 + i,
+                model="uniform-attachment-capped",
+            )
+            tree = gen_tree(spec)
+            for v in range(size):
+                if tree.real_degree(v) < tree.delta:
+                    table = ref_h_table(problem, PoledTree(tree, (v,)))
+                    if table not in class1:
+                        class1.append(table)
+        cumulative.append(len(class1))
+    wide = [t for t in class1 if t.arities[0] >= 2]
+    class2: list[HTable] = []
+    for t1 in wide:
+        for t2 in wide:
+            table = concat_bipolar(problem, [t1, t2])
+            if table not in class2:
+                class2.append(table)
+    return CensusReport(
+        max_size=max_size,
+        samples_per_size=samples_per_size,
+        class1_count=len(class1),
+        class2_count=len(class2),
+        ell_pump_bound=len(class2) + 1,
+        cumulative_class1=tuple(cumulative),
+    )

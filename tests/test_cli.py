@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lcltrees import problems, trees
+from lcltrees import problems, solver, trees
 from lcltrees.cli import main
-from lcltrees.fixtures import random_problem, three_coloring
+from lcltrees.fixtures import perfect_matching, random_problem, three_coloring
 from lcltrees.pathstates import classify, parse_report
 from lcltrees.problems import (
     EdgeConfig,
@@ -284,6 +284,49 @@ def test_solve_through_a_toast(tmp_path, capsys):
         "--tree", str(tree), "--labeling", str(lab),
     )
     assert code == 0
+
+
+def test_solve_through_a_toast_verifies_it_once(tmp_path, monkeypatch):
+    """build_toast verifies the toast it returns, so the CLI does not verify
+    it again; output, exit codes and labeling bytes are those of the library
+    calls, and every rejection keeps its message."""
+    tree_path, lab = tmp_path / "tree.json", tmp_path / "lab.json"
+    quiet_cli("gen", "--n", "120", "--seed", "9", "--output", str(tree_path))
+    calls = []
+    verify = solver.verify_toast
+
+    def counting_verify(tree, toast):
+        calls.append(toast)
+        return verify(tree, toast)
+
+    monkeypatch.setattr(solver, "verify_toast", counting_verify)
+    solve = ["solve", "--problem", "perfect-matching", "--tree", str(tree_path)]
+
+    code, text = quiet_cli(*solve, "--toast", "10", "--centers", "60", "--output", str(lab))
+    assert (code, len(calls)) == (0, 1)
+    tree, problem = trees.parse_tree(tree_path.read_text()), perfect_matching()
+    report = classify(problem, 4096)
+    toast = solver.build_toast(tree, 10, [60])
+    labeling = solver.solve_toast(problem, report.subset, report.minimal_ell, tree, toast)
+    assert lab.read_text() == problems.serialize_labeling(labeling, problem)
+    assert text == (
+        f"auto-classified: {report.verdict}, ell={report.minimal_ell}\n"
+        f"labeled 120 vertices with {len(report.subset)} configs at ell={report.minimal_ell}\n"
+        "labeling is valid\n"
+    )
+
+    rejected = [
+        (["--toast", "10", "--centers", "60,63"],
+         "error: cannot satisfy the q-gap between the centers' balls; "
+         "retry with fewer or farther-apart centers\n"),
+        (["--toast", "4", "--centers", "60"],
+         f"error: toast gap 4 is below 2*ell+2 = {2 * report.minimal_ell + 2}\n"),
+    ]
+    for flags, message in rejected:
+        calls.clear()
+        code, text = quiet_cli(*solve, *flags)
+        assert (code, len(calls)) == (2, 1)
+        assert text.endswith(message)
 
 
 # --- gen and decompose ---------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The array-backed trees, the column route of parse_tree, the row-indexed
 labelings with their check and the scan route of parse_labeling, the
 one-walk verify_toast, the whole-layer
-rake-and-compress layering and labeling, the trimmed subset search and the
-command-line parser against the versions kept in tests/reference.py."""
+rake-and-compress layering and labeling, the extendability tables with
+their one-mask pole-free subtrees and shared census steps, the trimmed
+subset search and the command-line parser against the versions kept in
+tests/reference.py."""
 
 import contextlib
 import io
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcltrees import cli, problems, trees
+from lcltrees.equivalence import PoledTree, class_census, h_table
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
 from lcltrees.pathstates import (
     VERDICT_INCONCLUSIVE,
@@ -50,6 +53,7 @@ from lcltrees.trees import (
     TreeFormatError,
     TreeGenSpec,
     ball,
+    bfs_tree,
     distances,
     gen_tree,
     parse_tree,
@@ -60,8 +64,10 @@ from conftest import PADDINGS, SMALL_NOT_PADDING, json_documents, padded_two_col
 from reference import (
     RefPortTree,
     ref_build_parser,
+    ref_class_census,
     ref_classify,
     ref_gen_tree,
+    ref_h_table,
     ref_decompose,
     ref_is_valid_labeling,
     ref_parse_labeling,
@@ -765,6 +771,79 @@ def test_toast_labelings_and_refutations_match_the_reference():
                     kind = {HalfEdgeLabeling: "labelings", ValueError: "unsound"}
                     seen[kind.get(want[0], "refutations")] += 1
     assert min(seen.values()) >= 10, seen
+
+
+# --- extendability tables ----------------------------------------------------------
+
+
+TREE_MODELS = ("path", "caterpillar", "uniform-attachment-capped", "star")
+
+
+def random_poled_tree(rng: Random, delta: int, num_labels: int) -> PoledTree:
+    """A small tree with 1-3 poles and 0-4 fixed labels on random ports."""
+    n = rng.randint(1, 13)
+    model = rng.choice(TREE_MODELS if n <= delta + 1 else TREE_MODELS[:3])
+    tree = gen_tree(TreeGenSpec(n=n, delta=delta, seed=rng.randrange(10**6), model=model))
+    open_vertices = [v for v in range(n) if tree.real_degree(v) < delta]
+    poles = rng.sample(open_vertices, min(len(open_vertices), rng.randint(1, 3)))
+    ports = [(v, p) for v in range(n) for p in range(delta)]
+    fixed = tuple(
+        (v, p, rng.randrange(num_labels))
+        for v, p in rng.sample(ports, min(len(ports), rng.randint(0, 4)))
+    )
+    return PoledTree(tree, tuple(poles), fixed)
+
+
+def fixed_roles(poled: PoledTree) -> set[tuple[str, bool]]:
+    """(virtual, parent or child port, whether its vertex is a pole or an
+    ancestor of one) for each fixed label, the tree rooted at the first pole."""
+    tree = poled.tree
+    _order, parent = bfs_tree(tree, [poled.poles[0]])
+    polar = set()
+    for v in poled.poles:
+        while v is not None:
+            polar.add(v)
+            v = parent[v]
+    roles = set()
+    for v, p, _lab in poled.fixed:
+        u = tree.port_neighbors(v)[p]
+        role = "virtual" if u < 0 else "parent" if u == parent[v] else "child"
+        roles.add((role, v in polar))
+    return roles
+
+
+def test_tables_match_the_reference_on_random_problems_and_poles():
+    rng = Random(15)
+    roles, pole_counts = set(), set()
+    for case in range(400):
+        delta = 3 if case % 4 else 4
+        num_labels = rng.randint(2, 4)
+        problem = random_problem(
+            rng.randrange(10**6), delta=delta, num_labels=num_labels, max_vertex_configs=6
+        )
+        poled = random_poled_tree(rng, delta, num_labels)
+        assert h_table(problem, poled) == ref_h_table(problem, poled), (case, poled)
+        roles |= fixed_roles(poled)
+        pole_counts.add(len(poled.poles))
+    assert pole_counts == {1, 2, 3}
+    assert roles == {(r, polar) for r in ("virtual", "parent", "child") for polar in (True, False)}
+
+
+@pytest.mark.parametrize("make_problem", (three_coloring, two_coloring, perfect_matching))
+def test_censuses_match_the_reference(make_problem):
+    problem = make_problem()
+    for max_size in range(1, 8):
+        for seed in (0, 3):
+            got = class_census(problem, max_size, seed=seed)
+            assert got == ref_class_census(problem, max_size, seed=seed), (max_size, seed)
+
+
+def test_random_problem_censuses_match_the_reference():
+    for seed in range(12):
+        problem = random_problem(seed, num_labels=3, max_vertex_configs=6)
+        assert class_census(problem, 5, seed=seed, samples_per_size=3) == ref_class_census(
+            problem, 5, seed=seed, samples_per_size=3
+        )
 
 
 # --- the trimmed subset search -------------------------------------------------------

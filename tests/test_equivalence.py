@@ -4,12 +4,14 @@ replacement splicing, pumping decompositions, and the sampled class census."""
 
 import random
 from collections import Counter
+from contextlib import nullcontext
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcltrees import equivalence
 from lcltrees.equivalence import (
     EquivClass,
     HTable,
@@ -646,6 +648,43 @@ def test_census_saturates_on_three_rooted_classes(make_problem, max_size):
     text = report.describe()
     assert "rooted classes: 3" in text
     assert "empirical ell_pump bound: 5" in text
+
+
+@pytest.mark.parametrize("make_problem", FIXTURES + [lambda: random_problem(4)])
+def test_census_computes_each_vertex_step_once(make_problem, monkeypatch):
+    """Every table of a census shares one _VertexStep, whose memo depends
+    only on the problem: no step is computed twice, and the step is gone
+    once the census returns."""
+    computed = []
+    compute = equivalence._VertexStep._compute
+
+    def counting_compute(self, *key):
+        computed.append(key)
+        return compute(self, *key)
+
+    monkeypatch.setattr(equivalence._VertexStep, "_compute", counting_compute)
+    problem = make_problem()
+    report = class_census(problem, max_size=7, seed=1, samples_per_size=4)
+    assert report.class1_count > 0
+    assert set(Counter(computed).values()) == {1}
+    assert not equivalence._shared_steps
+
+    # with a step per table, the same census computes some keys again
+    computed.clear()
+    monkeypatch.setattr(equivalence, "_sharing_steps", lambda _problem: nullcontext())
+    class_census(problem, max_size=7, seed=1, samples_per_size=4)
+    assert max(Counter(computed).values()) > 1
+
+
+def test_census_drops_its_shared_step_when_a_table_fails(coloring3, monkeypatch):
+    def failing(*_args):
+        assert len(equivalence._shared_steps) == 1
+        raise RuntimeError("table failed")
+
+    monkeypatch.setattr(equivalence, "h_table", failing)
+    with pytest.raises(RuntimeError, match="table failed"):
+        class_census(coloring3, 3)
+    assert not equivalence._shared_steps
 
 
 def test_census_validates_sizes(coloring3):

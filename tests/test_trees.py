@@ -186,6 +186,14 @@ def test_parse_tree_caps_delta():
         gen_tree(TreeGenSpec(n=2, delta=2**63, seed=0, model="path"))
 
 
+@pytest.mark.parametrize("model", ("path", "star", "caterpillar", "uniform-attachment-capped"))
+def test_gen_tree_refuses_a_delta_below_three(model):
+    # a caterpillar with delta 0 once looked forever for a leg with a free port
+    for n, delta in ((1, 2), (2, 0), (3, 1), (5, -1)):
+        with pytest.raises(TreeFormatError, match="delta must be at least 3"):
+            gen_tree(TreeGenSpec(n=n, delta=delta, seed=0, model=model))
+
+
 def test_neighbors_are_fresh_lists_in_port_order():
     t = gen_tree(TreeGenSpec(n=40, delta=4, seed=2))
     for v in range(t.n):
