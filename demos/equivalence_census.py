@@ -5,7 +5,7 @@ ports, whether the rest of the tree can be completed.  Equal tables mean the
 trees are interchangeable inside any host.  Concatenating rooted tables
 along a path eventually repeats, which bounds how far labels can "see".
 """
-from lcltrees import PoledTree, TreeBuilder, TreeGenSpec, class_census, concat_bipolar, gen_tree, h_table, pumping_decompose
+from lcltrees import PoledTree, PortTree, TreeGenSpec, class_census, concat_bipolar, gen_tree, h_table, pumping_decompose
 from lcltrees.fixtures import perfect_matching, three_coloring, two_coloring
 
 
@@ -15,7 +15,7 @@ def main():
         ("2-coloring", two_coloring()),
         ("matching", perfect_matching()),
     ]
-    single = TreeBuilder(1, 3).build()
+    single = PortTree(3, [[None, None, None]])  # one vertex, three virtual ports
     path3 = gen_tree(TreeGenSpec(3, 3, 0, model="path"))
 
     for name, problem in problems:

@@ -17,8 +17,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .problems import LclProblem
-from .trees import PortTree, TreeBuilder, TreeGenSpec, bfs_tree, components, gen_tree
+from .trees import PortTree, TreeGenSpec, _tree_of_columns, bfs_tree, gen_tree, inward_ports
 
 
 @lru_cache(maxsize=None)
@@ -446,63 +448,69 @@ def _splice(
     if len(repl.poles) != len(s_prime):
         raise ValueError("replacement pole count differs from s_prime")
 
-    inside_deg = {
-        v: sum(1 for w in tree.neighbors(v) if w in u_set) for v in u_set
-    }
-    if len(components(tree, u_set)) > 1:
+    verts = np.array(sorted(u_set), np.int64)
+    inward = inward_ports(tree, verts)
+    inside_deg = inward.sum(axis=1) - (tree.nbr[verts] < 0).sum(axis=1)
+    # a forest on |u| vertices is one tree when it has |u| - 1 edges
+    if inside_deg.sum() != 2 * (len(verts) - 1):
         raise ValueError("u must induce a connected subtree")
-    boundary = [
-        (v, w)
-        for v in sorted(u_set)
-        for w in tree.neighbors(v)
-        if w not in u_set
-    ]
-    for v, _w in boundary:
-        if v not in s_prime:
+    # the edges leaving u: its vertex v, the outside vertex w and w's port
+    at, port = np.nonzero(~inward)
+    v_out = verts[at]
+    w_out, pw_out = tree.nbr[v_out, port], tree.back[v_out, port]
+    slot = {v: i for i, v in enumerate(s_prime)}
+    for v in v_out.tolist():
+        if v not in slot:
             raise ValueError(f"boundary vertex {v} of u is not in s_prime")
     for p in poled.poles:
-        if p in u_set and p not in s_prime:
+        if p in u_set and p not in slot:
             raise ValueError(f"host pole {p} inside u is not in s_prime")
+    degree_of = dict(zip(verts.tolist(), inside_deg.tolist()))
     for i, v in enumerate(s_prime):
         have = repl.tree.real_degree(repl.poles[i])
-        if inside_deg[v] != have:
+        if degree_of[v] != have:
             raise ValueError(
-                f"pole degree mismatch at position {i}: {inside_deg[v]} != {have}"
+                f"pole degree mismatch at position {i}: {degree_of[v]} != {have}"
             )
 
-    keep = sorted(set(range(tree.n)) - u_set)
-    new_id = {v: i for i, v in enumerate(keep)}
-    offset = len(keep)
-    builder = TreeBuilder(offset + repl.tree.n, tree.delta)
-    for a, pa, b, pb in tree.edges():
-        if a in new_id and b in new_id:
-            builder.add_edge_at(new_id[a], pa, new_id[b], pb)
-    for a, pa, b, pb in repl.tree.edges():
-        builder.add_edge_at(offset + a, pa, offset + b, pb)
-    free_ports = {
-        i: [
-            p
-            for p in range(tree.delta)
-            if repl.tree.port_neighbors(repl.poles[i])[p] < 0
-        ]
-        for i in range(len(s_prime))
-    }
-    for v, w in sorted(boundary, key=lambda e: (e[1], tree.port_to(e[1], e[0]))):
-        i = s_prime.index(v)
-        builder.add_edge_at(
-            new_id[w],
-            tree.port_to(w, v),
-            offset + repl.poles[i],
-            free_ports[i].pop(0),
+    kept = np.ones(tree.n, bool)
+    kept[verts] = False
+    offset = int(kept.sum())
+    new_id = np.where(kept, np.cumsum(kept) - 1, -1)  # -1 inside u
+    # host edges between kept vertices, renumbered; replacement edges, offset
+    host = _edge_rows(tree)
+    host[:, ::2] = new_id[host[:, ::2]]
+    host = host[(host[:, ::2] >= 0).all(axis=1)]
+    inner = _edge_rows(repl.tree)
+    inner[:, ::2] += offset
+    # each edge leaving u, in (outside vertex, its port) order, takes its
+    # pole's next free port in the replacement
+    free = [
+        iter([p for p, x in enumerate(repl.tree.port_neighbors(pole)) if x < 0])
+        for pole in repl.poles
+    ]
+    order = np.lexsort((pw_out, w_out))
+    reattached = [
+        (new_id[w], pw, offset + repl.poles[slot[v]], next(free[slot[v]]))
+        for v, w, pw in zip(
+            v_out[order].tolist(), w_out[order].tolist(), pw_out[order].tolist()
         )
+    ]
+    edges = np.concatenate([host, inner, np.array(reattached, np.int64).reshape(-1, 4)])
     new_poles = tuple(
-        new_id[p] if p in new_id else offset + repl.poles[s_prime.index(p)]
+        int(new_id[p]) if new_id[p] >= 0 else offset + repl.poles[slot[p]]
         for p in poled.poles
     )
     new_fixed = tuple(
-        (new_id[v], p, lab) for v, p, lab in poled.fixed if v in new_id
+        (int(new_id[v]), p, lab) for v, p, lab in poled.fixed if new_id[v] >= 0
     ) + tuple((offset + v, p, lab) for v, p, lab in repl.fixed)
-    return PoledTree(builder.build(), new_poles, new_fixed)
+    spliced = _tree_of_columns(offset + repl.tree.n, tree.delta, edges)
+    return PoledTree(spliced, new_poles, new_fixed)
+
+
+def _edge_rows(tree: PortTree) -> np.ndarray:
+    """The tree's edges as (m, 4) rows u, pu, v, pv."""
+    return np.array(list(tree.edges()), np.int64).reshape(-1, 4)
 
 
 # --- pumping ----------------------------------------------------------------------

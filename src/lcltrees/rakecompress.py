@@ -28,11 +28,12 @@ cuts every run's blocks by arithmetic on the positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import chain, count
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
-from .trees import PortTree, components
+from .trees import PortTree, components, inward_ports
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,33 @@ class RawDecomposition:
     depth: int
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for kind, verts in self.layers:
+        for kind, _ in self.layers:
             if kind not in ("R", "C"):
                 raise ValueError(f"bad layer kind {kind!r}")
-            if seen & verts:
-                raise ValueError("layers overlap")
-            seen |= verts
-        if seen != set(range(self.tree.n)):
-            raise ValueError("layers do not partition the tree's vertices")
+        _rank_layers(self.tree.n, enumerate((verts for _, verts in self.layers), 1))
+
+
+def _rank_layers(n: int, layers: Iterable[tuple[int, Collection[int]]]) -> np.ndarray:
+    """The rank of each of the n vertices from (rank, vertices) layers, every
+    rank positive; raises ValueError when a vertex is listed twice, in one
+    layer or in two, and then when the layers miss a vertex or list one
+    outside the tree."""
+    rank = np.zeros(n, np.int64)
+    outside: set[int] = set()  # listed vertices that are not the tree's
+    listed = 0
+    for r, layer in layers:
+        verts = np.fromiter(layer, np.int64, len(layer))
+        inside = (verts >= 0) & (verts < n)
+        rank[verts[inside]] = r
+        outside.update(verts[~inside].tolist())
+        listed += len(layer)
+    placed = np.count_nonzero(rank)
+    # a vertex listed twice is counted once
+    if listed != placed + len(outside):
+        raise ValueError("layers overlap")
+    if outside or placed != n:
+        raise ValueError("layers do not partition the tree's vertices")
+    return rank
 
 
 # A compress layer's blocks: each block's vertices along its path from the
@@ -76,23 +95,8 @@ class LayeredDecomposition:
         if len(self.blocks) != len(self.rake_layers) - 1:
             raise ValueError("expected one fewer compress layer than rake layers")
         compress = [[v for block in blocks for v in block] for blocks in self.blocks]
-        n = self.tree.n
-        rank = np.zeros(n, np.int64)
-        outside: set[int] = set()  # listed vertices that are not the tree's
-        listed = 0
-        for first, layers in ((1, self.rake_layers), (2, compress)):
-            for i, layer in enumerate(layers):
-                verts = np.fromiter(layer, np.int64, len(layer))
-                inside = (verts >= 0) & (verts < n)
-                rank[verts[inside]] = first + 2 * i
-                outside.update(verts[~inside].tolist())
-                listed += len(layer)
-        placed = np.count_nonzero(rank)
-        # a vertex listed twice, in one layer or in two, is counted once
-        if listed != placed + len(outside):
-            raise ValueError("layers overlap")
-        if outside or placed != n:
-            raise ValueError("layers do not partition the tree's vertices")
+        layers = chain(zip(count(1, 2), self.rake_layers), zip(count(2, 2), compress))
+        rank = _rank_layers(self.tree.n, layers)
         rank.flags.writeable = False
         object.__setattr__(self, "compress_layers", tuple(map(frozenset, compress)))
         object.__setattr__(self, "_rank", rank)
@@ -310,12 +314,14 @@ def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
 
     lo, hi = decomp.ell_prime, 2 * decomp.ell_prime
     for i, layer in enumerate(decomp.compress_layers, start=1):
+        verts = np.fromiter(layer, np.int64, len(layer))
+        # a vertex's degree inside the layer is its degree inside its component
+        inner = inward_ports(tree, verts).sum(axis=1) - (tree.nbr[verts] < 0).sum(axis=1)
+        inner_deg = dict(zip(verts.tolist(), inner.tolist()))
         for comp in map(set, components(tree, layer)):
             k = len(comp)
-            inner_deg = {v: sum(1 for u in tree.neighbors(v) if u in comp) for v in comp}
-            if any(d > 2 for d in inner_deg.values()) or sum(
-                inner_deg.values()
-            ) != 2 * (k - 1):
+            degs = [inner_deg[v] for v in comp]
+            if max(degs) > 2 or sum(degs) != 2 * (k - 1):
                 bad.append(f"compress layer {i} component {sorted(comp)} is not a path")
                 continue
             if not lo <= k <= hi:

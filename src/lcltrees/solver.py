@@ -26,7 +26,9 @@ from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
 from .rakecompress import Blocks, LayeredDecomposition, post_process, simulated_rounds
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
-from .trees import PortTree, ball, bfs_tree, capped_distances, components, distances
+from .trees import (
+    PortTree, ball, bfs_tree, capped_distances, components, distances, inward_ports
+)
 
 class NotEllFullError(Exception):
     """Carries a concrete counterexample to the subset being ell-full."""
@@ -395,16 +397,13 @@ class Toast:
 
 
 def piece_boundary(tree: PortTree, piece: frozenset[int]) -> frozenset[int]:
-    """Members adjacent to the outside; empty for the whole vertex set."""
+    """Members adjacent to the outside; empty for the whole vertex set.
+    Raises ValueError for a member outside the tree."""
+    outside = [v for v in piece if not 0 <= v < tree.n]
+    if outside:
+        raise ValueError(f"vertex {min(outside)} is outside the tree")
     verts = np.fromiter(piece, np.int64, len(piece))
-    return frozenset(verts[~_inward(tree, verts).all(axis=1)].tolist())
-
-
-def _inward(tree: PortTree, verts: np.ndarray) -> np.ndarray:
-    """Whether each port of the given vertices stays among them, as virtual ports do."""
-    inside = np.zeros(tree.n + 1, bool)
-    inside[verts] = inside[-1] = True  # the spare slot answers port -1
-    return inside[tree.nbr[verts]]
+    return frozenset(verts[~inward_ports(tree, verts).all(axis=1)].tolist())
 
 
 def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
@@ -425,7 +424,7 @@ def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
             bad.append(f"piece {idx} holds a vertex outside the tree")
             boundaries.append(verts[:0])
             continue
-        inward = _inward(tree, verts)
+        inward = inward_ports(tree, verts)
         if inward.sum() - (tree.nbr[verts] < 0).sum() != 2 * len(verts) - 2:
             bad.append(f"piece {idx} is disconnected")
         boundaries.append(verts[~inward.all(axis=1)])

@@ -7,14 +7,18 @@ virtual: the missing continuation into the infinite tree.
 A PortTree keeps its ports in two int32 arrays of shape (n, delta): nbr[v, p]
 is the neighbor on port p of v and back[v, p] that neighbor's port leading
 back, both -1 on a virtual port.  Whoever fills the arrays checks what it
-wrote, once: parse_tree and TreeBuilder that ports lie in range, that no
-edge is a self-loop and that no port is used twice; the tuple constructor
-that ports lie in range and that each edge is seen from both ends; gen_tree,
-which gives each new vertex's edge the next free ports, nothing more.  Every
-tree then passes one shared check: n - 1 edges, and connectivity decided by
-hook and shortcut over the arrays, in O(log n) whole-array rounds.  The
-neighbor lists and .ports, the same ports as rows of (neighbor, port) pairs
-and None, are built only when first read.
+wrote, once: parse_tree (and the splice that replaces a subtree, through
+the same edge-column checks) that ports lie in range, that no edge is a
+self-loop and that no port is used twice; the tuple constructor that ports
+lie in range and that each edge is seen from both ends; gen_tree, which
+gives each new vertex's edge the next free ports, nothing more.  Every tree
+then passes one shared check: n - 1 edges, and connectivity decided by hook
+and shortcut over the arrays, in O(log n) whole-array rounds.  The neighbor
+lists and .ports, the same ports as rows of (neighbor, port) pairs and None,
+are built only when first read.
+
+A tree by hand is PortTree(delta, ports), its rows of (neighbor, port)
+pairs and None, or parse_tree on a document listing its edges.
 
 parse_tree reads a document in exactly the layout serialize_tree writes
 column by column, without json.loads; every other document goes through
@@ -54,7 +58,10 @@ class PortTree:
         """The tree whose port p of vertex v leads to ports[v][p]: a
         (neighbor, neighbor's port) pair, or None for a virtual port."""
         n = len(ports)
-        _check_size(delta, n)
+        if delta < 3:
+            raise ValueError("delta must be at least 3")
+        if n == 0:
+            raise ValueError("tree must have at least one vertex")
         nbr: list[int] = []
         back: list[int] = []
         outside = None  # the first port pointing outside the tree
@@ -198,65 +205,6 @@ class PortTree:
         return f"PortTree(delta={self.delta}, n={self.n})"
 
 
-def _check_size(delta: int, n: int) -> None:
-    if delta < 3:
-        raise ValueError("delta must be at least 3")
-    if n == 0:
-        raise ValueError("tree must have at least one vertex")
-
-
-class TreeBuilder:
-    """Accumulates edges, assigning each endpoint its next free port."""
-
-    def __init__(self, n: int, delta: int):
-        if delta > MAX_DELTA:
-            raise TreeFormatError(f"delta {delta} is above the maximum {MAX_DELTA}")
-        self.n = n
-        self.delta = delta
-        # slot v * delta + p holds port p of vertex v
-        self._nbr = [-1] * (n * delta)
-        self._back = [-1] * (n * delta)
-        self._degree = [0] * n
-
-    def degree(self, v: int) -> int:
-        return self._degree[v]
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.add_edge_at(u, self._next_free(u), v, self._next_free(v))
-
-    def add_edge_at(self, u: int, pu: int, v: int, pv: int) -> None:
-        if u == v:
-            raise TreeFormatError(f"self-loop at vertex {u}")
-        for w, p in ((u, pu), (v, pv)):
-            if not (0 <= w < self.n) or not (0 <= p < self.delta):
-                raise TreeFormatError(f"port {w}:{p} out of range")
-            if self._nbr[w * self.delta + p] >= 0:
-                raise TreeFormatError(f"port {w}:{p} assigned twice")
-        su, sv = u * self.delta + pu, v * self.delta + pv
-        self._nbr[su], self._back[su] = v, pv
-        self._nbr[sv], self._back[sv] = u, pu
-        self._degree[u] += 1
-        self._degree[v] += 1
-
-    def _next_free(self, v: int) -> int:
-        if self._degree[v] >= self.delta:
-            raise TreeFormatError(f"vertex {v} already has delta = {self.delta} edges")
-        start = v * self.delta
-        return self._nbr.index(-1, start) - start
-
-    def build(self) -> PortTree:
-        shape = (self.n, self.delta)
-        try:
-            _check_size(self.delta, self.n)
-            return PortTree._of_arrays(
-                self.delta,
-                np.array(self._nbr, np.int32).reshape(shape),
-                np.array(self._back, np.int32).reshape(shape),
-            )
-        except ValueError as e:
-            raise TreeFormatError(str(e)) from e
-
-
 @dataclass(frozen=True)
 class TreeGenSpec:
     n: int
@@ -371,7 +319,14 @@ def distances(
     return dist
 
 
+def _check_vertex(tree: PortTree, v: int) -> None:
+    if not 0 <= v < tree.n:
+        raise ValueError(f"vertex {v} is outside the tree")
+
+
 def distance(tree: PortTree, u: int, v: int) -> int:
+    _check_vertex(tree, u)
+    _check_vertex(tree, v)
     return distances(tree, [u])[v]
 
 
@@ -392,8 +347,19 @@ def capped_distances(tree: PortTree, sources: np.ndarray, cap: int) -> np.ndarra
 
 
 def ball(tree: PortTree, v: int, radius: int) -> frozenset[int]:
+    _check_vertex(tree, v)
     dist = capped_distances(tree, np.array([v]), radius + 1)
     return frozenset(np.flatnonzero(dist <= radius).tolist())
+
+
+def inward_ports(tree: PortTree, verts: np.ndarray) -> np.ndarray:
+    """Whether each port of the given distinct vertices of the tree stays
+    among them, as virtual ports do: a (len(verts), delta) mask whose False
+    entries are the edges leaving the set.  A vertex's degree inside the set
+    is its True entries less its virtual ports."""
+    inside = np.zeros(tree.n + 1, bool)
+    inside[verts] = inside[-1] = True  # the spare slot answers port -1
+    return inside[tree.nbr[verts]]
 
 
 # --- file format -------------------------------------------------------------
@@ -462,7 +428,7 @@ def parse_tree(text: str) -> PortTree:
     if scanned is not None:
         n, delta, e = scanned
         if n >= 1 and 3 <= delta <= MAX_DELTA and len(e) == n - 1:
-            return _tree_of_columns(n, delta, e, lambda i: dict(zip(_EDGE_KEYS, e[i].tolist())))
+            return _tree_of_columns(n, delta, e)
     # every other document, and the faults of header and edge count
     doc = load_json(text, TreeFormatError)
     if not isinstance(doc, dict):
@@ -500,13 +466,14 @@ def parse_tree(text: str) -> PortTree:
 
 
 def _tree_of_columns(
-    n: int, delta: int, e: np.ndarray, edge: Callable[[int], dict]
+    n: int, delta: int, e: np.ndarray, edge: Optional[Callable[[int], dict]] = None
 ) -> PortTree:
     """The tree whose edges are the rows u, pu, v, pv of e, n >= 1 and delta
-    in range; edge(i) is edge i as the document gives it, for messages.
-    Checks vertex range, self-loops, port range, ports used twice and cycles
-    in that order, each over all edges at once."""
+    in range; edge(i) is edge i as the document gives it, for messages, by
+    default row i of e.  Checks vertex range, self-loops, port range, ports
+    used twice and cycles in that order, each over all edges at once."""
     u, pu, v, pv = e.T
+    edge = edge or (lambda i: dict(zip(_EDGE_KEYS, e[i].tolist())))
 
     def first(mask: np.ndarray) -> Optional[int]:
         hits = np.flatnonzero(mask)

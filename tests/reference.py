@@ -33,6 +33,10 @@ Then h_table and class_census as they stood before a pole-free subtree
 became one label mask: every vertex holds its up-label sets as a dict of
 offsets, and every table of a census builds its own vertex step.
 
+Then the subtree splice behind check_replacement as it stood before it
+built its edge columns directly: a builder fed edge by edge, each boundary
+edge's port found by scanning the outside vertex's port row.
+
 The differential tests hold the package to their results.
 """
 from __future__ import annotations
@@ -952,3 +956,91 @@ def ref_class_census(
         ell_pump_bound=len(class2) + 1,
         cumulative_class1=tuple(cumulative),
     )
+
+
+def ref_splice(
+    poled: PoledTree,
+    u: Iterable[int],
+    s_prime: tuple[int, ...],
+    repl: PoledTree,
+) -> PoledTree:
+    tree = poled.tree
+    u_set = frozenset(u)
+    if not u_set or not u_set <= set(range(tree.n)):
+        raise ValueError("u must be a nonempty subset of the vertices")
+    if len(set(s_prime)) != len(s_prime) or not set(s_prime) <= u_set:
+        raise ValueError("s_prime must be distinct vertices inside u")
+    if repl.tree.delta != tree.delta:
+        raise ValueError("replacement delta differs")
+    if len(repl.poles) != len(s_prime):
+        raise ValueError("replacement pole count differs from s_prime")
+
+    inside_deg = {
+        v: sum(1 for w in tree.neighbors(v) if w in u_set) for v in u_set
+    }
+    if len(components(tree, u_set)) > 1:
+        raise ValueError("u must induce a connected subtree")
+    boundary = [
+        (v, w)
+        for v in sorted(u_set)
+        for w in tree.neighbors(v)
+        if w not in u_set
+    ]
+    for v, _w in boundary:
+        if v not in s_prime:
+            raise ValueError(f"boundary vertex {v} of u is not in s_prime")
+    for p in poled.poles:
+        if p in u_set and p not in s_prime:
+            raise ValueError(f"host pole {p} inside u is not in s_prime")
+    for i, v in enumerate(s_prime):
+        have = repl.tree.real_degree(repl.poles[i])
+        if inside_deg[v] != have:
+            raise ValueError(
+                f"pole degree mismatch at position {i}: {inside_deg[v]} != {have}"
+            )
+
+    keep = sorted(set(range(tree.n)) - u_set)
+    new_id = {v: i for i, v in enumerate(keep)}
+    offset = len(keep)
+    builder = RefTreeBuilder(offset + repl.tree.n, tree.delta)
+    for a, pa, b, pb in tree.edges():
+        if a in new_id and b in new_id:
+            builder.add_edge_at(new_id[a], pa, new_id[b], pb)
+    for a, pa, b, pb in repl.tree.edges():
+        builder.add_edge_at(offset + a, pa, offset + b, pb)
+    free_ports = {
+        i: [
+            p
+            for p in range(tree.delta)
+            if repl.tree.port_neighbors(repl.poles[i])[p] < 0
+        ]
+        for i in range(len(s_prime))
+    }
+    for v, w in sorted(boundary, key=lambda e: (e[1], tree.port_to(e[1], e[0]))):
+        i = s_prime.index(v)
+        builder.add_edge_at(
+            new_id[w],
+            tree.port_to(w, v),
+            offset + repl.poles[i],
+            free_ports[i].pop(0),
+        )
+    new_poles = tuple(
+        new_id[p] if p in new_id else offset + repl.poles[s_prime.index(p)]
+        for p in poled.poles
+    )
+    new_fixed = tuple(
+        (new_id[v], p, lab) for v, p, lab in poled.fixed if v in new_id
+    ) + tuple((offset + v, p, lab) for v, p, lab in repl.fixed)
+    built = builder.build()
+    return PoledTree(PortTree(built.delta, built.ports), new_poles, new_fixed)
+
+
+def ref_check_replacement(
+    problem: LclProblem,
+    poled: PoledTree,
+    u: Iterable[int],
+    s_prime: Sequence[int],
+    replacement: PoledTree,
+) -> bool:
+    spliced = ref_splice(poled, u, tuple(s_prime), replacement)
+    return ref_h_table(problem, spliced) == ref_h_table(problem, poled)

@@ -2,13 +2,15 @@
 labelings with their check and the scan route of parse_labeling, the
 one-walk verify_toast, the whole-layer
 rake-and-compress layering and labeling, the extendability tables with
-their one-mask pole-free subtrees and shared census steps, the trimmed
+their one-mask pole-free subtrees and shared census steps, the subtree
+splice on edge columns, the trimmed
 subset search and the command-line parser against the versions kept in
 tests/reference.py."""
 
 import contextlib
 import io
 import json
+from collections import Counter
 from itertools import permutations
 from random import Random
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcltrees import cli, problems, trees
-from lcltrees.equivalence import PoledTree, class_census, h_table
+from lcltrees.equivalence import PoledTree, _splice, check_replacement, class_census, h_table
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
 from lcltrees.pathstates import (
     VERDICT_INCONCLUSIVE,
@@ -75,9 +77,13 @@ from reference import (
     ref_piece_boundary,
     ref_post_process,
     ref_solve_on_decomposition,
+    ref_check_replacement,
     ref_solve_toast,
+    ref_splice,
     ref_verify_toast,
 )
+import test_equivalence
+from test_equivalence import induced_copy, replacement_sweep
 
 MODELS = ("path", "caterpillar", "uniform-attachment-capped", "star")
 SIZES = (1, 2, 3, 4, 5, 6, 17, 100, 641, 2000)
@@ -844,6 +850,117 @@ def test_random_problem_censuses_match_the_reference():
         assert class_census(problem, 5, seed=seed, samples_per_size=3) == ref_class_census(
             problem, 5, seed=seed, samples_per_size=3
         )
+
+
+# --- subtree replacement ------------------------------------------------------------
+
+
+def splice_outcome(splice, host, u, s_prime, repl):
+    """The spliced tree, or the type and text of the error splice raises."""
+    try:
+        return splice(host, u, tuple(s_prime), repl)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def random_cut(rng: Random, host: PoledTree) -> tuple[set[int], list[int]]:
+    """A vertex set grown from a random vertex, and its boundary vertices
+    plus the host poles inside it; now and then one of the two is spoiled."""
+    tree = host.tree
+    start = rng.randrange(tree.n)
+    u, frontier, goal = {start}, [start], rng.randint(1, tree.n)
+    while frontier and len(u) < goal:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        for w in tree.neighbors(v):
+            if w not in u and len(u) < goal:
+                u.add(w)
+                frontier.append(w)
+    s_prime = {v for v in u for w in tree.neighbors(v) if w not in u}
+    s_prime |= set(host.poles) & u
+    fault = rng.random()
+    if fault < 0.1:
+        u.add(rng.randrange(tree.n))  # perhaps a second component
+    elif fault < 0.2 and s_prime:
+        s_prime.discard(rng.choice(sorted(s_prime)))
+    elif fault < 0.3:
+        # one more pole inside u, no fault, where a replacement pole can
+        # keep a spare port
+        roomy = [v for v in sorted(u) if sum(w in u for w in tree.neighbors(v)) < tree.delta]
+        s_prime.add(rng.choice(roomy))
+    order = sorted(s_prime)
+    rng.shuffle(order)
+    return u, order
+
+
+def random_replacement(rng: Random, tree, u, s_prime, num_labels: int) -> PoledTree:
+    """A small tree whose poles have the inside degrees of s_prime in u, or
+    u's own induced tree when eight draws find none; 0-3 fixed labels.  A
+    poled tree needs a pole, so an empty s_prime gets a random one."""
+    if not s_prime:
+        return random_poled_tree(rng, tree.delta, num_labels)
+    degrees = [sum(w in u for w in tree.neighbors(v)) for v in s_prime]
+    for _ in range(8):
+        m = rng.randint(1, 9)
+        cand = gen_tree(TreeGenSpec(n=m, delta=tree.delta, seed=rng.randrange(10**6)))
+        free = list(range(m))
+        rng.shuffle(free)
+        poles = []
+        for d in degrees:
+            pick = next((v for v in free if cand.real_degree(v) == d), None)
+            if pick is None:
+                break
+            free.remove(pick)
+            poles.append(pick)
+        else:
+            break
+    else:
+        cand, idx = induced_copy(tree, u)
+        poles = [idx[v] for v in s_prime]
+    ports = [(v, p) for v in range(cand.n) for p in range(cand.delta)]
+    fixed = tuple(
+        (v, p, rng.randrange(num_labels))
+        for v, p in rng.sample(ports, min(len(ports), rng.randint(0, 3)))
+    )
+    return PoledTree(cand, tuple(poles), fixed)
+
+
+def test_splices_and_replacements_match_the_reference(monkeypatch):
+    # the corpus of replacement_sweep, recorded as it runs
+    cases = []
+
+    def recording(problem, host, u, s_prime, repl):
+        cases.append((problem, host, u, s_prime, repl))
+        return check_replacement(problem, host, u, s_prime, repl)
+
+    monkeypatch.setattr(test_equivalence, "check_replacement", recording)
+    replacement_sweep(100)
+    monkeypatch.undo()
+    assert len(cases) == 100
+    # random hosts and replacements with fixed labels, some cuts spoiled
+    rng = Random(16)
+    while len(cases) < 500:
+        delta = rng.choice((3, 3, 4))
+        problem = random_problem(
+            rng.randrange(10**6), delta=delta, num_labels=3, max_vertex_configs=6
+        )
+        host = random_poled_tree(rng, delta, 3)
+        u, s_prime = random_cut(rng, host)
+        repl = random_replacement(rng, host.tree, u, s_prime, 3)
+        if rng.random() < 0.05:
+            repl = random_poled_tree(rng, delta, 3)  # most likely the wrong shape
+        cases.append((problem, host, u, s_prime, repl))
+    seen = Counter()
+    for problem, host, u, s_prime, repl in cases:
+        got = splice_outcome(_splice, host, u, s_prime, repl)
+        assert got == splice_outcome(ref_splice, host, u, s_prime, repl), (host, u, s_prime)
+        if isinstance(got, PoledTree):
+            answer = check_replacement(problem, host, u, s_prime, repl)
+            assert answer == ref_check_replacement(problem, host, u, s_prime, repl)
+            seen[answer] += 1
+        else:
+            seen[got[1].split()[0]] += 1
+    # equal and unequal tables, and the cut faults, all occurred
+    assert {True, False, "u", "boundary", "pole"} <= set(seen), seen
 
 
 # --- the trimmed subset search -------------------------------------------------------

@@ -28,15 +28,16 @@ from lcltrees.fixtures import (
     three_coloring,
     two_coloring,
 )
-from lcltrees.trees import TreeBuilder, TreeGenSpec, gen_tree
+from lcltrees.trees import PortTree, TreeGenSpec, gen_tree
 
 from conftest import path_tree, star_tree
+from reference import RefTreeBuilder
 
 FIXTURES = [three_coloring, two_coloring, perfect_matching]
 
 
 def single_vertex(delta=3):
-    return TreeBuilder(1, delta).build()
+    return PortTree(delta, [[None] * delta])
 
 
 def random_tree(n, seed):
@@ -459,11 +460,11 @@ def induced_copy(tree, u):
     """Standalone tree on the vertex subset u, original ports kept."""
     u = sorted(u)
     idx = {v: i for i, v in enumerate(u)}
-    builder = TreeBuilder(len(u), tree.delta)
+    builder = RefTreeBuilder(len(u), tree.delta)
     for a, pa, b, pb in tree.edges():
         if a in idx and b in idx:
             builder.add_edge_at(idx[a], pa, idx[b], pb)
-    return builder.build(), idx
+    return PortTree(tree.delta, builder.build().ports), idx
 
 
 def test_replacing_a_leaf_with_a_leaf_keeps_the_table(coloring3):

@@ -21,10 +21,15 @@ from lcltrees.rakecompress import (
     simulated_rounds,
 )
 from lcltrees.solver import NotEllFullError, solve_on_decomposition
-from lcltrees.trees import TreeBuilder, TreeGenSpec, components, gen_tree
+from lcltrees.trees import PortTree, TreeGenSpec, components, gen_tree
 
 from conftest import path_tree, star_tree
-from reference import ref_ordered_path, ref_post_process, ref_solve_on_decomposition
+from reference import (
+    RefTreeBuilder,
+    ref_ordered_path,
+    ref_post_process,
+    ref_solve_on_decomposition,
+)
 
 
 # --- raw process ----------------------------------------------------------------
@@ -156,6 +161,19 @@ def test_layered_shape_validation():
             LayeredDecomposition(tree, 2, rake, (blocks,))
     with pytest.raises(ValueError, match="overlap"):
         LayeredDecomposition(tree, 2, (frozenset({0, 3}), frozenset({2})), (((1, 2),),))
+    # the same faults in a raw layering: overlap, a missing vertex, a vertex
+    # outside the tree, and a vertex listed twice, outside the tree or not
+    faults = [
+        ("overlap", [("R", {0, 1, 2}), ("C", {2, 3})]),
+        ("partition", [("R", {0, 1}), ("C", {3})]),
+        ("partition", [("R", {0, 1, 2, 3, 4})]),
+        ("partition", [("R", {-1, 0, 1}), ("C", {2, 3})]),
+        ("overlap", [("R", {0, 3}), ("C", {1, 2}), ("R", {1})]),
+        ("overlap", [("R", {0, 3, 7}), ("C", {1, 2, 7})]),
+    ]
+    for message, layers in faults:
+        with pytest.raises(ValueError, match=message):
+            RawDecomposition(tree, 1, 2, tuple((k, frozenset(v)) for k, v in layers), 2)
 
 
 def test_layer_lookup_and_ranks():
@@ -223,10 +241,10 @@ def test_determinism():
 
 
 def built_tree(n, edges, delta=3):
-    b = TreeBuilder(n, delta)
+    b = RefTreeBuilder(n, delta)
     for u, v in edges:
         b.add_edge(u, v)
-    return b.build()
+    return PortTree(delta, b.build().ports)
 
 
 def runs_of(tree):
@@ -467,11 +485,8 @@ def test_simulated_rounds_formula():
 
 def test_complete_binary_tree_depth():
     n = 1023
-    builder = TreeBuilder(n, 3)
-    for v in range(n // 2):
-        builder.add_edge(v, 2 * v + 1)
-        builder.add_edge(v, 2 * v + 2)
-    decomp = post_process(builder.build(), 4)
+    edges = [(v, 2 * v + k) for v in range(n // 2) for k in (1, 2)]
+    decomp = post_process(built_tree(n, edges), 4)
     assert decomp.depth <= 4 * math.log2(n)
     assert decomp.depth == 10  # regression pin; any <= bound value is acceptable
     assert check_layered_invariants(decomp) == []

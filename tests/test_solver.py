@@ -393,6 +393,9 @@ def test_piece_boundary_cases():
     assert piece_boundary(tree, frozenset(range(10))) == frozenset()
     assert piece_boundary(tree, frozenset(range(3, 8))) == frozenset({3, 7})
     assert piece_boundary(tree, frozenset({5})) == frozenset({5})
+    for piece, v in (({-1, 0}, -1), ({10}, 10), ({3, 4, 11}, 11), ({2**70, 3}, 2**70)):
+        with pytest.raises(ValueError, match=f"vertex {v} is outside the tree"):
+            piece_boundary(tree, frozenset(piece))
 
 
 def test_verify_toast_accepts_sound_family():

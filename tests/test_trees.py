@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lcltrees.trees import (
     MAX_DELTA,
     PortTree,
-    TreeBuilder,
     TreeFormatError,
     TreeGenSpec,
     ball,
@@ -87,6 +86,14 @@ def test_distance_and_ball():
     assert distance(t, 2, 2) == 0
     assert ball(t, 2, 1) == frozenset({1, 2, 3})
     assert ball(t, 0, 10) == frozenset(range(6))
+    # a vertex outside the tree is refused, not wrapped around or indexed past
+    t = path_tree(10)
+    for v, radius in ((-1, 2), (10, 1), (-11, 0)):
+        with pytest.raises(ValueError, match=f"vertex {v} is outside the tree"):
+            ball(t, v, radius)
+    for u, v in ((0, 10), (10, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside the tree"):
+            distance(t, u, v)
 
 
 def test_ball_is_every_vertex_within_the_radius():
@@ -211,20 +218,11 @@ def test_port_tree_rejects_asymmetry_and_disconnection():
     with pytest.raises(ValueError, match="asymmetry"):
         PortTree(3, tuple(tuple(r) for r in rows))
 
-    b = TreeBuilder(4, 3)
-    b.add_edge(0, 1)
-    b.add_edge(2, 3)
-    b.add_edge(2, 3)  # double edge keeps the count right but splits the graph
-    with pytest.raises(TreeFormatError, match="disconnected"):
-        b.build()
-
-
-def test_builder_degree_cap():
-    b = TreeBuilder(6, 3)
-    for v in range(1, 4):
-        b.add_edge(0, v)
-    with pytest.raises(TreeFormatError, match="delta"):
-        b.add_edge(0, 4)
+    # a double edge keeps the count right but splits the graph
+    rows = [[(1, 0), None, None], [(0, 0), None, None]]
+    rows += [[(3, 0), (3, 1), None], [(2, 0), (2, 1), None]]
+    with pytest.raises(ValueError, match="disconnected"):
+        PortTree(3, rows)
 
 
 _EDGE_KEYS = ("u", "pu", "v", "pv")
