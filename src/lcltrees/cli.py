@@ -12,7 +12,9 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
+
+import numpy as np
 
 from .equivalence import class_census
 from .fixtures import perfect_matching, three_coloring, two_coloring
@@ -25,19 +27,28 @@ from .pathstates import (
     serialize_report,
 )
 from .problems import (
+    _BLOCK,
     InternalError,
     LclProblem,
     ProblemFormatError,
     VertexConfig,
     is_valid_labeling,
+    labeling_chunks,
     load_json,
     parse_labeling,
     parse_problem,
-    serialize_labeling,
+    serialize_labeling,  # noqa: F401  (bench/worker.py wraps it here)
 )
 from .rakecompress import decompose
 from .solver import NotEllFullError, _solve_toast, build_toast, solve_log
-from .trees import TreeFormatError, TreeGenSpec, gen_tree, parse_tree, serialize_tree
+from .trees import (
+    TreeFormatError,
+    TreeGenSpec,
+    gen_tree,
+    parse_tree,
+    serialize_tree,  # noqa: F401  (bench/worker.py wraps it here)
+    tree_chunks,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -58,17 +69,27 @@ FIXTURE_PROBLEMS = {
 # --- input plumbing ---------------------------------------------------------------
 
 
+T = TypeVar("T")
+
+
 def _read(path: str) -> str:
     with open(path, "rt", encoding="utf-8") as f:
         return f.read()
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _parse_file(parse: Callable[..., T], path: str, *args: object) -> T:
+    """parse(file, *args) on the file at path, which it reads in slices."""
+    with open(path, "rt", encoding="utf-8") as f:
+        return parse(f, *args)
+
+
+def _write(path: Optional[str], chunks: Iterable[str]) -> None:
+    """The text in chunks to the file at path, or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "wt", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(chunks)
 
 
 def load_problem(source: str) -> LclProblem:
@@ -126,7 +147,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     report = classify(problem, max_subsets=_subset_budget(args.budget))
     text = serialize_report(report) if args.format == "json" else render_report(report)
-    _write(args.output, text)
+    _write(args.output, [text])
     if args.output is not None:
         sys.stdout.write(text)
     return EXIT_INCONCLUSIVE if report.verdict == VERDICT_INCONCLUSIVE else EXIT_OK
@@ -151,7 +172,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         return EXIT_INPUT
     problem = load_problem(args.problem)
-    tree = parse_tree(_read(args.tree))
+    tree = _parse_file(parse_tree, args.tree)
 
     if args.subset is not None:
         subset = load_subset(args.subset, problem)
@@ -178,7 +199,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         labeling = solve_log(problem, subset, ell, tree)
 
     validity = is_valid_labeling(problem, tree, labeling)
-    _write(args.output, serialize_labeling(labeling, problem))
+    _write(args.output, labeling_chunks(labeling, problem))
     print(f"labeled {tree.n} vertices with {len(subset)} configs at ell={ell}")
     print(validity.describe(problem))
     return EXIT_OK if validity.ok else EXIT_VIOLATION
@@ -186,8 +207,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
-    tree = parse_tree(_read(args.tree))
-    labeling = parse_labeling(_read(args.labeling), problem)
+    tree = _parse_file(parse_tree, args.tree)
+    labeling = _parse_file(parse_labeling, args.labeling, problem)
     validity = is_valid_labeling(problem, tree, labeling)
     print(validity.describe(problem))
     return EXIT_OK if validity.ok else EXIT_VIOLATION
@@ -195,19 +216,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = TreeGenSpec(n=args.n, delta=args.delta, seed=args.seed, model=args.model)
-    _write(args.output, serialize_tree(gen_tree(spec)))
+    _write(args.output, tree_chunks(gen_tree(spec)))
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    tree = parse_tree(_read(args.tree))
+    tree = _parse_file(parse_tree, args.tree)
     raw = decompose(tree, args.gamma, args.ell)
-    where = {}
-    for j, (kind, verts) in enumerate(raw.layers):
-        for v in verts:
-            where[v] = (kind, j // 2 + 1)
-    lines = [f"{v} {where[v][0]} {where[v][1]}" for v in range(tree.n)]
-    _write(args.output, "\n".join(lines) + "\n")
+    layer = np.empty(tree.n, np.int64)  # the layers partition the vertices
+    for j, (_, verts) in enumerate(raw.layers):
+        layer[np.fromiter(verts, np.int64, len(verts))] = j
+    names = [f"{kind} {j // 2 + 1}\n" for j, (kind, _) in enumerate(raw.layers)]
+    blocks = (
+        "".join(f"{v} {names[j]}" for v, j in enumerate(layer[i : i + _BLOCK].tolist(), i))
+        for i in range(0, tree.n, _BLOCK)
+    )
+    _write(args.output, blocks)
     return EXIT_OK
 
 
@@ -217,20 +241,20 @@ def cmd_classes(args: argparse.Namespace) -> int:
         problem, args.max_size, seed=args.seed, samples_per_size=args.samples
     )
     if args.format == "json":
-        _write(args.output, json.dumps(asdict(report), indent=2) + "\n")
+        _write(args.output, [json.dumps(asdict(report), indent=2) + "\n"])
     else:
-        _write(args.output, report.describe() + "\n")
+        _write(args.output, [report.describe() + "\n"])
     return EXIT_OK
 
 
 def cmd_oracle_solve(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
-    tree = parse_tree(_read(args.tree))
+    tree = _parse_file(parse_tree, args.tree)
     budget = OracleBudget(max_vertices=args.max_vertices, max_steps=args.budget)
     result = brute_force_solve(problem, tree, budget)
     print(f"oracle: {result.status}")
     if result.status == "found" and args.output is not None:
-        _write(args.output, serialize_labeling(result.labeling, problem))
+        _write(args.output, labeling_chunks(result.labeling, problem))
     if result.status == "found":
         return EXIT_OK
     return EXIT_VIOLATION if result.status == "none" else EXIT_INCONCLUSIVE

@@ -11,8 +11,11 @@ parse_labeling build labelings in this form, and is_valid_labeling and
 serialize_labeling handle each distinct row once and reach the vertices
 through the index array; the per-vertex tuples are built only when read.
 parse_labeling scans the layout serialize_labeling writes without
-json.loads, and reads every other document through json.loads; both
-routes give the same labeling, and only the second raises messages.
+json.loads, a slice at a time from the text or from an open file, and
+reads every other document whole through json.loads; both routes give the
+same labeling, and only the second raises messages.  labeling_chunks
+writes the layout a block of records at a time, and serialize_labeling
+joins its pieces.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -271,7 +274,7 @@ def is_valid_labeling(problem: LclProblem, tree, labeling: HalfEdgeLabeling) -> 
         raise ValueError(f"labeling has {labeling.n} vertices, tree has {tree.n}")
     if tree.delta != problem.delta:
         raise ValueError("tree delta differs from problem delta")
-    rows, row_of, n, delta = labeling.rows, labeling.row_of, tree.n, problem.delta
+    rows, row_of, delta = labeling.rows, labeling.row_of, problem.delta
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
     wrong = np.flatnonzero(lengths[row_of] != delta)
     if wrong.size:
@@ -289,10 +292,7 @@ def is_valid_labeling(problem: LclProblem, tree, labeling: HalfEdgeLabeling) -> 
     keys = np.sort(table, axis=1).astype(dtype) @ weights
     vertex_bad = np.flatnonzero((allowed[np.searchsorted(allowed, keys)] != keys)[row_of])
 
-    # each real edge once, from its end u < v, in port-array order as
-    # tree.edges() lists it
-    u, pu = np.nonzero(tree.nbr > np.arange(n, dtype=np.int32)[:, None])
-    v, pv = tree.nbr[u, pu], tree.back[u, pu]
+    u, pu, v, pv = tree.edge_columns()  # each real edge once, as tree.edges() lists it
     pairs = np.zeros((base, base), dtype=bool)
     pairs[:-1, :-1] = problem.edge_matrix
     bad = ~pairs[table[row_of[u], pu], table[row_of[v], pv]]
@@ -338,9 +338,91 @@ def _label_array(rows: tuple[tuple[int, ...], ...], size: int, num_labels: int) 
 # become an int64 array in one numpy pass per slice, and each distinct ports
 # list is decoded once.  Any other text, valid or not, goes through
 # json.loads and the record-by-record checks, which alone raise messages.
+#
+# Tree and labeling documents are read and written in slices, so that a
+# large one is never held whole: a parser takes the text or an open text
+# file, and the scan pulls _SLICE characters at a time from either; only a
+# document that leaves the layout is read whole, for json.loads.  The
+# writers yield their text _BLOCK records at a time.
 
 # an unsigned integer as json.dumps writes it, short enough for int64
 _NUMBER = "(?:0|[1-9][0-9]{0,17})"
+
+# Characters a scan reads at a time; a slice of the record list is cut at
+# the first record boundary this far past its start.  A slice's text, its
+# digits and the text carried to the next slice stay below glibc's 128 KiB
+# mmap threshold, so they reuse heap memory rather than fresh pages: on
+# 10^4- to 3*10^4-vertex files, 16 to 64 KiB parsed fastest, 8 KiB paid
+# per-slice regex and numpy calls, and 128 and 256 KiB were up to a third
+# slower.
+_SLICE = 1 << 15
+# Records a writer renders into one piece of text.
+_BLOCK = 1 << 9
+
+# a document: its text, or a text file open at its start
+Document = str | IO[str]
+T = TypeVar("T")
+
+
+def _reader(doc: Document) -> Callable[[int], str]:
+    """read(size) over the document: its next size characters, "" at its end."""
+    if not isinstance(doc, str):
+        return doc.read
+    pos = 0
+
+    def read(size: int) -> str:
+        nonlocal pos
+        pos += size
+        return doc[pos - size : pos]
+
+    return read
+
+
+def _scanned(scan: Callable[..., Optional[T]], doc: Document, *args: object) -> Optional[T]:
+    """scan(doc, *args); None also when the file holds bytes that are not
+    UTF-8, which _whole reads again and reports with their place in the
+    whole file, as a whole read does."""
+    try:
+        return scan(doc, *args)
+    except UnicodeDecodeError:
+        return None
+
+
+def _whole(doc: Document) -> str:
+    """The document's whole text."""
+    if isinstance(doc, str):
+        return doc
+    doc.seek(0)
+    return doc.read()
+
+
+def _slices(
+    read: Callable[[int], str], size: int, text: str, cut: str, tail: str
+) -> Iterator[Optional[str]]:
+    """The record list that text begins and read(size) continues, slice by
+    slice; then None unless the list ends in tail, which the last slice
+    leaves off.
+
+    Each slice but the last ends with the "}" of the first cut marker (a
+    record's closing brace, the ",\n" that joins it to the next, and the
+    next one's opening) at least size characters past the slice's start,
+    and the next slice begins past that ",\n".  A slice is matched as a
+    whole: a repeat holds a backtracking point per record until it ends,
+    so one match over the whole list would grow with the number of records.
+    """
+    at = size  # where the search for the next cut marker starts
+    while True:
+        found = text.find(cut, at)
+        if found >= 0:
+            yield text[: found + 1]
+            text, at = text[found + 3 :], size
+            continue
+        more = read(size)
+        if not more:
+            break
+        at = max(size, len(text) - len(cut) + 1)
+        text += more
+    yield text[: -len(tail)] if text.endswith(tail) else None
 
 
 def load_json(text: str, error: type[ValueError] = ProblemFormatError) -> object:
@@ -415,15 +497,16 @@ def serialize_problem(problem: LclProblem) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
-    """The labeling a document gives; ProblemFormatError names the first
-    fault: the document's type, an entry's keys, a vertex id, a repeated
-    vertex, a row's length or an unknown label, in record order, then an
-    empty list or ids other than 0..n-1."""
-    scanned = _scan_labeling(text, problem)
+def parse_labeling(doc: Document, problem: LclProblem) -> HalfEdgeLabeling:
+    """The labeling a document gives, from its text or a text file open at
+    its start; ProblemFormatError names the first fault: the document's
+    type, an entry's keys, a vertex id, a repeated vertex, a row's length or
+    an unknown label, in record order, then an empty list or ids other than
+    0..n-1."""
+    scanned = _scanned(_scan_labeling, doc, problem)
     if scanned is not None:
         return scanned
-    doc = load_json(text)
+    doc = load_json(_whole(doc))
     if not isinstance(doc, list):
         raise ProblemFormatError("labeling document must be a JSON list")
     # each vertex's index into rows: a labeling repeats a few rows many times
@@ -464,10 +547,7 @@ def parse_labeling(text: str, problem: LclProblem) -> HalfEdgeLabeling:
     )
 
 
-# The record list is matched a slice at a time, each slice cut just after a
-# record's closing brace at least _SLICE characters past the slice's start,
-# as trees._scan_edges cuts the edge list.
-_SLICE = 1 << 18
+# a cut marker between two records
 _CUT = "},\n  {\n"
 _VERTEX, _PORTS, _CLOSE = '  {\n    "vertex": ', ',\n    "ports": ', "\n  }"
 
@@ -486,7 +566,7 @@ def _record_pattern(problem: LclProblem) -> re.Pattern:
     return re.compile(f"{head}({_NUMBER}){middle}({ports}){tail}{after}")
 
 
-def _scan_labeling(text: str, problem: LclProblem) -> Optional[HalfEdgeLabeling]:
+def _scan_labeling(doc: Document, problem: LclProblem) -> Optional[HalfEdgeLabeling]:
     """The labeling of a document in exactly serialize_labeling's layout,
     with at least one record and vertex ids 0..n-1 in any order; None for
     any other text.
@@ -496,17 +576,18 @@ def _scan_labeling(text: str, problem: LclProblem) -> Optional[HalfEdgeLabeling]
     pieces are strings only, which the garbage collector does not track,
     and each distinct ports list is decoded once.
     """
-    if not (text.startswith("[\n") and text.endswith("\n]\n")):
+    read = _reader(doc)
+    text = read(_SLICE)
+    if not text.startswith("[\n"):
         return None
     record = _record_pattern(problem)
     row_ids: dict[str, int] = {}  # ports list -> index into rows
     vertices, row_of = [], []
-    pos, stop = 2, len(text) - 3
-    while True:
-        cut = text.find(_CUT, pos + _SLICE, stop)
-        end = stop if cut < 0 else cut + 1
+    for block in _slices(read, _SLICE, text[2:], _CUT, "\n]\n"):
+        if block is None:
+            return None
         # around and between the records, then each record's id and list
-        pieces = record.split(text[pos:end])
+        pieces = record.split(block)
         if len(pieces) == 1 or any(pieces[::3]):
             return None
         vertices.append(np.fromstring(" ".join(pieces[1::3]), np.int64, sep=" "))
@@ -514,9 +595,6 @@ def _scan_labeling(text: str, problem: LclProblem) -> Optional[HalfEdgeLabeling]
         for ports in dict.fromkeys(lists):
             row_ids.setdefault(ports, len(row_ids))
         row_of.append(np.fromiter(map(row_ids.__getitem__, lists), np.int64, len(lists)))
-        if cut < 0:
-            break
-        pos = end + 2  # past the ",\n" that joins two records
     vertex = np.concatenate(vertices)
     n = len(vertex)
     if vertex.max() >= n:
@@ -533,17 +611,32 @@ def _scan_labeling(text: str, problem: LclProblem) -> Optional[HalfEdgeLabeling]
     return HalfEdgeLabeling._of_rows(rows, ordered)
 
 
-def serialize_labeling(labeling: HalfEdgeLabeling, problem: LclProblem) -> str:
+def labeling_chunks(labeling: HalfEdgeLabeling, problem: LclProblem) -> Iterator[str]:
     """The labeling as json.dumps(doc, indent=2) writes it, byte for byte,
-    built in one pass: each label name is escaped once, each distinct row
-    rendered once, and each vertex's record is one f-string."""
+    in pieces of at most _BLOCK records: each label name is escaped once,
+    each distinct row rendered once, and each vertex's record is one
+    f-string.  The rows are rendered before the first piece is asked for."""
     names = [json.dumps(lab.name) for lab in problem.labels]
     tails = []
     for row in labeling.rows:
         listed = ",\n      ".join(names[x] for x in row)
         tails.append(f"{_PORTS}[\n      {listed}\n    ]{_CLOSE}" if row else f"{_PORTS}[]{_CLOSE}")
-    if not labeling.n:
-        return "[]\n"
-    of_vertex = map(tails.__getitem__, labeling.row_of.tolist())
-    records = ",\n".join(f"{_VERTEX}{v}{tail}" for v, tail in enumerate(of_vertex))
-    return f"[\n{records}\n]\n"
+    return _labeling_pieces(tails, labeling.row_of)
+
+
+def _labeling_pieces(tails: list[str], row_of: np.ndarray) -> Iterator[str]:
+    if not len(row_of):
+        yield "[]\n"
+        return
+    yield "[\n"
+    for start in range(0, len(row_of), _BLOCK):
+        if start:
+            yield ",\n"
+        of_vertex = map(tails.__getitem__, row_of[start : start + _BLOCK].tolist())
+        yield ",\n".join(f"{_VERTEX}{v}{tail}" for v, tail in enumerate(of_vertex, start))
+    yield "\n]\n"
+
+
+def serialize_labeling(labeling: HalfEdgeLabeling, problem: LclProblem) -> str:
+    """The labeling as json.dumps(doc, indent=2) writes it, byte for byte."""
+    return "".join(labeling_chunks(labeling, problem))

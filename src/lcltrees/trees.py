@@ -21,9 +21,12 @@ A tree by hand is PortTree(delta, ports), its rows of (neighbor, port)
 pairs and None, or parse_tree on a document listing its edges.
 
 parse_tree reads a document in exactly the layout serialize_tree writes
-column by column, without json.loads; every other document goes through
+column by column, without json.loads, a slice at a time from the text or
+from an open file; every other document is read whole and goes through
 json.loads.  Both routes end in the same checks on the edge columns, so a
 document gives the same tree, or the same error, by either route.
+tree_chunks writes the layout a block of edges at a time, and
+serialize_tree joins its pieces.
 """
 from __future__ import annotations
 
@@ -37,7 +40,18 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .problems import _NUMBER, InternalError, load_json
+from .problems import (
+    _BLOCK,
+    _NUMBER,
+    _SLICE,
+    Document,
+    InternalError,
+    _reader,
+    _scanned,
+    _slices,
+    _whole,
+    load_json,
+)
 
 PortTarget = Optional[tuple[int, int]]  # (neighbor, neighbor's port) or None
 
@@ -60,6 +74,8 @@ class PortTree:
         n = len(ports)
         if delta < 3:
             raise ValueError("delta must be at least 3")
+        if delta > MAX_DELTA:
+            raise TreeFormatError(f"delta {delta} is above the maximum {MAX_DELTA}")
         if n == 0:
             raise ValueError("tree must have at least one vertex")
         nbr: list[int] = []
@@ -123,15 +139,16 @@ class PortTree:
         """
         n = self.n
         u, p = np.nonzero(self.nbr > np.arange(n, dtype=np.int32)[:, None])  # each edge once
-        v = self.nbr[u, p]
+        u, v = u.astype(np.int32), self.nbr[u, p]
+        del p
         root = np.arange(n, dtype=np.int32)
         while True:
             ru, rv = root[u], root[v]
             cross = ru != rv
             if not cross.any():
                 return not root.any()
-            # edges inside a component stay inside it
-            u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+            if not cross.all():  # edges inside a component stay inside it
+                u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
             np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
             while True:
                 up = root[root]
@@ -182,12 +199,15 @@ class PortTree:
             raise ValueError(f"no edge from {u} to {v}")
         return row.index(v)
 
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each real edge once, from its end u < v, as the arrays u, pu, v,
+        pv, in the order of u and then of pu."""
+        u, pu = np.nonzero(self.nbr > np.arange(self.n, dtype=np.int32)[:, None])
+        return u, pu, self.nbr[u, pu], self.back[u, pu]
+
     def edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Each real edge once, as (u, pu, v, pv) with u < v."""
-        u, pu = np.nonzero(self.nbr > np.arange(self.n)[:, None])
-        return zip(
-            u.tolist(), pu.tolist(), self.nbr[u, pu].tolist(), self.back[u, pu].tolist()
-        )
+        return zip(*(c.tolist() for c in self.edge_columns()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PortTree):
@@ -370,9 +390,10 @@ def inward_ports(tree: PortTree, verts: np.ndarray) -> np.ndarray:
 # parse_tree gets the edge columns u, pu, v, pv by one of two routes and
 # checks them with the same array checks.  Text in exactly the layout
 # serialize_tree writes (json.dumps(doc, indent=2) plus a newline, integers
-# of at most 18 digits) is scanned: regexes check the layout slice by slice,
-# and every digit run becomes an int64 in one numpy pass.  Any other text,
-# valid or not, goes through json.loads.
+# of at most 18 digits) is scanned: regexes check the layout slice by slice
+# as problems._slices reads it, and every digit run of a slice becomes an
+# integer in one numpy pass.  Any other text, valid or not, is read whole
+# and goes through json.loads.
 
 
 _EDGE_KEYS = ("u", "pu", "v", "pv")
@@ -385,52 +406,51 @@ _EDGE = "    \\{{\n{}\n    \\}}".format(
 _EDGES = re.compile(f"{_EDGE}(?:,\n{_EDGE})*")
 _NO_EDGES = "]\n}\n"
 _TAIL = "\n  ]\n}\n"
-# The layout is matched a slice at a time, each slice cut just after an edge
-# block's closing brace at least _SLICE characters past the slice's start:
-# a repeat holds a backtracking point per edge until it ends, so one match
-# over the whole list would grow with the number of edges.
-_SLICE = 1 << 18
+# a cut marker between two edges
 _CUT = "},\n    {\n"
+_INT32_MAX = np.iinfo(np.int32).max
 # every byte but an ASCII digit to a space
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
 
 
-def _scan_edges(text: str) -> Optional[tuple[int, int, np.ndarray]]:
+def _scan_edges(doc: Document) -> Optional[tuple[int, int, np.ndarray]]:
     """n, delta and the (m, 4) columns u, pu, v, pv of a document in exactly
     serialize_tree's layout; None for any other text."""
+    read = _reader(doc)
+    text = read(_SLICE)
     head = _HEAD.match(text)
     if head is None:
         return None
-    start = head.end()
-    columns = [np.zeros(0, np.int64)]
-    if not (text.startswith(_NO_EDGES, start) and len(text) == start + len(_NO_EDGES)):
-        if not (text.startswith("\n", start) and text.endswith(_TAIL)):
+    text = text[head.end() :]
+    columns = [np.zeros(0, np.int32)]
+    if text.startswith("]"):
+        if text + read(_SLICE) != _NO_EDGES:
             return None
-        pos, stop = start + 1, len(text) - len(_TAIL)
-        while True:
-            cut = text.find(_CUT, pos + _SLICE, stop)
-            end = stop if cut < 0 else cut + 1
-            if _EDGES.fullmatch(text, pos, end) is None:
+    elif not text.startswith("\n"):
+        return None
+    else:
+        for block in _slices(read, _SLICE, text[1:], _CUT, _TAIL):
+            if block is None or _EDGES.fullmatch(block) is None:
                 return None
-            digits = text[pos:end].encode("ascii").translate(_DIGITS_ONLY)
-            columns.append(np.fromstring(digits, np.int64, sep=" "))
-            if cut < 0:
-                break
-            pos = end + 2  # past the ",\n" that joins two blocks
+            digits = block.encode("ascii").translate(_DIGITS_ONLY)
+            part = np.fromstring(digits, np.int64, sep=" ")
+            # int32 unless a field is too large for it, which concatenate keeps
+            columns.append(part.astype(np.int32) if part.max() <= _INT32_MAX else part)
     return int(head[1]), int(head[2]), np.concatenate(columns).reshape(-1, 4)
 
 
-def parse_tree(text: str) -> PortTree:
-    """The tree a document describes; TreeFormatError names the first fault
-    of the first check it fails: keys, field types, vertex range, self-loop,
-    port range, a port used twice, a cycle."""
-    scanned = _scan_edges(text)
+def parse_tree(doc: Document) -> PortTree:
+    """The tree a document describes, from its text or a text file open at
+    its start; TreeFormatError names the first fault of the first check it
+    fails: keys, field types, vertex range, self-loop, port range, a port
+    used twice, a cycle."""
+    scanned = _scanned(_scan_edges, doc)
     if scanned is not None:
         n, delta, e = scanned
         if n >= 1 and 3 <= delta <= MAX_DELTA and len(e) == n - 1:
             return _tree_of_columns(n, delta, e)
     # every other document, and the faults of header and edge count
-    doc = load_json(text, TreeFormatError)
+    doc = load_json(_whole(doc), TreeFormatError)
     if not isinstance(doc, dict):
         raise TreeFormatError("tree document must be a JSON object")
     for key in ("n", "delta", "edges"):
@@ -495,7 +515,7 @@ def _tree_of_columns(
     bad = [2 * i + k for k, i in enumerate(firsts) if i is not None]
     if bad:
         raise TreeFormatError(f"port {end(min(bad))} out of range")
-    su, sv = u * delta + pu, v * delta + pv
+    su, sv = u * np.int64(delta) + pu, v * np.int64(delta) + pv
     nbr = np.full(n * delta, -1, np.int32)
     back = np.full(n * delta, -1, np.int32)
     nbr[su], nbr[sv], back[su], back[sv] = v, u, pv, pu
@@ -532,12 +552,29 @@ def _first_cycle_edge(n: int, us: list[int], vs: list[int]) -> tuple[int, int]:
     raise InternalError("a graph with n - 1 edges that misses a vertex has a cycle")
 
 
-def serialize_tree(tree: PortTree) -> str:
+def tree_chunks(tree: PortTree) -> Iterator[str]:
     """The tree document as json.dumps(doc, indent=2) writes it, byte for
-    byte, built in one pass over the edges."""
-    edges = ",\n".join(
-        f'    {{\n      "u": {u},\n      "pu": {pu},\n      "v": {v},\n      "pv": {pv}\n    }}'
-        for u, pu, v, pv in tree.edges()
-    )
-    listed = f"[\n{edges}\n  ]" if edges else "[]"
-    return f'{{\n  "n": {tree.n},\n  "delta": {tree.delta},\n  "edges": {listed}\n}}\n'
+    byte, in pieces of at most _BLOCK edges, each rendered from slices of
+    the edge columns."""
+    yield f'{{\n  "n": {tree.n},\n  "delta": {tree.delta},\n  "edges": '
+    columns = tree.edge_columns()
+    m = len(columns[0])
+    if not m:
+        yield "[]\n}\n"
+        return
+    yield "[\n"
+    for start in range(0, m, _BLOCK):
+        if start:
+            yield ",\n"
+        edges = zip(*(c[start : start + _BLOCK].tolist() for c in columns))
+        yield ",\n".join(
+            f'    {{\n      "u": {u},\n      "pu": {pu},\n'
+            f'      "v": {v},\n      "pv": {pv}\n    }}'
+            for u, pu, v, pv in edges
+        )
+    yield _TAIL
+
+
+def serialize_tree(tree: PortTree) -> str:
+    """The tree document as json.dumps(doc, indent=2) writes it, byte for byte."""
+    return "".join(tree_chunks(tree))

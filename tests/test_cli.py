@@ -587,6 +587,26 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, kind):
         assert "Traceback" not in text
 
 
+@pytest.mark.parametrize("kind", ["tree", "labeling"])
+def test_a_bad_utf8_byte_past_the_first_slice_is_reported_at_its_place_in_the_file(
+    tmp_path, kind
+):
+    files = input_files(tmp_path)
+    quiet_cli("gen", "--n", "2000", "--seed", "4", "--output", str(files["tree"]))
+    code, _ = quiet_cli(*commands_reading(files, "subset")[0], "--output", str(files["labeling"]))
+    assert code == 0
+    data = bytearray(files[kind].read_bytes())
+    at = 3 * problems._SLICE + 5
+    assert len(data) > at + problems._SLICE
+    data[at] = 0xFF
+    files[kind].write_bytes(bytes(data))
+    with pytest.raises(UnicodeDecodeError) as whole:
+        files[kind].read_text(encoding="utf-8")
+    assert f"position {at}:" in str(whole.value)
+    for argv in commands_reading(files, kind):
+        assert quiet_cli(*argv) == (2, f"error: {whole.value}\n")
+
+
 # arbitrary bytes, or one opening repeated up to far past the parser's nesting limit
 hostile_bytes = st.binary(max_size=80) | st.builds(
     lambda opening, times: opening * times,

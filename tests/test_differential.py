@@ -225,8 +225,15 @@ def indented(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def both_routes(text: str) -> tuple:
+    """The text, and the text as an open file, which the parsers read in slices."""
+    return text, io.StringIO(text)
+
+
 def takes_column_route(text: str) -> bool:
-    return trees._scan_edges(text) is not None
+    text_route, file_route = (trees._scan_edges(doc) is not None for doc in both_routes(text))
+    assert text_route == file_route
+    return text_route
 
 
 def assert_same_arrays(tree: PortTree, ref: RefPortTree) -> None:
@@ -240,9 +247,10 @@ def assert_same_arrays(tree: PortTree, ref: RefPortTree) -> None:
 def assert_fails_alike(text: str) -> None:
     with pytest.raises(TreeFormatError) as want:
         ref_parse_tree(text)
-    with pytest.raises(TreeFormatError) as got:
-        parse_tree(text)
-    assert str(got.value) == str(want.value)
+    for doc in both_routes(text):
+        with pytest.raises(TreeFormatError) as got:
+            parse_tree(doc)
+        assert str(got.value) == str(want.value)
 
 
 # slice lengths: one that cuts every few edges, and the parser's own
@@ -307,6 +315,56 @@ def test_a_fault_beside_a_slice_cut_raises_the_reference_message(fault, change, 
     assert_fails_alike(text)
 
 
+def cut_markers(text: str, start: int, cut: str, size: int) -> list[int]:
+    """Where the scan cuts the record list that starts at start into slices,
+    reading size characters at a time: at the first cut marker at least
+    size characters past each slice's start."""
+    found, pos = [], start
+    while (at := text.find(cut, pos + size)) >= 0:
+        found.append(at)
+        pos = at + 3
+    return found
+
+
+def split_cut_marker(text: str, start: int, cut: str) -> tuple[int, int]:
+    """A read size, and a cut marker past the first slice that two reads of
+    that size split: the scan reads the document from its start in pieces
+    of the size, so such a marker straddles a multiple of it."""
+    for size in range(150, 1000):
+        for at in cut_markers(text, start, cut, size)[1:]:
+            if at // size != (at + len(cut) - 1) // size:
+                return size, at
+    raise AssertionError("no read size splits a cut marker")
+
+
+@pytest.mark.parametrize("side", (0, 1), ids=("last-before-cut", "first-after-cut"))
+@pytest.mark.parametrize(
+    "fault,change",
+    [("port assigned twice", dict(pu=0)), ("port too large", dict(pv=3)), ("self-loop", None)],
+)
+def test_a_fault_in_a_later_slice_beside_a_split_cut_marker_raises_the_reference_message(
+    fault, change, side, monkeypatch
+):
+    doc = _path_doc(80)
+    text = indented(doc)
+    start = text.index("[\n") + 2
+    size, at = split_cut_marker(text, start, trees._CUT)
+    monkeypatch.setattr(trees, "_SLICE", size)
+    assert len(text) > 3 * size
+    assert takes_column_route(text)
+    for route in both_routes(text):
+        assert_same_arrays(parse_tree(route), ref_parse_tree(text))
+    k = text.count("    {\n", start, at) - 1 + side
+    edge = doc["edges"][k]
+    edge.update(change or dict(v=edge["u"]))
+    faulty = indented(doc)
+    # every change keeps each number's length, so the cuts stay put
+    cuts = cut_markers(text, start, trees._CUT, size)
+    assert cut_markers(faulty, start, trees._CUT, size) == cuts
+    assert takes_column_route(faulty)
+    assert_fails_alike(faulty)
+
+
 def near_gen_layout():
     """Valid JSON that differs from gen's layout: each takes the JSON route."""
     doc = _path_doc(5)
@@ -352,7 +410,8 @@ def test_near_gen_layout_gives_the_json_route_result(name):
     except TreeFormatError:
         assert_fails_alike(text)
         return
-    assert_same_tree(parse_tree(text), want)
+    for doc in both_routes(text):
+        assert_same_tree(parse_tree(doc), want)
 
 
 # --- labelings ------------------------------------------------------------------
@@ -510,7 +569,11 @@ def random_labeling(problem: LclProblem, n: int, rng: Random) -> HalfEdgeLabelin
 
 
 def takes_scan_route(text: str, problem: LclProblem) -> bool:
-    return problems._scan_labeling(text, problem) is not None
+    text_route, file_route = (
+        problems._scan_labeling(doc, problem) is not None for doc in both_routes(text)
+    )
+    assert text_route == file_route
+    return text_route
 
 
 def labeling_outcome(parse, text: str, problem: LclProblem):
@@ -522,9 +585,10 @@ def labeling_outcome(parse, text: str, problem: LclProblem):
 
 
 def assert_parses_alike(text: str, problem: LclProblem) -> None:
-    got = labeling_outcome(parse_labeling, text, problem)
     want = labeling_outcome(ref_parse_labeling, text, problem)
-    assert type(got) is type(want) and got == want
+    for doc in both_routes(text):
+        got = labeling_outcome(parse_labeling, doc, problem)
+        assert type(got) is type(want) and got == want
 
 
 LABELING_PROBLEMS = [three_coloring(), two_coloring(), perfect_matching(), perfect_matching(5)]
@@ -614,6 +678,36 @@ def test_near_labeling_layout_parses_like_the_reference(name):
     problem = perfect_matching()
     assert takes_scan_route(text, problem) == scanned
     assert_parses_alike(text, problem)
+
+
+@pytest.mark.parametrize("side", (0, 1), ids=("last-before-cut", "first-after-cut"))
+@pytest.mark.parametrize("fault", ("unknown name", "repeated vertex", "spacing"))
+def test_a_labeling_fault_in_a_later_slice_beside_a_split_cut_marker_parses_like_the_reference(
+    fault, side, monkeypatch
+):
+    problem = perfect_matching()
+    text = serialize_labeling(random_labeling(problem, 80, Random(side)), problem)
+    size, at = split_cut_marker(text, 2, problems._CUT)
+    monkeypatch.setattr(problems, "_SLICE", size)
+    assert len(text) > 3 * size
+    assert takes_scan_route(text, problem)
+    assert_parses_alike(text, problem)
+    # the record just before or just after the marker
+    begin = text.rindex("  {\n", 0, at) if side == 0 else at + 3
+    end = text.index("\n  }", begin) + 4
+    record = text[begin:end]
+    vertex = json.loads(record)["vertex"]
+    name = '"M"' if '"M"' in record else '"U"'
+    changed = {
+        "unknown name": record.replace(name, '"Q"', 1),
+        "repeated vertex": record.replace(f'"vertex": {vertex},', f'"vertex": {vertex ^ 1},'),
+        "spacing": record.replace('"ports": [', '"ports" :['),
+    }[fault]
+    assert changed != record and len(changed) == len(record)
+    faulty = text[:begin] + changed + text[end:]
+    assert cut_markers(faulty, 2, problems._CUT, size) == cut_markers(text, 2, problems._CUT, size)
+    assert not takes_scan_route(faulty, problem)
+    assert_parses_alike(faulty, problem)
 
 
 FUZZ_CHARS = '0123456789 ,:"[]{}\n\\MUabvertxpos-'

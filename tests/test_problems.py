@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
 from lcltrees.problems import (
+    _BLOCK,
     EdgeConfig,
     HalfEdgeLabeling,
     Label,
@@ -229,7 +230,8 @@ def test_serialize_labeling_matches_json_dumps_byte_for_byte():
         )
     )
     for i, problem in enumerate(problems):
-        for n in (1, 2, 37):
+        # the writer renders _BLOCK records at a time
+        for n in (1, 2, 37, _BLOCK - 1, _BLOCK, _BLOCK + 1):
             lab = random_labeling(problem, n, seed=i * 100 + n)
             text = serialize_labeling(lab, problem)
             assert text.encode() == reference_labeling_text(lab, problem).encode()

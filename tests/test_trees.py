@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcltrees.problems import _BLOCK
 from lcltrees.trees import (
     MAX_DELTA,
     PortTree,
@@ -145,8 +146,11 @@ def test_tree_roundtrip():
 
 
 def test_serialize_tree_matches_json_dumps_byte_for_byte():
+    # the writer renders _BLOCK edges at a time: trees of a block's edges
+    # less one, exactly, and one more
+    blocks = tuple((n, 3) for n in (_BLOCK, _BLOCK + 1, _BLOCK + 2))
     for model in ("path", "star", "caterpillar", "uniform-attachment-capped"):
-        for n, delta in ((1, 3), (2, 3), (4, 3), (37, 4), (300, 5)):
+        for n, delta in ((1, 3), (2, 3), (4, 3), (37, 4), (300, 5), *blocks):
             if model == "star" and n > delta + 1:
                 continue
             t = gen_tree(TreeGenSpec(n=n, delta=delta, seed=n, model=model))
@@ -191,6 +195,13 @@ def test_parse_tree_caps_delta():
     assert t.delta == MAX_DELTA
     with pytest.raises(TreeFormatError, match="above the maximum"):
         gen_tree(TreeGenSpec(n=2, delta=2**63, seed=0, model="path"))
+
+
+def test_port_tree_caps_delta():
+    for delta in (MAX_DELTA + 1, 100):
+        with pytest.raises(TreeFormatError, match=f"delta {delta} is above the maximum 64"):
+            PortTree(delta, [[None] * delta])
+    assert PortTree(MAX_DELTA, [[None] * MAX_DELTA]).delta == MAX_DELTA
 
 
 @pytest.mark.parametrize("model", ("path", "star", "caterpillar", "uniform-attachment-capped"))
