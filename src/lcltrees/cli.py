@@ -14,8 +14,6 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-import numpy as np
-
 from .equivalence import class_census
 from .fixtures import perfect_matching, three_coloring, two_coloring
 from .oracle import UNKNOWN, OracleBudget, brute_force_connects, brute_force_solve
@@ -223,12 +221,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     tree = _parse_file(parse_tree, args.tree)
     raw = decompose(tree, args.gamma, args.ell)
-    layer = np.empty(tree.n, np.int64)  # the layers partition the vertices
-    for j, (_, verts) in enumerate(raw.layers):
-        layer[np.fromiter(verts, np.int64, len(verts))] = j
-    names = [f"{kind} {j // 2 + 1}\n" for j, (kind, _) in enumerate(raw.layers)]
+    names = [""] + [f"{kind} {(r + 1) // 2}\n" for r, (kind, _) in enumerate(raw.layers, 1)]
     blocks = (
-        "".join(f"{v} {names[j]}" for v, j in enumerate(layer[i : i + _BLOCK].tolist(), i))
+        "".join(f"{v} {names[r]}" for v, r in enumerate(raw.rank[i : i + _BLOCK].tolist(), i))
         for i in range(0, tree.n, _BLOCK)
     )
     _write(args.output, blocks)

@@ -14,10 +14,11 @@ rules so the layer structure supports sequential labeling:
   * a run endpoint with no surviving outside neighbor waits too, and a run
     whose trimmed core drops under ell' is left to erode under later rakes.
 
-A LayeredDecomposition stores each compress layer as the blocks
-post_process cut, each block its path from the smaller-id endpoint, so the
-solver fills them without walking the tree to find them again; the layer's
-vertex set, compress_layers, is derived from the blocks.
+A LayeredDecomposition holds layers, one int64 vertex array per rank R_1,
+C_1, ..., R_L (a rake layer ascending, a compress layer the blocks
+post_process cut, ordered by smallest vertex, each from its smaller-id end),
+and sizes, each compress layer's block sizes; rake_layers and
+compress_layers, the layers as vertex sets, are views built on first read.
 
 Both processes run on one residual forest held as arrays over the tree's
 port arrays, a whole layer per step: a rake layer is one mask over the
@@ -28,7 +29,7 @@ cuts every run's blocks by arithmetic on the positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, count
+from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
 import numpy as np
@@ -43,24 +44,29 @@ class RawDecomposition:
     ell: int
     layers: tuple[tuple[str, frozenset[int]], ...]
     depth: int
+    # rank of each vertex: j + 1 in layers[j]
+    rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for kind, _ in self.layers:
             if kind not in ("R", "C"):
                 raise ValueError(f"bad layer kind {kind!r}")
-        _rank_layers(self.tree.n, enumerate((verts for _, verts in self.layers), 1))
+        object.__setattr__(self, "rank", _rank_layers(self.tree.n, (v for _, v in self.layers)))
 
 
-def _rank_layers(n: int, layers: Iterable[tuple[int, Collection[int]]]) -> np.ndarray:
-    """The rank of each of the n vertices from (rank, vertices) layers, every
-    rank positive; raises ValueError when a vertex is listed twice, in one
+def _rank_layers(n: int, layers: Iterable[Collection[int]]) -> np.ndarray:
+    """The read-only rank of each of the n vertices, r in the r-th layer
+    counting from 1; raises ValueError when a vertex is listed twice, in one
     layer or in two, and then when the layers miss a vertex or list one
-    outside the tree."""
+    outside the tree or an id that is no integer within int64."""
     rank = np.zeros(n, np.int64)
     outside: set[int] = set()  # listed vertices that are not the tree's
     listed = 0
-    for r, layer in layers:
-        verts = np.fromiter(layer, np.int64, len(layer))
+    for r, layer in enumerate(layers, 1):
+        verts = layer if isinstance(layer, np.ndarray) else np.array(list(layer))
+        if verts.size and not np.can_cast(verts.dtype, np.int64):
+            raise ValueError("layers do not partition the tree's vertices")
+        verts = verts.astype(np.int64, copy=False)
         inside = (verts >= 0) & (verts < n)
         rank[verts[inside]] = r
         outside.update(verts[~inside].tolist())
@@ -71,39 +77,45 @@ def _rank_layers(n: int, layers: Iterable[tuple[int, Collection[int]]]) -> np.nd
         raise ValueError("layers overlap")
     if outside or placed != n:
         raise ValueError("layers do not partition the tree's vertices")
+    rank.flags.writeable = False
     return rank
-
-
-# A compress layer's blocks: each block's vertices along its path from the
-# smaller-id endpoint, blocks ordered by their smallest vertex.
-Blocks = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class LayeredDecomposition:
     tree: PortTree
     ell_prime: int
-    rake_layers: tuple[frozenset[int], ...]
-    # one Blocks per compress layer; the blocks are the layer
-    blocks: tuple[Blocks, ...]
-    # each compress layer's vertex set, derived from its blocks
-    compress_layers: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    layers: tuple[np.ndarray, ...]  # R_1, C_1, ..., R_L as the module docstring has them
+    sizes: tuple[np.ndarray, ...]
     # rank of each vertex: 2i-1 in rake layer R_i, 2i in compress layer C_i
-    _rank: np.ndarray = field(init=False, repr=False, compare=False)
+    _rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.blocks) != len(self.rake_layers) - 1:
+        if len(self.layers) != 2 * len(self.sizes) + 1:
             raise ValueError("expected one fewer compress layer than rake layers")
-        compress = [[v for block in blocks for v in block] for blocks in self.blocks]
-        layers = chain(zip(count(1, 2), self.rake_layers), zip(count(2, 2), compress))
-        rank = _rank_layers(self.tree.n, layers)
-        rank.flags.writeable = False
-        object.__setattr__(self, "compress_layers", tuple(map(frozenset, compress)))
-        object.__setattr__(self, "_rank", rank)
+        for sizes, verts in zip(self.sizes, self.layers[1::2]):
+            if (sizes < 0).any() or sizes.sum() != len(verts):
+                raise ValueError("block sizes do not add up to their compress layer")
+        object.__setattr__(self, "_rank", _rank_layers(self.tree.n, self.layers))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LayeredDecomposition):
+            return NotImplemented
+        ours, theirs = self.layers + self.sizes, other.layers + other.sizes
+        same = (self.tree, self.ell_prime, len(ours)) == (other.tree, other.ell_prime, len(theirs))
+        return same and all(map(np.array_equal, ours, theirs))
+
+    @cached_property
+    def rake_layers(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(layer.tolist()) for layer in self.layers[0::2])
+
+    @cached_property
+    def compress_layers(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(layer.tolist()) for layer in self.layers[1::2])
 
     @property
     def depth(self) -> int:
-        return len(self.rake_layers)
+        return len(self.sizes) + 1
 
     def layer_of(self, v: int) -> tuple[str, int]:
         r = self.rank_of(v)
@@ -227,8 +239,8 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
     if ell_prime < 1:
         raise ValueError("ell_prime must be positive")
     res = _Forest(tree)
-    rake_layers: list[frozenset[int]] = []
-    blocks: list[Blocks] = []
+    layers: list[np.ndarray] = []
+    sizes: list[np.ndarray] = []
     while res.alive.size:
         low = res.low_degree(1)
         rows = tree.nbr[low]
@@ -237,17 +249,19 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
         waits = (partner >= 0) & (partner < low) & (res.deg[partner] <= 1)
         raked = low[~waits]
         res.remove(raked)
-        rake_layers.append(frozenset(raked.tolist()))
+        layers.append(raked)
         if not res.alive.size:
             break
-        blocks.append(_cut_blocks(res, ell_prime))
-    return LayeredDecomposition(tree, ell_prime, tuple(rake_layers), tuple(blocks))
+        verts, block_sizes = _cut_blocks(res, ell_prime)
+        layers.append(verts)
+        sizes.append(block_sizes)
+    return LayeredDecomposition(tree, ell_prime, tuple(layers), tuple(sizes))
 
 
-def _cut_blocks(res: _Forest, ell_prime: int) -> Blocks:
+def _cut_blocks(res: _Forest, ell_prime: int) -> tuple[np.ndarray, np.ndarray]:
     """Cut the residual's runs into one compress layer's blocks, removing
     them: each run's core, ell' to 2*ell' vertices per block with one
-    separator left between blocks."""
+    separator left between blocks.  Returns the layer and its block sizes."""
     pool, first, last, pos, length = res.runs()
     # an end keeps its place when it has an alive neighbor outside the run
     # (a lone vertex: two), i.e. when its residual degree is 2
@@ -265,25 +279,22 @@ def _cut_blocks(res: _Forest, ell_prime: int) -> Blocks:
         & ((at % (ell_prime + 1) < ell_prime) | (at >= cuts * (ell_prime + 1)))
     )
     chosen = np.flatnonzero(in_block)
-    if not chosen.size:
-        return ()
     chosen = chosen[np.lexsort((at[chosen], first[chosen]))]
     verts = pool[chosen]
     run, block = first[chosen], np.minimum(at[chosen] // (ell_prime + 1), cuts[chosen])
     new = np.ones(verts.size, bool)
     new[1:] = (run[1:] != run[:-1]) | (block[1:] != block[:-1])
     starts = np.flatnonzero(new)
-    stops = np.append(starts[1:], verts.size)
-    # list each block from its smaller-id endpoint
-    of = np.cumsum(new) - 1
-    i = np.arange(verts.size)
-    flip = (verts[starts] > verts[stops - 1])[of]
-    verts = verts[np.where(flip, starts[of] + stops[of] - 1 - i, i)]
+    lengths = np.diff(starts, append=verts.size)
+    # the blocks by smallest vertex, each listed from its smaller-id endpoint
+    by_min = np.argsort(np.minimum.reduceat(verts, starts))
+    sizes = lengths[by_min]
+    of = np.repeat(by_min, sizes)
+    step = np.arange(verts.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    flip = verts[starts] > verts[starts + lengths - 1]
+    verts = verts[np.where(flip[of], starts[of] + lengths[of] - 1 - step, starts[of] + step)]
     res.remove(verts)
-    flat = verts.tolist()
-    spans = list(zip(starts.tolist(), stops.tolist()))
-    by_min = np.argsort(np.minimum.reduceat(verts, starts)).tolist()
-    return tuple(tuple(flat[spans[b][0] : spans[b][1]]) for b in by_min)
+    return verts, sizes
 
 
 # accounts for the constant number of communication rounds a distributed
@@ -313,8 +324,7 @@ def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
                 bad.append(f"vertex {v} in rake layer {i} has {len(later)} later neighbors")
 
     lo, hi = decomp.ell_prime, 2 * decomp.ell_prime
-    for i, layer in enumerate(decomp.compress_layers, start=1):
-        verts = np.fromiter(layer, np.int64, len(layer))
+    for i, (layer, verts) in enumerate(zip(decomp.compress_layers, decomp.layers[1::2]), 1):
         # a vertex's degree inside the layer is its degree inside its component
         inner = inward_ports(tree, verts).sum(axis=1) - (tree.nbr[verts] < 0).sum(axis=1)
         inner_deg = dict(zip(verts.tolist(), inner.tolist()))

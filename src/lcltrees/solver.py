@@ -23,7 +23,7 @@ import numpy as np
 
 from .pathstates import extend_path
 from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
-from .rakecompress import Blocks, LayeredDecomposition, post_process, simulated_rounds
+from .rakecompress import LayeredDecomposition, post_process, simulated_rounds
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
 from .trees import (
@@ -211,20 +211,19 @@ class _Assigner:
             raise InternalError("rake vertex sees several labeled neighbors")
         self.place_answers(verts, np.where(count > 0, done.argmax(axis=1), -1))
 
-    def compress(self, blocks: Blocks) -> None:
-        """Label a compress layer by path witnesses, one per distinct key.
+    def compress(self, flat: np.ndarray, sizes: np.ndarray) -> None:
+        """Label a compress layer, blocks of the given sizes one after
+        another in flat, by path witnesses, one per distinct key.
 
         Blocks joined by an edge are refused, since their order would
         decide the rows.  Otherwise the first block, in layer order, that is
         no path, that does not touch exactly one labeled vertex at each end,
         or that has no witness decides the exception.
         """
-        if not blocks:
+        if not sizes.size:
             return
         tree = self.tree
-        sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
-        flat = np.fromiter(chain.from_iterable(blocks), np.int64, sizes.sum())
-        of = np.repeat(np.arange(len(blocks)), sizes)
+        of = np.repeat(np.arange(sizes.size), sizes)
         owner = np.full(tree.n + 1, -1)
         owner[flat] = of
         touch = owner[tree.nbr[flat]]
@@ -251,7 +250,7 @@ class _Assigner:
         n_first, n_last = at_first.sum(axis=1), at_last.sum(axis=1)
         ends_ok = np.where(sizes[good] == 1, n_first == 2, (n_first == 1) & (n_last == 1))
         failed = np.concatenate([np.flatnonzero(broken), good[~ends_ok]])
-        stop = failed.min() if failed.size else len(blocks)
+        stop = failed.min() if failed.size else sizes.size
         # the blocks before the first failure ask for their witnesses
         head = np.searchsorted(good, stop)
         good, first, last = good[:head], first[:head], last[:head]
@@ -281,7 +280,7 @@ class _Assigner:
         witness = np.empty(len(distinct), np.int64)
         for d in np.argsort(seen_at):
             witness[d] = self._witness(tuple(distinct[d].tolist()))
-        if stop < len(blocks):
+        if stop < sizes.size:
             if broken[stop]:
                 raise InternalError("compress block must induce a path")
             raise InternalError(
@@ -335,11 +334,11 @@ def solve_on_decomposition(
     decomp: LayeredDecomposition,
 ) -> HalfEdgeLabeling:
     asg = _Assigner(problem, decomp.tree, sorted(set(subset)))
-    for kind, i, verts in decomp.labeling_order():
-        if kind == "R":
-            asg.rake(np.fromiter(verts, np.int64, len(verts)))
+    for j in reversed(range(len(decomp.layers))):
+        if j % 2:
+            asg.compress(decomp.layers[j], decomp.sizes[j // 2])
         else:
-            asg.compress(decomp.blocks[i - 1])
+            asg.rake(decomp.layers[j])
     return asg.result()
 
 
@@ -559,4 +558,4 @@ def _label_region_component(asg: _Assigner, ell: int, comp: list[int]) -> None:
         if a < b:
             asg.place_answers(walk[a:b], ports[a:b])
         if lev in blocks_at:
-            asg.compress(blocks_at[lev])
+            asg.compress(np.concatenate(blocks_at[lev]), np.full(len(blocks_at[lev]), ell))

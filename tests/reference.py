@@ -38,6 +38,10 @@ built its edge columns directly: a builder fed edge by edge, each boundary
 edge's port found by scanning the outside vertex's port row.
 
 The differential tests hold the package to their results.
+
+Last, two helpers that move between a LayeredDecomposition's vertex arrays
+and the vertex sets and blocks that hand-made layerings are written in:
+layering builds one, blocks_of reads each compress layer's blocks back.
 """
 from __future__ import annotations
 
@@ -47,8 +51,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from itertools import combinations, product
+from itertools import accumulate, combinations, product, zip_longest
 from typing import Collection, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from lcltrees import cli
 from lcltrees.equivalence import (
@@ -79,7 +85,7 @@ from lcltrees.problems import (
     VertexConfig,
     load_json,
 )
-from lcltrees.rakecompress import Blocks, LayeredDecomposition, RawDecomposition
+from lcltrees.rakecompress import LayeredDecomposition, RawDecomposition
 from lcltrees.solver import (
     NotEllFullError,
     Toast,
@@ -463,7 +469,37 @@ def ref_post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
         blocks.append(
             tuple(sorted((tuple(b) if b[0] < b[-1] else tuple(b[::-1]) for b in cut), key=min))
         )
-    return LayeredDecomposition(tree, ell_prime, tuple(rake_layers), tuple(blocks))
+    return layering(tree, ell_prime, rake_layers, blocks)
+
+
+# A compress layer's blocks: each block's vertices along its path from the
+# smaller-id endpoint, blocks ordered by their smallest vertex.
+Blocks = tuple[tuple[int, ...], ...]
+
+
+def layering(
+    tree: PortTree,
+    ell_prime: int,
+    rake_layers: Sequence[Collection[int]],
+    blocks: Sequence[Sequence[Sequence[int]]],
+) -> LayeredDecomposition:
+    """The LayeredDecomposition with these rake layers, each listed
+    ascending, and these compress layers, each its blocks one after another
+    in the order given."""
+    rake = [np.array(sorted(layer), np.int64) for layer in rake_layers]
+    compress = [np.array([v for b in layer for v in b], np.int64) for layer in blocks]
+    sizes = tuple(np.array([len(b) for b in layer], np.int64) for layer in blocks)
+    layers = tuple(x for pair in zip_longest(rake, compress) for x in pair if x is not None)
+    return LayeredDecomposition(tree, ell_prime, layers, sizes)
+
+
+def blocks_of(decomp: LayeredDecomposition) -> tuple[Blocks, ...]:
+    """Each compress layer's blocks, cut from its vertex array by its sizes."""
+    out = []
+    for verts, sizes in zip(decomp.layers[1::2], decomp.sizes):
+        flat, ends = verts.tolist(), list(accumulate(sizes.tolist(), initial=0))
+        out.append(tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:])))
+    return tuple(out)
 
 
 class _RefAssigner:
@@ -545,6 +581,7 @@ def ref_solve_on_decomposition(
     cfgs = sorted(set(subset))
     tree = decomp.tree
     asg = _RefAssigner(problem, tree, cfgs)
+    blocks = blocks_of(decomp)
     for kind, i, verts in decomp.labeling_order():
         if kind == "R":
             for v in sorted(verts):
@@ -556,7 +593,7 @@ def ref_solve_on_decomposition(
                 else:
                     asg.place_free(v)
             continue
-        for block in decomp.blocks[i - 1]:
+        for block in blocks[i - 1]:
             # a tree has no chords, so distinct vertices each adjacent to the
             # next induce a path
             if not block or any(b not in tree.neighbors(a) for a, b in zip(block, block[1:])):

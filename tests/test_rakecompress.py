@@ -4,6 +4,7 @@ layered form, its structural invariants, and the depth bounds."""
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,8 @@ from lcltrees.trees import PortTree, TreeGenSpec, components, gen_tree
 from conftest import path_tree, star_tree
 from reference import (
     RefTreeBuilder,
+    blocks_of,
+    layering,
     ref_ordered_path,
     ref_post_process,
     ref_solve_on_decomposition,
@@ -102,10 +105,10 @@ def test_layered_path10_trims_the_run_ends():
 def test_layered_nine_vertex_run_splits_four_four():
     # interior run of 9 -> blocks {2..5} and {7..10} with separator 6 promoted
     decomp = post_process(path_tree(13), 4)
-    assert decomp.blocks == (((2, 3, 4, 5), (7, 8, 9, 10)),)
+    assert blocks_of(decomp) == (((2, 3, 4, 5), (7, 8, 9, 10)),)
     assert decomp.compress_layers == (frozenset({2, 3, 4, 5, 7, 8, 9, 10}),)
     with pytest.raises(AttributeError):
-        decomp.compress_layers = (frozenset(),)  # derived from the blocks
+        decomp.compress_layers = (frozenset(),)  # a view of the layers
     assert decomp.rake_layers == (frozenset({0, 12}), frozenset({1, 6, 11}))
     comps = sorted(sorted(c) for c in components(decomp.tree, decomp.compress_layers[0]))
     assert comps == [[2, 3, 4, 5], [7, 8, 9, 10]]
@@ -149,18 +152,18 @@ def test_post_process_rejects_nonpositive_ell_prime():
 def test_layered_shape_validation():
     tree = path_tree(4)
     with pytest.raises(ValueError, match="one fewer compress"):
-        LayeredDecomposition(tree, 2, (frozenset({0, 1, 2, 3}),), ((),))
+        layering(tree, 2, (frozenset({0, 1, 2, 3}),), ((),))
     with pytest.raises(ValueError, match="overlap"):
-        LayeredDecomposition(tree, 2, (frozenset({0, 1, 2}), frozenset({2, 3})), ((),))
+        layering(tree, 2, (frozenset({0, 1, 2}), frozenset({2, 3})), ((),))
     with pytest.raises(ValueError, match="partition"):
-        LayeredDecomposition(tree, 2, (frozenset({0, 1}), frozenset({3})), ((),))
+        layering(tree, 2, (frozenset({0, 1}), frozenset({3})), ((),))
     # every vertex is ranked as it is listed, so listing one twice overlaps
     rake = (frozenset({0, 3}), frozenset())
     for blocks in (((1, 2, 1),), ((1,), (2, 1))):
         with pytest.raises(ValueError, match="overlap"):
-            LayeredDecomposition(tree, 2, rake, (blocks,))
+            layering(tree, 2, rake, (blocks,))
     with pytest.raises(ValueError, match="overlap"):
-        LayeredDecomposition(tree, 2, (frozenset({0, 3}), frozenset({2})), (((1, 2),),))
+        layering(tree, 2, (frozenset({0, 3}), frozenset({2})), (((1, 2),),))
     # the same faults in a raw layering: overlap, a missing vertex, a vertex
     # outside the tree, and a vertex listed twice, outside the tree or not
     faults = [
@@ -174,6 +177,20 @@ def test_layered_shape_validation():
     for message, layers in faults:
         with pytest.raises(ValueError, match=message):
             RawDecomposition(tree, 1, 2, tuple((k, frozenset(v)) for k, v in layers), 2)
+    # an id that is no integer within int64 is refused in either class, and
+    # an empty layer is no fault
+    for odd in (1.5, 2**70):
+        with pytest.raises(ValueError, match="partition"):
+            RawDecomposition(path_tree(3), 1, 1, (("R", frozenset({0, odd, 2})),), 1)
+        with pytest.raises(ValueError, match="partition"):
+            LayeredDecomposition(path_tree(3), 1, (np.array([0, odd, 2]),), ())
+    RawDecomposition(tree, 1, 2, (("R", frozenset()), ("C", frozenset(range(4)))), 2)
+    # the block sizes of a compress layer add up to its vertices
+    layers = (np.array([0, 3]), np.array([1, 2]), np.array([], np.int64))
+    for sizes in ([1], [3, -1], [2, 1]):
+        with pytest.raises(ValueError, match="block sizes"):
+            LayeredDecomposition(tree, 2, layers, (np.array(sizes),))
+    assert LayeredDecomposition(tree, 2, layers, (np.array([1, 1]),)).depth == 2
 
 
 def test_layer_lookup_and_ranks():
@@ -199,10 +216,10 @@ def test_ranks_follow_the_layers_and_vertices_outside_the_tree_are_refused():
     tree = path_tree(4)
     for outside in (4, -1):
         with pytest.raises(ValueError, match="partition"):
-            LayeredDecomposition(tree, 2, (frozenset({0, 1, 2, 3, outside}),), ())
+            layering(tree, 2, (frozenset({0, 1, 2, 3, outside}),), ())
     # vertex 7 listed twice overlaps before it fails to partition
     with pytest.raises(ValueError, match="overlap"):
-        LayeredDecomposition(tree, 2, (frozenset({0, 3, 7}), frozenset({2})), (((1, 7),),))
+        layering(tree, 2, (frozenset({0, 3, 7}), frozenset({2})), (((1, 7),),))
     n = 3000
     decomp = post_process(gen_tree(TreeGenSpec(n=n, delta=3, seed=7)), 3)
     want = {}
@@ -298,9 +315,9 @@ def test_run_ends_of_residual_degree_two_stay_in_the_core():
     # at ell' = 2; the lone vertex 8 is a block only while ell' = 1
     tree = built_tree(*ANCHORED)
     forest = _Forest(tree)
-    assert _cut_blocks(forest, 1) == ((3,), (5,), (8,))
+    assert [x.tolist() for x in _cut_blocks(forest, 1)] == [[3, 5, 8], [1, 1, 1]]
     assert sorted(forest.alive.tolist()) == [0, 1, 2, 4, 6, 7, 9, 10, 11]
-    assert _cut_blocks(_Forest(tree), 2) == ((3, 4, 5),)
+    assert [x.tolist() for x in _cut_blocks(_Forest(tree), 2)] == [[3, 4, 5], [3]]
     for ell_prime in (1, 2, 3):
         assert post_process(tree, ell_prime) == ref_post_process(tree, ell_prime)
 
@@ -327,7 +344,7 @@ def test_post_process_hands_over_the_blocks_a_walk_finds(model):
             decomp = post_process(tree, ell_prime)
             for layer in decomp.rake_layers + decomp.compress_layers:
                 digest.update(repr(sorted(layer)).encode())
-            for layer, blocks in zip(decomp.compress_layers, decomp.blocks):
+            for layer, blocks in zip(decomp.compress_layers, blocks_of(decomp)):
                 walked = [ref_ordered_path(tree, c) for c in components(tree, layer)]
                 assert [list(b) for b in blocks] == walked
     assert digest.hexdigest() == LAYER_DIGESTS[model]
@@ -342,7 +359,7 @@ def test_hand_built_decomposition_finds_its_blocks_and_solves(model, coloring3):
     subset = sorted(coloring3.vertex_configs)
     for ell_prime in (1, 2, 3, 4):
         carried = post_process(tree, ell_prime)
-        by_hand = LayeredDecomposition(tree, ell_prime, carried.rake_layers, carried.blocks)
+        by_hand = layering(tree, ell_prime, carried.rake_layers, blocks_of(carried))
         assert by_hand == carried
         assert by_hand.compress_layers == carried.compress_layers
         assert solve_on_decomposition(coloring3, subset, by_hand) == (
@@ -356,12 +373,13 @@ def test_block_out_of_path_order_is_refused(coloring3):
     tree = path_tree(7)
     rake = (frozenset({0, 6}), frozenset({1, 5}))
     subset = sorted(coloring3.vertex_configs)
-    in_order = LayeredDecomposition(tree, 2, rake, (((2, 3, 4),),))
+    in_order = layering(tree, 2, rake, (((2, 3, 4),),))
     assert check_layered_invariants(in_order) == []
     solve_on_decomposition(coloring3, subset, in_order)
     for blocks in (((2, 4, 3),), ((2, 3, 4), ())):
-        decomp = LayeredDecomposition(tree, 2, rake, (blocks,))
+        decomp = layering(tree, 2, rake, (blocks,))
         assert decomp.compress_layers == in_order.compress_layers
+        assert decomp != in_order
         assert check_layered_invariants(decomp) == []
         with pytest.raises(InternalError, match="must induce a path"):
             solve_on_decomposition(coloring3, subset, decomp)
@@ -371,7 +389,7 @@ def test_compress_layer_that_is_no_path_is_reported_and_refused(coloring3):
     # the whole star as one block: the checker says why, and the solver
     # refuses it instead of filling a star as a path
     star = star_tree(4)
-    decomp = LayeredDecomposition(star, 2, (frozenset(), frozenset()), (((0, 1, 2, 3),),))
+    decomp = layering(star, 2, (frozenset(), frozenset()), (((0, 1, 2, 3),),))
     assert any("is not a path" in msg for msg in check_layered_invariants(decomp))
     with pytest.raises(InternalError, match="must induce a path"):
         solve_on_decomposition(coloring3, sorted(coloring3.vertex_configs), decomp)
@@ -384,7 +402,7 @@ def test_first_failing_block_decides_the_exception():
     coloring2 = two_coloring()
     subset = sorted(coloring2.vertex_configs)
     rake = (frozenset({0, 1, 7}), frozenset({2, 5}))
-    no_witness_first = LayeredDecomposition(path_tree(9), 2, rake, (((3, 4), (6, 8)),))
+    no_witness_first = layering(path_tree(9), 2, rake, (((3, 4), (6, 8)),))
     errors = []
     for solve in (solve_on_decomposition, ref_solve_on_decomposition):
         with pytest.raises(NotEllFullError) as err:
@@ -392,7 +410,7 @@ def test_first_failing_block_decides_the_exception():
         errors.append((err.value.kind, err.value.detail))
     assert errors[0] == errors[1]
     assert errors[0][0] == "path-extension" and errors[0][1]["k"] == 4
-    no_path_first = LayeredDecomposition(path_tree(9), 2, rake, (((6, 8), (3, 4)),))
+    no_path_first = layering(path_tree(9), 2, rake, (((6, 8), (3, 4)),))
     for solve in (solve_on_decomposition, ref_solve_on_decomposition):
         with pytest.raises(InternalError, match="must induce a path"):
             solve(coloring2, subset, no_path_first)
@@ -402,14 +420,14 @@ def test_layers_that_hold_an_edge_are_refused(coloring3):
     # the vertex-by-vertex solver labeled these in whichever order it
     # visited them; a whole-layer pass refuses them
     subset = sorted(coloring3.vertex_configs)
-    rake_edge = LayeredDecomposition(path_tree(3), 1, (frozenset({0, 1, 2}),), ())
+    rake_edge = layering(path_tree(3), 1, (frozenset({0, 1, 2}),), ())
     assert isinstance(ref_solve_on_decomposition(coloring3, subset, rake_edge), HalfEdgeLabeling)
     with pytest.raises(InternalError, match="rake layer must be an independent set"):
         solve_on_decomposition(coloring3, subset, rake_edge)
     # blocks (1,) and (5,) are adjacent: the second saw the first labeled
     tree = built_tree(6, [(0, 1), (1, 2), (1, 5), (5, 4), (2, 3)])
     rake = (frozenset({3}), frozenset({0, 2, 4}))
-    touching = LayeredDecomposition(tree, 1, rake, (((1,), (5,)),))
+    touching = layering(tree, 1, rake, (((1,), (5,)),))
     assert isinstance(ref_solve_on_decomposition(coloring3, subset, touching), HalfEdgeLabeling)
     with pytest.raises(InternalError, match="blocks of one layer must not touch"):
         solve_on_decomposition(coloring3, subset, touching)
@@ -420,7 +438,7 @@ def test_layers_that_hold_an_edge_are_refused(coloring3):
 
 def test_checker_flags_dependent_rake_layer():
     tree = path_tree(4)
-    decomp = LayeredDecomposition(tree, 2, (frozenset({0, 1}), frozenset({2, 3})), ((),))
+    decomp = layering(tree, 2, (frozenset({0, 1}), frozenset({2, 3})), ((),))
     bad = check_layered_invariants(decomp)
     assert any("not independent" in msg for msg in bad)
 
@@ -428,14 +446,14 @@ def test_checker_flags_dependent_rake_layer():
 def test_checker_flags_missing_compress_contacts():
     # both outside neighbors of the compress path sit in lower layers
     tree = path_tree(4)
-    decomp = LayeredDecomposition(tree, 2, (frozenset({0, 3}), frozenset()), (((1, 2),),))
+    decomp = layering(tree, 2, (frozenset({0, 3}), frozenset()), (((1, 2),),))
     bad = check_layered_invariants(decomp)
     assert any("later contacts" in msg for msg in bad)
 
 
 def test_checker_flags_undersized_compress_block():
     tree = path_tree(7)
-    decomp = LayeredDecomposition(
+    decomp = layering(
         tree, 4, (frozenset({0, 6}), frozenset({1, 5})), (((2, 3, 4),),)
     )
     bad = check_layered_invariants(decomp)
@@ -445,7 +463,7 @@ def test_checker_flags_undersized_compress_block():
 def test_checker_flags_too_many_later_neighbors():
     # raking the star center first leaves three later-layer neighbors
     tree = star_tree(4)
-    decomp = LayeredDecomposition(tree, 2, (frozenset({0}), frozenset({1, 2, 3})), ((),))
+    decomp = layering(tree, 2, (frozenset({0}), frozenset({1, 2, 3})), ((),))
     bad = check_layered_invariants(decomp)
     assert any("3 later neighbors" in msg for msg in bad)
 

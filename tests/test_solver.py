@@ -18,7 +18,7 @@ from lcltrees.problems import (
     VertexConfig,
     is_valid_labeling,
 )
-from lcltrees.rakecompress import post_process
+from lcltrees.rakecompress import LayeredDecomposition, post_process
 from lcltrees.solver import (
     NotEllFullError,
     Toast,
@@ -230,8 +230,8 @@ def test_witness_memo_asks_once_per_key_and_changes_nothing(
         with monkeypatch.context() as m:
             uncached = count_witness_calls(m, reference)
             expected = solve_without_memo(problem, subset, ell, tree)
-        blocks = post_process(tree, max(1, ell - 2)).blocks
-        assert len(uncached) == sum(len(layer) for layer in blocks)
+        sizes = post_process(tree, max(1, ell - 2)).sizes
+        assert len(uncached) == sum(len(layer) for layer in sizes)
         with monkeypatch.context() as m:
             cached = count_witness_calls(m)
             labeling = solve_log(problem, subset, ell, tree)
@@ -262,7 +262,7 @@ def test_witness_memo_remembers_a_missing_witness(monkeypatch, coloring2):
     asg.place_answers(np.array([0, 3, 4, 7]), np.full(4, -1))
     for block in ((1, 2), (5, 6)):
         with pytest.raises(NotEllFullError) as err:
-            asg.compress((block,))
+            asg.compress(np.array(block), np.array([len(block)]))
         assert err.value.kind == "path-extension"
     assert len(calls) == 1
 
@@ -283,6 +283,20 @@ def test_solve_log_labels_without_per_vertex_walks(monkeypatch, matching):
     assert "ports" not in vars(tree)
     monkeypatch.undo()
     assert_solved(matching, tree, labeling, full_subset(matching))
+
+
+def test_solve_log_builds_no_layer_set(monkeypatch, matching):
+    # solving reads the layering's vertex arrays; the vertex-set views are
+    # for checkers and readers
+    trees = (uniform_tree(5000, seed=4), path_tree(5000))
+    want = [solve_log(matching, full_subset(matching), 4, tree) for tree in trees]
+
+    def refuse(self):
+        raise AssertionError("a layer's vertex set was built")
+
+    for view in ("rake_layers", "compress_layers"):
+        monkeypatch.setattr(LayeredDecomposition, view, property(refuse))
+    assert [solve_log(matching, full_subset(matching), 4, tree) for tree in trees] == want
 
 
 # --- differential sweep -----------------------------------------------------------
