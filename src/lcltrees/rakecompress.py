@@ -25,16 +25,19 @@ port arrays, a whole layer per step: a rake layer is one mask over the
 residual degrees, and the runs are ranked by pointer doubling over their
 half-edges (Miller and Reif's tree contraction), after which post_process
 cuts every run's blocks by arithmetic on the positions.
+
+The solver and check_layered_invariants read a compress layer's blocks
+through one function, read_blocks, so they judge a layering alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable
 
 import numpy as np
 
-from .trees import PortTree, components, inward_ports
+from .trees import PortTree
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,10 @@ class LayeredDecomposition:
     def __post_init__(self) -> None:
         if len(self.layers) != 2 * len(self.sizes) + 1:
             raise ValueError("expected one fewer compress layer than rake layers")
+        for a in self.layers + self.sizes:
+            if not isinstance(a, np.ndarray) or a.ndim != 1 or a.dtype.kind not in "iu":
+                raise ValueError("layers and block sizes must be 1-D integer arrays, "
+                                 "the layers a partition of the tree's vertices")
         for sizes, verts in zip(self.sizes, self.layers[1::2]):
             if (sizes < 0).any() or sizes.sum() != len(verts):
                 raise ValueError("block sizes do not add up to their compress layer")
@@ -104,6 +111,11 @@ class LayeredDecomposition:
         ours, theirs = self.layers + self.sizes, other.layers + other.sizes
         same = (self.tree, self.ell_prime, len(ours)) == (other.tree, other.ell_prime, len(theirs))
         return same and all(map(np.array_equal, ours, theirs))
+
+    def __hash__(self) -> int:
+        # equal arrays of different integer types hash alike, as they compare
+        arrays = (a.astype(np.int64, copy=False).tobytes() for a in self.layers + self.sizes)
+        return hash((self.tree, self.ell_prime, *arrays))
 
     @cached_property
     def rake_layers(self) -> tuple[frozenset[int], ...]:
@@ -125,13 +137,6 @@ class LayeredDecomposition:
         if not 0 <= v < self.tree.n:
             raise ValueError(f"vertex {v} in no layer")
         return int(self._rank[v])
-
-    def labeling_order(self) -> Iterator[tuple[str, int, frozenset[int]]]:
-        """Layers from last removed to first: R_L, C_{L-1}, R_{L-1}, ..., R_1."""
-        yield ("R", self.depth, self.rake_layers[-1])
-        for i in range(self.depth - 1, 0, -1):
-            yield ("C", i, self.compress_layers[i - 1])
-            yield ("R", i, self.rake_layers[i - 1])
 
 
 class _Forest:
@@ -308,60 +313,89 @@ def simulated_rounds(decomp: LayeredDecomposition) -> int:
     return (1 + decomp.ell_prime + PROMOTION_ROUNDS) * decomp.depth
 
 
+# read_blocks' fault codes; 0 is a sound block
+NOT_A_PATH, BAD_CONTACTS = 1, 2
+
+
+def read_blocks(
+    tree: PortTree, flat: np.ndarray, sizes: np.ndarray, later: np.ndarray
+) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """Read a compress layer, blocks of the given sizes one after another in
+    flat, against later, the vertices labeled before it as a mask with a
+    spare False slot for port -1.  Returns whether two blocks touch; a fault
+    code per block, NOT_A_PATH when it is no path in the order listed, else
+    BAD_CONTACTS when it does not touch exactly two later vertices, one at
+    each end; and each vertex's ports toward its block's vertices before and
+    after it, at a sound block's ends the ports of their later neighbors (a
+    lone vertex: the smaller before, the larger after)."""
+    of = np.repeat(np.arange(sizes.size), sizes)
+    owner = np.full(tree.n + 1, -1)
+    owner[flat] = of
+    rows = tree.nbr[flat]
+    touch = owner[rows]
+    touching = bool(((touch >= 0) & (touch != of[:, None])).any())
+    ahead = np.flatnonzero(of[1:] == of[:-1])
+    hit = rows[ahead] == flat[ahead + 1, None]
+    after = np.full(flat.size, -1)
+    before = np.full(flat.size, -1)
+    after[ahead] = hit.argmax(axis=1)
+    before[ahead + 1] = tree.back[flat[ahead], after[ahead]]
+    # a tree has no chords, so distinct vertices each adjacent to the next
+    # induce a path
+    fault = np.where(sizes > 0, 0, NOT_A_PATH)
+    fault[of[ahead[~hit.any(axis=1)]]] = NOT_A_PATH
+    # no block vertex is later, so every later neighbor lies outside
+    seen = later[rows]
+    count = seen.sum(axis=1)
+    path = np.flatnonzero(fault == 0)
+    first = (np.cumsum(sizes) - sizes)[path]
+    last = first + sizes[path] - 1
+    ends_ok = (np.bincount(of, count, sizes.size)[path] == 2) & (
+        (first == last) | ((count[first] == 1) & (count[last] == 1))
+    )
+    fault[path[~ends_ok]] = BAD_CONTACTS
+    first, last = first[ends_ok], last[ends_ok]
+    before[first] = seen[first].argmax(axis=1)
+    after[last] = tree.delta - 1 - seen[last, ::-1].argmax(axis=1)
+    return touching, fault, before, after
+
+
 def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
-    """Empty list when all three structural invariants hold."""
+    """Faults layer by layer from the first removed, none when the layering
+    is sound.  A later vertex lies in a higher layer, labeled earlier by the
+    solver.  A rake layer must be independent, each vertex with at most one
+    later neighbor; a compress layer must pass read_blocks, as the solver
+    reads it, and hold ell' to 2*ell' vertices per block."""
     tree = decomp.tree
-    bad: list[str] = []
-    rank = decomp._rank.tolist()
-
-    for i, layer in enumerate(decomp.rake_layers, start=1):
-        for v in layer:
-            for u in tree.neighbors(v):
-                if u in layer and v < u:
-                    bad.append(f"rake layer {i} not independent: edge {v} -- {u}")
-            later = [u for u in tree.neighbors(v) if rank[u] > rank[v]]
-            if len(later) > 1:
-                bad.append(f"vertex {v} in rake layer {i} has {len(later)} later neighbors")
-
+    # the spare slot answers port -1
+    rank = np.append(decomp._rank, 0)
     lo, hi = decomp.ell_prime, 2 * decomp.ell_prime
-    for i, (layer, verts) in enumerate(zip(decomp.compress_layers, decomp.layers[1::2]), 1):
-        # a vertex's degree inside the layer is its degree inside its component
-        inner = inward_ports(tree, verts).sum(axis=1) - (tree.nbr[verts] < 0).sum(axis=1)
-        inner_deg = dict(zip(verts.tolist(), inner.tolist()))
-        for comp in map(set, components(tree, layer)):
-            k = len(comp)
-            degs = [inner_deg[v] for v in comp]
-            if max(degs) > 2 or sum(degs) != 2 * (k - 1):
-                bad.append(f"compress layer {i} component {sorted(comp)} is not a path")
-                continue
+    bad: list[str] = []
+    for r, verts in enumerate(decomp.layers, 1):
+        i = (r + 1) // 2
+        if r % 2:
+            nbr = tree.nbr[verts]
+            seen = rank[nbr]
+            at, port = np.nonzero(seen == r)
+            for v, u in zip(verts[at].tolist(), nbr[at, port].tolist()):
+                if v < u:
+                    bad.append(f"rake layer {i} not independent: edge {v} -- {u}")
+            count = (seen > r).sum(axis=1)
+            for v, k in zip(verts[count > 1].tolist(), count[count > 1].tolist()):
+                bad.append(f"vertex {v} in rake layer {i} has {k} later neighbors")
+            continue
+        sizes = decomp.sizes[i - 1]
+        touching, fault, _, _ = read_blocks(tree, verts, sizes, rank > r)
+        if touching:
+            bad.append(f"compress layer {i} has blocks that touch")
+        starts = np.cumsum(sizes) - sizes
+        for b in np.flatnonzero((fault != 0) | (sizes < lo) | (sizes > hi)).tolist():
+            k = int(sizes[b])
+            head = f"compress layer {i} block {verts[starts[b]:starts[b] + k].tolist()}"
+            if fault[b] == NOT_A_PATH:
+                bad.append(f"{head} is not a path")
             if not lo <= k <= hi:
-                bad.append(
-                    f"compress layer {i} component {sorted(comp)} has size {k}, "
-                    f"want [{lo}, {hi}]"
-                )
-            ends = [v for v in comp if inner_deg[v] <= 1]
-            crank = 2 * i
-            contacts = [
-                (u, v)
-                for v in comp
-                for u in tree.neighbors(v)
-                if u not in comp and rank[u] > crank
-            ]
-            if len(contacts) != 2 or len({u for u, _ in contacts}) != 2:
-                bad.append(
-                    f"compress layer {i} component {sorted(comp)} has "
-                    f"{len(contacts)} later contacts, want exactly 2"
-                )
-                continue
-            touched = [v for _, v in contacts]
-            if any(v not in ends for v in touched):
-                bad.append(
-                    f"compress layer {i} component {sorted(comp)}: later neighbor "
-                    f"attaches to a non-endpoint"
-                )
-            if k >= 2 and touched[0] == touched[1]:
-                bad.append(
-                    f"compress layer {i} component {sorted(comp)}: both later "
-                    f"neighbors attach to the same endpoint"
-                )
+                bad.append(f"{head} has size {k}, want [{lo}, {hi}]")
+            if fault[b] == BAD_CONTACTS:
+                bad.append(f"{head} does not have exactly 2 later contacts, one at each end")
     return bad

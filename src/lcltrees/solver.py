@@ -23,7 +23,9 @@ import numpy as np
 
 from .pathstates import extend_path
 from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
-from .rakecompress import LayeredDecomposition, post_process, simulated_rounds
+from .rakecompress import (
+    NOT_A_PATH, LayeredDecomposition, post_process, read_blocks, simulated_rounds
+)
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
 from .trees import (
@@ -216,64 +218,29 @@ class _Assigner:
         another in flat, by path witnesses, one per distinct key.
 
         Blocks joined by an edge are refused, since their order would
-        decide the rows.  Otherwise the first block, in layer order, that is
-        no path, that does not touch exactly one labeled vertex at each end,
-        or that has no witness decides the exception.
+        decide the rows.  Otherwise the first block, in layer order, that
+        read_blocks finds at fault or that has no witness decides the
+        exception.
         """
         if not sizes.size:
             return
         tree = self.tree
-        of = np.repeat(np.arange(sizes.size), sizes)
-        owner = np.full(tree.n + 1, -1)
-        owner[flat] = of
-        touch = owner[tree.nbr[flat]]
-        if ((touch >= 0) & (touch != of[:, None])).any():
+        touching, fault, before, after = read_blocks(tree, flat, sizes, self.row >= 0)
+        if touching:
             raise InternalError("compress blocks of one layer must not touch")
-        # ports along each block: toward the next vertex and back
-        starts = np.cumsum(sizes) - sizes
-        ahead = np.flatnonzero(of[1:] == of[:-1])
-        hit = tree.nbr[flat[ahead]] == flat[ahead + 1, None]
-        after = np.full(flat.size, -1)
-        before = np.full(flat.size, -1)
-        after[ahead] = hit.argmax(axis=1)
-        before[ahead + 1] = tree.back[flat[ahead], after[ahead]]
-        # a tree has no chords, so distinct vertices each adjacent to the
-        # next induce a path
-        broken = sizes == 0
-        broken[of[ahead[~hit.any(axis=1)]]] = True
-        # the blocks' own vertices are still unlabeled, so every labeled
-        # neighbor of an end lies outside its block
-        good = np.flatnonzero(~broken)
-        first, last = flat[starts[good]], flat[starts[good] + sizes[good] - 1]
-        at_first = self.row[tree.nbr[first]] >= 0
-        at_last = self.row[tree.nbr[last]] >= 0
-        n_first, n_last = at_first.sum(axis=1), at_last.sum(axis=1)
-        ends_ok = np.where(sizes[good] == 1, n_first == 2, (n_first == 1) & (n_last == 1))
-        failed = np.concatenate([np.flatnonzero(broken), good[~ends_ok]])
-        stop = failed.min() if failed.size else sizes.size
+        failed = np.flatnonzero(fault)
+        stop = failed[0] if failed.size else sizes.size
         # the blocks before the first failure ask for their witnesses
-        head = np.searchsorted(good, stop)
-        good, first, last = good[:head], first[:head], last[:head]
-        at_first, at_last = at_first[:head], at_last[:head]
-        p_first = at_first.argmax(axis=1)
-        # a lone vertex's second labeled neighbor follows the first in port order
-        p_last = np.where(
-            sizes[good] == 1,
-            tree.delta - 1 - at_first[:, ::-1].argmax(axis=1),
-            at_last.argmax(axis=1),
-        )
-        prev, nxt = tree.nbr[first, p_first], tree.nbr[last, p_last]
+        starts = np.cumsum(sizes) - sizes
+        first = starts[:stop]
+        last = first + sizes[:stop] - 1
         config = np.array(self._row_config, np.int64)
-        keys = np.stack(
-            [
-                self._labels(prev, tree.back[first, p_first]),
-                config[self.row[prev]],
-                self._labels(nxt, tree.back[last, p_last]),
-                config[self.row[nxt]],
-                sizes[good] + 2,
-            ],
-            axis=1,
-        )
+        columns = []
+        for v, p in ((flat[first], before[first]), (flat[last], after[last])):
+            # an end's labeled neighbor u: u's label facing the end, u's config
+            u = tree.nbr[v, p]
+            columns += [self._labels(u, tree.back[v, p]), config[self.row[u]]]
+        keys = np.stack(columns + [sizes[:stop] + 2], axis=1)
         distinct, seen_at, key_of = np.unique(
             keys, axis=0, return_index=True, return_inverse=True
         )
@@ -281,16 +248,13 @@ class _Assigner:
         for d in np.argsort(seen_at):
             witness[d] = self._witness(tuple(distinct[d].tolist()))
         if stop < sizes.size:
-            if broken[stop]:
+            if fault[stop] == NOT_A_PATH:
                 raise InternalError("compress block must induce a path")
             raise InternalError(
                 "compress block must touch exactly two labeled vertices, one at each end"
             )
-        # every block is good from here on, so good is every block
-        before[starts] = p_first
-        after[starts + sizes - 1] = p_last
-        w = witness[key_of.ravel()][of]
-        j = np.arange(flat.size) - starts[of]
+        w = np.repeat(witness[key_of.ravel()], sizes)
+        j = np.arange(flat.size) - np.repeat(starts, sizes)
         code = ((w * sizes.max() + j) * tree.delta + before) * tree.delta + after
         _, one, row_of = np.unique(code, return_index=True, return_inverse=True)
         rids = [

@@ -582,9 +582,10 @@ def ref_solve_on_decomposition(
     tree = decomp.tree
     asg = _RefAssigner(problem, tree, cfgs)
     blocks = blocks_of(decomp)
-    for kind, i, verts in decomp.labeling_order():
-        if kind == "R":
-            for v in sorted(verts):
+    # from the last layer removed to the first: R_L, C_{L-1}, R_{L-1}, ..., R_1
+    for j in reversed(range(len(decomp.layers))):
+        if j % 2 == 0:
+            for v in sorted(decomp.layers[j].tolist()):
                 done = [u for u in tree.neighbors(v) if asg.labeled(u)]
                 if len(done) > 1:
                     raise InternalError("rake vertex sees several labeled neighbors")
@@ -593,7 +594,7 @@ def ref_solve_on_decomposition(
                 else:
                     asg.place_free(v)
             continue
-        for block in blocks[i - 1]:
+        for block in blocks[j // 2]:
             # a tree has no chords, so distinct vertices each adjacent to the
             # next induce a path
             if not block or any(b not in tree.neighbors(a) for a, b in zip(block, block[1:])):

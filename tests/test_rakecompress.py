@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcltrees.fixtures import two_coloring
+from lcltrees.fixtures import three_coloring, two_coloring
 from lcltrees.problems import HalfEdgeLabeling, InternalError
 from lcltrees.rakecompress import (
     LayeredDecomposition,
@@ -191,6 +191,15 @@ def test_layered_shape_validation():
         with pytest.raises(ValueError, match="block sizes"):
             LayeredDecomposition(tree, 2, layers, (np.array(sizes),))
     assert LayeredDecomposition(tree, 2, layers, (np.array([1, 1]),)).depth == 2
+    # a layer or a block-size entry that is no 1-D integer array is refused
+    # before solving meets it
+    rake = (np.array([0, 6]), np.array([1, 5]))
+    for layer in ([2, 3, 4], np.array([[2, 3, 4]]), np.array([2.0, 3.0, 4.0]), np.array([], float)):
+        with pytest.raises(ValueError, match="1-D integer arrays"):
+            LayeredDecomposition(path_tree(7), 2, (rake[0], layer, rake[1]), (np.array([3]),))
+    for sizes in ([3], np.array([[3]]), np.array([3.0]), np.array([True])):
+        with pytest.raises(ValueError, match="1-D integer arrays"):
+            LayeredDecomposition(path_tree(7), 2, (rake[0], np.array([2, 3, 4]), rake[1]), (sizes,))
 
 
 def test_layer_lookup_and_ranks():
@@ -234,24 +243,23 @@ def test_ranks_follow_the_layers_and_vertices_outside_the_tree_are_refused():
             decomp.layer_of(v)
 
 
-def test_labeling_order_walks_outward():
-    decomp = post_process(path_tree(13), 4)
-    order = [(kind, i) for kind, i, _ in decomp.labeling_order()]
-    assert order == [("R", 2), ("C", 1), ("R", 1)]
-    layers = [layer for _, _, layer in decomp.labeling_order()]
-    assert layers == [
-        decomp.rake_layers[1],
-        decomp.compress_layers[0],
-        decomp.rake_layers[0],
-    ]
-
-
 def test_determinism():
     spec = TreeGenSpec(n=400, delta=3, seed=11, model="uniform-attachment-capped")
     a = post_process(gen_tree(spec), 4)
     b = post_process(gen_tree(spec), 4)
     assert a.rake_layers == b.rake_layers
     assert a.compress_layers == b.compress_layers
+
+
+def test_equal_decompositions_hash_equal():
+    a, b = post_process(path_tree(10), 2), post_process(path_tree(10), 2)
+    assert a == b and hash(a) == hash(b)
+    # arrays of another integer type compare equal, so they hash equal too
+    narrow = LayeredDecomposition(
+        a.tree, 2, tuple(x.astype(np.int32) for x in a.layers), tuple(x.astype(np.int32) for x in a.sizes)
+    )
+    assert narrow == a and hash(narrow) == hash(a)
+    assert len({a, b, narrow, post_process(path_tree(10), 3), post_process(path_tree(11), 2)}) == 3
 
 
 # --- runs by pointer doubling ------------------------------------------------------
@@ -368,8 +376,8 @@ def test_hand_built_decomposition_finds_its_blocks_and_solves(model, coloring3):
 
 
 def test_block_out_of_path_order_is_refused(coloring3):
-    # the layer {2, 3, 4} is sound, so the checker, which reads the layer's
-    # vertex set, accepts it; the solver fills blocks in the order given
+    # the layer {2, 3, 4} is sound as a vertex set, but the checker and the
+    # solver both read the blocks in the order given
     tree = path_tree(7)
     rake = (frozenset({0, 6}), frozenset({1, 5}))
     subset = sorted(coloring3.vertex_configs)
@@ -380,7 +388,7 @@ def test_block_out_of_path_order_is_refused(coloring3):
         decomp = layering(tree, 2, rake, (blocks,))
         assert decomp.compress_layers == in_order.compress_layers
         assert decomp != in_order
-        assert check_layered_invariants(decomp) == []
+        assert any("is not a path" in msg for msg in check_layered_invariants(decomp))
         with pytest.raises(InternalError, match="must induce a path"):
             solve_on_decomposition(coloring3, subset, decomp)
 
@@ -431,6 +439,20 @@ def test_layers_that_hold_an_edge_are_refused(coloring3):
     assert isinstance(ref_solve_on_decomposition(coloring3, subset, touching), HalfEdgeLabeling)
     with pytest.raises(InternalError, match="blocks of one layer must not touch"):
         solve_on_decomposition(coloring3, subset, touching)
+
+
+def test_block_whose_interior_touches_a_later_vertex_is_refused(coloring3):
+    # block (1, 2, 3) of the path 0..4 touches 0 and 4 at its ends and the
+    # pendant vertex 5 in its middle, so no path witness labels it
+    tree = built_tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    decomp = layering(tree, 2, (frozenset(), frozenset({0, 4, 5})), (((1, 2, 3),),))
+    with pytest.raises(
+        InternalError, match="must touch exactly two labeled vertices, one at each end"
+    ):
+        solve_on_decomposition(coloring3, sorted(coloring3.vertex_configs), decomp)
+    assert check_layered_invariants(decomp) == [
+        "compress layer 1 block [1, 2, 3] does not have exactly 2 later contacts, one at each end"
+    ]
 
 
 # --- invariant checker ----------------------------------------------------------
@@ -488,6 +510,86 @@ def test_invariants_hold_on_random_trees(n, delta, seed, ell_prime):
     spec = TreeGenSpec(n=n, delta=delta, seed=seed, model="uniform-attachment-capped")
     decomp = post_process(gen_tree(spec), ell_prime)
     assert check_layered_invariants(decomp) == []
+
+
+# --- checker and solver agree ------------------------------------------------------
+
+
+def assert_checker_and_solver_agree(problem, decomp):
+    """The checker reports no fault but block sizes exactly when the solver
+    fills the layering; three-coloring has a witness for every block."""
+    faults = [msg for msg in check_layered_invariants(decomp) if "has size" not in msg]
+    try:
+        solve_on_decomposition(problem, sorted(problem.vertex_configs), decomp)
+    except InternalError as err:
+        assert faults, f"the solver refuses a layering the checker passes: {err}"
+    else:
+        assert not faults, f"the solver fills a layering the checker faults: {faults}"
+
+
+# the layerings this file builds by hand: (tree, ell', rake layers, blocks)
+HAND_MADE = [
+    (path_tree(7), 2, ({0, 6}, {1, 5}), [[(2, 3, 4)]]),
+    (path_tree(7), 2, ({0, 6}, {1, 5}), [[(2, 4, 3)]]),
+    (path_tree(7), 2, ({0, 6}, {1, 5}), [[(2, 3, 4), ()]]),
+    (path_tree(7), 4, ({0, 6}, {1, 5}), [[(2, 3, 4)]]),
+    (star_tree(4), 2, ((), ()), [[(0, 1, 2, 3)]]),
+    (star_tree(4), 2, ({0}, {1, 2, 3}), [[]]),
+    (path_tree(9), 2, ({0, 1, 7}, {2, 5}), [[(3, 4), (6, 8)]]),
+    (path_tree(9), 2, ({0, 1, 7}, {2, 5}), [[(6, 8), (3, 4)]]),
+    (path_tree(3), 1, ({0, 1, 2},), []),
+    (built_tree(6, [(0, 1), (1, 2), (1, 5), (5, 4), (2, 3)]), 1, ({3}, {0, 2, 4}), [[(1,), (5,)]]),
+    (built_tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]), 2, ((), {0, 4, 5}), [[(1, 2, 3)]]),
+    (path_tree(4), 2, ({0, 1}, {2, 3}), [[]]),
+    (path_tree(4), 2, ({0, 3}, ()), [[(1, 2)]]),
+    (path_tree(4), 2, ({0, 3}, {1}), [[(2,)]]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(HAND_MADE)))
+def test_checker_and_solver_agree_on_hand_made_layerings(case, coloring3):
+    tree, ell_prime, rake, blocks = HAND_MADE[case]
+    assert_checker_and_solver_agree(coloring3, layering(tree, ell_prime, rake, blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    model=st.sampled_from(["path", "caterpillar", "uniform-attachment-capped"]),
+    seed=st.integers(min_value=0, max_value=1000),
+    ell_prime=st.sampled_from([1, 2, 3]),
+    data=st.data(),
+)
+def test_checker_and_solver_agree_on_mutated_layerings(n, model, seed, ell_prime, data):
+    # one vertex moves to another layer (into a block or as a block of its
+    # own), or two vertices of one block swap places
+    decomp = post_process(gen_tree(TreeGenSpec(n=n, delta=3, seed=seed, model=model)), ell_prime)
+    rake = [layer.tolist() for layer in decomp.layers[0::2]]
+    blocks = [[list(b) for b in layer] for layer in blocks_of(decomp)]
+    long_blocks = [b for layer in blocks for b in layer if len(b) > 1]
+    if long_blocks and data.draw(st.booleans(), label="swap"):
+        block = data.draw(st.sampled_from(long_blocks), label="block")
+        i, j = data.draw(st.lists(st.integers(0, len(block) - 1), min_size=2, max_size=2, unique=True))
+        block[i], block[j] = block[j], block[i]
+    elif len(decomp.layers) > 1:
+        v = data.draw(st.integers(0, n - 1), label="vertex")
+        r = decomp.rank_of(v)
+        if r % 2:
+            rake[r // 2].remove(v)
+        else:
+            layer = blocks[r // 2 - 1]
+            layer[:] = [[u for u in b if u != v] for b in layer]
+        to = data.draw(st.integers(1, len(decomp.layers)).filter(lambda t: t != r), label="to")
+        if to % 2:
+            rake[to // 2].append(v)
+        else:
+            layer = blocks[to // 2 - 1]
+            at = data.draw(st.integers(0, len(layer)), label="block")
+            if at == len(layer) or data.draw(st.booleans(), label="alone"):
+                layer.insert(at, [v])
+            else:
+                layer[at].insert(data.draw(st.integers(0, len(layer[at])), label="place"), v)
+    assert_checker_and_solver_agree(three_coloring(), layering(decomp.tree, ell_prime, rake, blocks))
 
 
 # --- depth and rounds -----------------------------------------------------------
