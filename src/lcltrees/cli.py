@@ -385,11 +385,11 @@ SUBCOMMANDS = (
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The full lcltrees parser, built for parsing argv.
 
-    parse_args falls back to it for every command line that does not parse
-    cleanly under its subcommand alone: no command, a top-level option or
-    `--` before it, an unknown command, or arguments the subcommand leaves
-    over.  Only this parser prints the top-level help and the usage errors
-    that name every subcommand, so those stay as argparse words them.  Every
+    parse_args takes a command line here when its quick route cannot: the
+    line does not start with a command whose options _Options reads, or it
+    holds anything but that command's exact long options each followed by
+    a value argparse would take as given.  Only this parser prints help and
+    words usage errors, so those stay as argparse words them.  Every
     subcommand is registered, but only those named somewhere in argv get
     their arguments: argparse runs the subcommand named by the first
     positional, which need not be argv[0].
@@ -406,23 +406,95 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return parser
 
 
+class _Unmodeled(Exception):
+    """A declaration _Options does not read."""
+
+
+class _Options:
+    """A subcommand's options as its add-arguments function declares them.
+
+    Stands in for the subcommand's ArgumentParser.  It reads add_argument
+    with one long option string and keywords in _MODELED, but no str
+    default with a type (argparse would convert it), and set_defaults, which
+    must name no option's dest; any other call raises _Unmodeled.
+    """
+
+    _MODELED = frozenset({"type", "choices", "default", "required", "help"})
+
+    def __init__(self) -> None:
+        self.options: dict[str, dict] = {}
+        self.defaults: dict[str, object] = {}
+
+    def add_argument(self, *flags: str, **kwargs) -> None:
+        if (
+            len(flags) != 1
+            or not flags[0].startswith("--")
+            or not kwargs.keys() <= self._MODELED
+            or (isinstance(kwargs.get("default"), str) and "type" in kwargs)
+        ):
+            raise _Unmodeled(flags)
+        self.options[flags[0]] = kwargs
+
+    def set_defaults(self, **kwargs) -> None:
+        self.defaults.update(kwargs)
+
+    def __getattr__(self, name: str):
+        raise _Unmodeled(name)
+
+
+def _quick_parse(
+    name: str, add_arguments: Callable, pairs: Sequence[str]
+) -> Optional[argparse.Namespace]:
+    """The namespace for the command line `name *pairs`, or None.
+
+    None unless pairs alternate the command's long options with values that
+    do not start with "-" and that each option's type and choices take, and
+    every required option is given; a repeated option keeps its last value.
+    """
+    if len(pairs) % 2:
+        return None
+    spec = _Options()
+    try:
+        add_arguments(spec)
+    except _Unmodeled:
+        return None
+    given = {}
+    for flag, text in zip(pairs[::2], pairs[1::2]):
+        option = spec.options.get(flag)
+        if option is None or text.startswith("-"):
+            return None
+        convert = option.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None  # the full parser reports it
+        if "choices" in option and value not in option["choices"]:
+            return None
+        given[flag] = value
+    if any(o.get("required") and f not in given for f, o in spec.options.items()):
+        return None
+    values = {"command": name, **spec.defaults}
+    for flag, option in spec.options.items():
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, option.get("default"))
+    return argparse.Namespace(**values)
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """argv parsed as build_parser(argv).parse_args(argv) parses it.
 
-    When argv[0] names a subcommand, only that subcommand's parser is built,
-    with the prog the full parser gives it, and it parses the rest of argv:
-    the full parser hands all of that to the same subparser, so namespace,
-    help and errors are the same.  Leftover arguments are reported under the
-    top-level usage, so a command line with leftovers, like any line that
-    does not start with a command, goes to the full parser.
+    Two routes.  The quick one builds no ArgumentParser: when argv[0] names
+    a subcommand whose add-arguments function _Options reads and the rest
+    of argv is `--option value` pairs that _quick_parse takes, the namespace
+    is built from the declared types, choices, defaults and set_defaults,
+    as argparse would build it.  Every other line (help, `--opt=value`,
+    abbreviations, values that start with "-", leftovers, oracle's nested
+    subcommands, any error) goes to the full parser, the only route that
+    prints anything.
     """
     for name, _, add_arguments in SUBCOMMANDS:
         if argv and argv[0] == name:
-            parser = argparse.ArgumentParser(prog=f"lcltrees {name}")
-            add_arguments(parser)
-            args, rest = parser.parse_known_args(argv[1:])
-            if not rest:
-                args.command = name
+            args = _quick_parse(name, add_arguments, argv[1:])
+            if args is not None:
                 return args
     return build_parser(argv).parse_args(argv)
 

@@ -297,7 +297,14 @@ def solve_on_decomposition(
     subset: Iterable[VertexConfig],
     decomp: LayeredDecomposition,
 ) -> HalfEdgeLabeling:
-    asg = _Assigner(problem, decomp.tree, sorted(set(subset)))
+    """Label decomp's tree along its layers, outermost rake layer last.
+
+    Takes the subset as solve_log does and raises ValueError on the inputs
+    solve_log refuses; the ell checked is ell' + 2, which the decomposition
+    serves.  Raises NotEllFullError if the subset is not ell-full.
+    """
+    cfgs = _check_solver_inputs(problem, subset, decomp.ell_prime + 2, decomp.tree)
+    asg = _Assigner(problem, decomp.tree, cfgs)
     for j in reversed(range(len(decomp.layers))):
         if j % 2:
             asg.compress(decomp.layers[j], decomp.sizes[j // 2])

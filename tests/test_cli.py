@@ -534,7 +534,7 @@ def test_solve_reports_a_bad_toast_or_centers_before_reading_any_file(tmp_path, 
     assert text == f"error: {message}\n"
 
 
-def test_a_command_that_parses_builds_only_its_own_parser(tmp_path, monkeypatch):
+def test_a_flag_pair_command_line_builds_no_parser(tmp_path, monkeypatch):
     files = input_files(tmp_path)
     problem, tree = str(files["problem"]), str(files["tree"])
     built = []
@@ -547,23 +547,29 @@ def test_a_command_that_parses_builds_only_its_own_parser(tmp_path, monkeypatch)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     out = str(tmp_path / "out")
     connects = ["--a1", "a", "--c1", "a,a,a", "--a2", "b", "--c2", "b,b,b", "--k", "4"]
-    runs = [
-        (["classify", "--problem", "two-coloring"], 1),
-        (commands_reading(files, "subset")[0] + ["--output", out], 1),
-        (commands_reading(files, "labeling")[0], 1),
-        (["gen", "--n", "12", "--output", out], 1),
-        (["decompose", "--tree", tree, "--gamma", "1", "--ell", "4", "--output", out], 1),
-        (["classes", "--problem", "perfect-matching", "--max-size", "4", "--samples", "2"], 1),
-        # oracle's own parser and its two subcommands
-        (["oracle", "solve", "--problem", problem, "--tree", tree], 3),
-        (["oracle", "connects", "--problem", "two-coloring", *connects], 3),
+    flag_pairs = [
+        ["classify", "--problem", "two-coloring"],
+        commands_reading(files, "subset")[0] + ["--output", out],
+        commands_reading(files, "labeling")[0],
+        ["gen", "--n", "12", "--output", out],
+        ["decompose", "--tree", tree, "--gamma", "1", "--ell", "4", "--output", out],
+        ["classes", "--problem", "perfect-matching", "--max-size", "4", "--samples", "2"],
     ]
-    for argv, most in runs:
+    for argv in flag_pairs:
         built.clear()
         code, text = quiet_cli(*argv)
         assert code == 0, text
-        assert 1 <= len(built) <= most, (argv, built)
-        assert built[0] == f"lcltrees {argv[0]}"
+        assert built == [], (argv, built)
+    # oracle's nested subcommands take the full parser: lcltrees, its seven
+    # subcommands and oracle's two
+    for argv in (
+        ["oracle", "solve", "--problem", problem, "--tree", tree],
+        ["oracle", "connects", "--problem", "two-coloring", *connects],
+    ):
+        built.clear()
+        code, text = quiet_cli(*argv)
+        assert code == 0, text
+        assert built[0] == "lcltrees" and len(built) == 10, (argv, built)
 
 
 @pytest.mark.parametrize("kind", ["problem", "tree", "subset", "labeling"])

@@ -1170,6 +1170,22 @@ ARGVS = [
     ["classify", "--problem", "x", "-h"],
     ["decompose", "--tree", "t", "--gamma", "1", "--ell", "2", "--help"],
     ["oracle", "solve", "--problem", "x", "--tree", "t", "-h"],
+    # the edges of the quick route: what it must leave to the full parser, and
+    # values it takes as argparse does
+    ["gen", "--n", "5", "--seed", "-3"],
+    ["gen", "--n=5"],
+    ["gen", "--n", "5", "--seed", "2", "--n", "6"],
+    ["gen", "--n", "x", "--n", "6"],
+    ["classify", "--problem", ""],
+    ["classify", "--problem", "-"],
+    ["classify", "--problem", "-x"],
+    ["classify", "--problem", "x", "--output", "--format"],
+    ["gen", "--n", " 7"],
+    ["gen", "--n", "\u0663"],
+    ["gen", "--n", "5", "--model", "Path"],
+    ["gen", "--delta", "4", "--model", "path"],
+    ["classes", "--problem", "x", "--max-size"],
+    ["classes", "--max-size", "3", "--format", "json"],
 ]
 HELP = [[cmd, "--help"] for cmd, _, _ in cli.SUBCOMMANDS]
 HELP += [["oracle", "solve", "-h"], ["oracle", "connects", "--help"]]
@@ -1186,6 +1202,7 @@ def test_help_and_usage_errors_match_the_reference_parser(columns, monkeypatch):
 TOKENS = [cmd for cmd, _, _ in cli.SUBCOMMANDS] + [
     "-h", "--", "--problem", "--tree", "--budget", "--ell", "--n", "--format", "json",
     "--model", "path", "--a1", "--k", "--max-vertices", "--output", "x", "3", "-1", "--bogus",
+    "--seed", "--n=3", "", "-",
 ]
 
 

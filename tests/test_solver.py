@@ -28,6 +28,7 @@ from lcltrees.solver import (
     piece_boundary,
     round_report,
     solve_log,
+    solve_on_decomposition,
     solve_toast,
     verify_toast,
 )
@@ -195,6 +196,24 @@ def test_input_validation(coloring3):
     wide = three_coloring(delta=4)
     with pytest.raises(ValueError, match="delta"):
         solve_log(wide, full_subset(wide), 3, tree)
+
+
+def test_solving_on_a_decomposition_checks_inputs_as_solve_log_does(coloring3):
+    wide = gen_tree(TreeGenSpec(n=50, delta=4, seed=1, model="uniform-attachment-capped"))
+    decomp = post_process(path_tree(4), 1)
+    cases = [
+        (full_subset(coloring3), post_process(wide, 2), "tree delta differs from problem delta"),
+        ([], decomp, "subset must be nonempty"),
+        ([VertexConfig.of([0, 0, 1])], decomp, r"config \(0, 0, 1\) not in the problem"),
+    ]
+    for subset, layered, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_on_decomposition(coloring3, subset, layered)
+    # rows of label names are taken as solve_log takes them
+    names = [[coloring3.labels[i].name for i in c.labels] for c in full_subset(coloring3)]
+    assert solve_on_decomposition(coloring3, names, decomp) == solve_log(
+        coloring3, full_subset(coloring3), 3, path_tree(4)
+    )
 
 
 # --- witness memo -----------------------------------------------------------------
