@@ -261,10 +261,7 @@ class _VertexStep:
 
     def __init__(self, problem: LclProblem):
         self.configs = [Counter(c.labels) for c in problem.vertex_configs]
-        self.partners = [
-            sum(1 << m for m in range(problem.num_labels) if problem.edge_ok(m, b))
-            for b in range(problem.num_labels)
-        ]
+        self.partners = problem.partner_masks
         self.memo: dict[tuple, int] = {}
         self.kid_ok_memo: dict[int, int] = {}
 

@@ -8,29 +8,33 @@ needs the previous vertex's forward label, so interior feasibility is a
 walk in a finite state graph and long-path behavior is settled by the
 eventual periodicity of its boolean adjacency powers.
 
-Whether a state may follow a vertex depends only on the label that vertex
-sent, never on the subset.  So each problem tabulates that relation once
-over all of its states (StateTable, cached on the problem), and a subset's
-state graph, entry rows and exit vectors are index slices of the table.
-The ell-full test then makes one pass over the power cycle: for each
-exponent m up to index + period - 1 it records whether entry . step^m .
-exit is all-true, and every ell is decided from the all-true suffix of
-those flags.
+Each problem numbers its states once (StateTable, cached on the problem);
+a set of states is a Python int with bit i for state i.  The states that
+may follow a vertex depend only on the label l it sent, so per label the
+table keeps outmask[l], the states that send l, admit[l], the states that
+may take l in, and exitmask[l], the states whose out-label may share an
+edge with l.  With P a subset's states, a walk steps from the states M by
+the per-label step identity step(M) = OR{admit[l] : M & outmask[l]} & P,
+at most |labels| int operations however many states there are.  Row i of
+step^m (m >= 1) is step^(m-1)(admit[l] & P) for the label l state i sends,
+so the powers are tuples of one row per sent label and repeat exactly when
+those tuples do.  The ell-full test makes one pass over the power cycle,
+recording for each exponent m up to index + period - 1 whether every entry
+row stepped m times meets every exit mask; every ell is decided from the
+all-true suffix of those flags.
 
 Before the search, each problem trims its configs once, on the table.  In
 the graph of the configs still kept, a state is forward-live when a walk
 from it reaches a cycle and backward-live when a cycle reaches it; a config
-goes when one of its labels a has no forward-live state in entry_row(a) or
-no backward-live state in exit_vector(a), and the trim repeats until no
-config goes.  It is sound:
-  - an ell-full S joins every pair of its labels by walks of every length
-    k >= ell, so those walks start at forward-live and end at backward-live
-    states of graph(S);
-  - graph(S) is an induced subgraph of graph(T) for every T containing S,
-    so those states stay live in T, and no config of S is ever dropped;
-  - so every ell-full subset lies inside the fixpoint.
-The search still runs over every subset in the same order and charges each
-to the budget, but settles one outside the fixpoint without a state graph.
+goes when one of its labels a has no forward-live state in admit[a] or no
+backward-live state in exitmask[a], until no config goes.  It is sound: an
+ell-full S joins every pair of its labels by walks of every length k >= ell,
+which start at forward-live and end at backward-live states of graph(S);
+graph(S) is an induced subgraph of graph(T) for every T containing S, so
+those states stay live in T and every ell-full subset lies inside the
+fixpoint.  The search still runs over every subset in the same order and
+charges each to the budget, but settles one outside the fixpoint without a
+state graph.
 """
 from __future__ import annotations
 
@@ -65,110 +69,133 @@ class PeriodicityCertificate:
     period: int
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.int32) @ b.astype(np.int32)) > 0
+def _members(mask: int) -> list[int]:
+    """The positions of mask's set bits, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _step(moves: Iterable[tuple[int, int]], states: int) -> int:
+    """The union of the second masks of the pairs whose first mask meets states."""
+    reached = 0
+    for first, second in moves:
+        if states & first:
+            reached |= second
+    return reached
+
+
+def _walks_forever(live: int, moves: list[tuple[int, int]]) -> int:
+    """The states of live that a walk of every length starts from, for moves
+    pairing each label's takers with its senders (the other way round: ends
+    at).  Peels the states with no successor left until none goes."""
+    while (now := _step(moves, live) & live) != live:
+        live = now
+    return live
 
 
 class StateTable:
-    """Every path state of a problem, in sorted-config order, with its transitions.
+    """Every path state of a problem, in sorted-config order; state i is bit i.
 
-    admit[p, i] holds when some in-label of state i's config matches label
-    p across an edge and leaves room for the state's out-label; out[i] is
-    that out-label, span[c] the indices of config c's states, and edge the
-    problem's edge matrix.  Build it through problem.state_table.
+    mask_of[c] holds config c's states; outmask, admit and exitmask are the
+    per-label masks of the module docstring, where a state admits l when an
+    in-label that edges with l leaves room for its out-label.  Build it
+    through problem.state_table.
     """
 
     def __init__(self, problem: LclProblem):
+        partners, ids = problem.partner_masks, range(problem.num_labels)
         states: list[PathState] = []
-        self.span: dict[VertexConfig, range] = {}
+        inlets = []  # per state, the mask of in-labels that leave room for its out-label
+        self.mask_of: dict[VertexConfig, int] = {}
+        self.outmask = [0] * problem.num_labels
         for c in problem.sorted_configs():
-            start = len(states)
-            states.extend(PathState(c, a) for a in c.distinct())
-            self.span[c] = range(start, len(states))
+            start, labels = len(states), c.distinct()
+            held = sum(1 << b for b in labels)
+            for a in labels:
+                self.outmask[a] |= 1 << len(states)
+                states.append(PathState(c, a))
+                inlets.append(held if c.count(a) > 1 else held & ~(1 << a))
+            self.mask_of[c] = (1 << len(states)) - (1 << start)
         self.states = tuple(states)
-        self.out = np.array([s.out_label for s in states], dtype=np.intp)
-        # inlet[i, a]: state i may take label a in and still send its out-label
-        inlet = np.zeros((len(states), problem.num_labels), dtype=bool)
-        for i, s in enumerate(states):
-            for a in s.config.distinct():
-                inlet[i, a] = s.config.count(a) >= (2 if a == s.out_label else 1)
-        self.edge = problem.edge_matrix
-        self.admit = _bool_matmul(self.edge, inlet.T)
+        self.admit = [sum(1 << i for i, t in enumerate(inlets) if t & partners[l]) for l in ids]
+        sends = [(1 << l, m) for l, m in enumerate(self.outmask)]
+        self.exitmask = [_step(sends, partners[l]) for l in ids]
 
     @cached_property
     def live_configs(self) -> frozenset[VertexConfig]:
         """The configs the liveness trim keeps: every ell-full subset's superset."""
-        configs = list(self.span)
-        starts = np.array([self.span[c].start for c in configs], dtype=np.intp)
-        sizes = [len(self.span[c]) for c in configs]
-        kept = np.ones(len(self.states), dtype=bool)
+        labels = range(len(self.outmask))
+        # each config with the mask of its states and the mask of its labels
+        configs = [(c, m, sum(1 << a for a in c.distinct())) for c, m in self.mask_of.items()]
+        kept = (1 << len(self.states)) - 1
         while True:
-            picked = np.flatnonzero(kept)
-            step = self.admit[self.out[picked, None], picked]
-            forward = np.zeros_like(kept)
-            forward[picked[_walks_forever(step)]] = True
-            backward = np.zeros_like(kept)
-            backward[picked[_walks_forever(step.T)]] = True
+            moves = [(self.outmask[l] & kept, self.admit[l] & kept) for l in labels]
+            forward = _walks_forever(kept, [(t, s) for s, t in moves])
+            backward = _walks_forever(kept, moves)
             # label a may face the path: some forward-live state admits it,
             # and some backward-live state sends a label that edges with it
-            ok = (self.admit & forward).any(axis=1) & self.edge[self.out[backward]].any(axis=0)
-            stays = np.logical_and.reduceat(ok[self.out] & kept, starts)
-            now = np.repeat(stays, sizes)
-            if np.array_equal(now, kept):
-                return frozenset(c for c, s in zip(configs, stays) if s)
+            ok = sum(
+                1 << a for a in labels if self.admit[a] & forward and self.exitmask[a] & backward
+            )
+            now = sum(mask for _c, mask, held in configs if mask & kept and not held & ~ok)
+            if now == kept:
+                return frozenset(c for c, mask, _ in configs if mask & kept)
             kept = now
-
-
-def _walks_forever(step: np.ndarray) -> np.ndarray:
-    """Mask of the states that some walk of every length starts from.
-
-    Peels the states with no successor left until none goes; what stays
-    is exactly the set of states from which a walk reaches a cycle.
-    """
-    live = np.ones(len(step), dtype=bool)
-    while True:
-        now = live & step[:, live].any(axis=1)
-        if np.array_equal(now, live):
-            return live
-        live = now
 
 
 class PathStateGraph:
     """States (config, out_label) over a config subset, with step relation.
 
-    step[(c, a) -> (c', a')] holds when some in-label of c' matches a across
-    an edge and leaves room for a' in c'.  Entry rows share the same formula
-    with the endpoint's facing label in place of a; exit only checks the
-    edge relation against the far endpoint's facing label.  All three are
-    slices of the problem's StateTable at the subset's state indices.
+    mask holds the subset's states in the problem's StateTable, labels the
+    labels they send (ascending), and moves the pairs (outmask[l] & mask,
+    admit[l] & mask) for those labels.  step[(c, a) -> (c', a')] holds when
+    some in-label of c' matches a across an edge and leaves room for a' in
+    c'; entry rows put the endpoint's facing label in place of a, and exit
+    checks the edge relation against the far endpoint's facing label.  All
+    of these, and power(m), are read-only bool arrays decoded from masks.
     """
 
     def __init__(self, problem: LclProblem, subset: Iterable[VertexConfig]):
         self.problem = problem
-        self.table = problem.state_table
+        self.table = table = problem.state_table
         self.subset = tuple(sorted(set(subset)))
-        picked: list[int] = []
+        mask = 0
         for c in self.subset:
-            span = self.table.span.get(c)
-            if span is None:
+            held = table.mask_of.get(c)
+            if held is None:
                 raise ValueError(f"config {c.labels} not in the problem")
-            picked.extend(span)
-        self.picked = np.array(picked, dtype=np.intp)
-        self.states = tuple(self.table.states[i] for i in picked)
-        self.out = self.table.out[self.picked]
-        self.step = self.table.admit[self.out[:, None], self.picked]
-        self._powers: Optional[list[np.ndarray]] = None
+            mask |= held
+        self.mask = mask
+        self.picked = _members(mask)
+        self.states = tuple(table.states[i] for i in self.picked)
+        self.labels = tuple(l for l, senders in enumerate(table.outmask) if senders & mask)
+        self.moves = tuple((table.outmask[l] & mask, table.admit[l] & mask) for l in self.labels)
+        # _reach[m][j]: the states entry . step^m reaches from labels[j]
+        self._reach: Optional[list[tuple[int, ...]]] = None
         self._cert: Optional[PeriodicityCertificate] = None
 
     @cached_property
     def index(self) -> dict[tuple[VertexConfig, int], int]:
         return {(s.config, s.out_label): i for i, s in enumerate(self.states)}
 
+    def _decode(self, masks: list[int]) -> np.ndarray:
+        rows = np.array([[m >> i & 1 for i in self.picked] for m in masks], dtype=bool)
+        rows = rows.reshape(len(masks), len(self.picked))
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        return self._decode([_step(self.moves, 1 << i) for i in self.picked])
+
     def entry_row(self, a1: int) -> np.ndarray:
-        return self.table.admit[a1, self.picked]
+        return self._decode([self.table.admit[a1] & self.mask])[0]
 
     def exit_vector(self, a2: int) -> np.ndarray:
-        return self.table.edge[self.out, a2]
+        return self._decode([self.table.exitmask[a2] & self.mask])[0]
 
     def certificate(self) -> PeriodicityCertificate:
         if self._cert is None:
@@ -176,28 +203,31 @@ class PathStateGraph:
         return self._cert
 
     def _compute_periodicity(self) -> None:
-        n = len(self.states)
-        powers = [np.eye(n, dtype=bool)]
-        seen = {powers[0].tobytes(): 0}
-        while True:
-            nxt = _bool_matmul(powers[-1], self.step)
-            key = nxt.tobytes()
-            if key in seen:
-                first = seen[key]
-                self._cert = PeriodicityCertificate(first, len(powers) - first)
-                self._powers = powers
-                return
-            seen[key] = len(powers)
-            powers.append(nxt)
+        # step^m for m >= 1 is the tuple of rows _reach[m - 1]; the identity
+        # is such a tuple only when every label has one state, its own bit
+        ident = tuple(senders for senders, _ in self.moves)
+        seen = {ident: 0} if all(s & (s - 1) == 0 for s in ident) else {}
+        rows = tuple(takers for _, takers in self.moves)
+        reach = []
+        while rows not in seen:
+            reach.append(rows)
+            seen[rows] = len(reach)
+            rows = tuple(_step(self.moves, r) for r in rows)
+        reach.append(rows)
+        self._cert = PeriodicityCertificate(seen[rows], len(reach) - seen[rows])
+        self._reach = reach
 
     def power(self, m: int) -> np.ndarray:
         """step^m, reduced through the periodicity certificate."""
         if m < 0:
             raise ValueError("matrix power must be nonnegative")
         cert = self.certificate()
-        if m < len(self._powers):
-            return self._powers[m]
-        return self._powers[cert.index + (m - cert.index) % cert.period]
+        if m >= cert.index + cert.period:
+            m = cert.index + (m - cert.index) % cert.period
+        rows = [1 << i for i in self.picked]
+        for _ in range(m):
+            rows = [_step(self.moves, r) for r in rows]
+        return self._decode(rows)
 
 
 def build_state_graph(problem: LclProblem, subset: Iterable[VertexConfig]) -> PathStateGraph:
@@ -214,20 +244,16 @@ def verify_periodicity(graph: PathStateGraph, cert: PeriodicityCertificate) -> b
     Nothing in the package calls it: it is the independent reference that
     certificates from compute_periodicity and classify are checked against.
     """
-    n = len(graph.states)
-    a = np.eye(n, dtype=bool)
+    step = graph.step.astype(np.int32)
+    a = np.eye(len(graph.states), dtype=bool)
     prefix = []
     for _ in range(cert.index + cert.period):
         prefix.append(a)
-        a = _bool_matmul(a, graph.step)
+        a = (a.astype(np.int32) @ step) > 0
     if not np.array_equal(a, prefix[cert.index]):
         return False
     # minimality: no earlier repetition anywhere in the prefix
-    for i in range(len(prefix)):
-        for j in range(i + 1, len(prefix)):
-            if np.array_equal(prefix[i], prefix[j]):
-                return False
-    return True
+    return len({p.tobytes() for p in prefix}) == len(prefix)
 
 
 def _check_endpoint(graph: PathStateGraph, a: int, c: VertexConfig, who: str) -> None:
@@ -251,10 +277,8 @@ def connects(
         raise ValueError("paths need at least two vertices")
     if k == 2:
         return graph.problem.edge_ok(a1, a2)
-    entry = graph.entry_row(a1)
-    exit_ = graph.exit_vector(a2)
-    reach = _bool_matmul(entry[None, :], graph.power(k - 3))[0]
-    return bool(np.any(reach & exit_))
+    reach = graph.power(k - 3)[graph.entry_row(a1)].any(axis=0)
+    return bool(np.any(reach & graph.exit_vector(a2)))
 
 
 def _ell_scan(graph: PathStateGraph) -> tuple[bool, int]:
@@ -262,20 +286,20 @@ def _ell_scan(graph: PathStateGraph) -> tuple[bool, int]:
 
     With L the labels the subset's states send and K, P the certificate's
     index and period, full[m] says whether entry . step^m . exit is all-true
-    over L x L, for m in 0..K+P-1; every larger m repeats a matrix of the
-    cycle K..K+P-1.  Returns whether every pair in L may share an edge (the
-    2-vertex paths) and the start of full's all-true suffix.
+    over L x L, for m in 0..K+P-1 (larger m repeat the cycle K..K+P-1): row
+    j of _reach[m], entry(L[j]) . step^m, must meet every exit mask.
+    Returns whether every pair in L may share an edge (the 2-vertex paths)
+    and the start of full's all-true suffix.
     """
-    cert = graph.certificate()
-    labels = np.flatnonzero(np.bincount(graph.out))
-    edge = graph.table.edge
-    pairs_ok = bool(edge[labels[:, None], labels].all())
-    entry = graph.table.admit[labels[:, None], graph.picked]
-    exit_ = edge[graph.out[:, None], labels]
-    tables = _bool_matmul(_bool_matmul(entry, np.stack(graph._powers)), exit_)
-    full = tables.reshape(cert.index + cert.period, -1).all(axis=1)
-    bad = np.flatnonzero(~full)
-    return pairs_ok, int(bad[-1]) + 1 if bad.size else 0
+    graph.certificate()  # fills graph._reach
+    partners = graph.problem.partner_masks
+    held = sum(1 << l for l in graph.labels)
+    pairs_ok = all(partners[l] & held == held for l in graph.labels)
+    exits = [graph.table.exitmask[l] for l in graph.labels]
+    for m in range(len(graph._reach) - 1, -1, -1):
+        if not all(row & x for row in graph._reach[m] for x in exits):
+            return pairs_ok, m + 1
+    return pairs_ok, 0
 
 
 def _is_ell_full(graph: PathStateGraph, ell: int) -> bool:
@@ -376,37 +400,35 @@ def extend_path(
     if k == 2:
         return [] if problem.edge_ok(a1, a2) else None
 
-    reach = [graph.entry_row(a1)]
+    reach = [graph.table.admit[a1] & graph.mask]
     for _ in range(k - 3):
-        reach.append(_bool_matmul(reach[-1][None, :], graph.step)[0])
-    final_ok = reach[-1] & graph.exit_vector(a2)
-    if not final_ok.any():
+        reach.append(_step(graph.moves, reach[-1]))
+    final_ok = reach[-1] & graph.table.exitmask[a2]
+    if not final_ok:
         return None
 
-    picks = [int(np.argmax(final_ok))]
+    # the smallest state that ends the path, then back through the smallest
+    # state of each reach mask that sends a label the next pick takes in
+    back = [(takers, senders) for senders, takers in graph.moves]
+    picks = [_lowest(final_ok)]
     for t in range(k - 3, 0, -1):
-        nxt = picks[-1]
-        options = reach[t - 1] & graph.step[:, nxt]
-        picks.append(int(np.argmax(options)))
+        options = reach[t - 1] & _step(back, 1 << picks[-1])
+        if not options:
+            raise InternalError("path witness backtrack found no predecessor")
+        picks.append(_lowest(options))
     picks.reverse()
 
     witness = []
     prev_out = a1
     for idx in picks:
-        state = graph.states[idx]
-        c = state.config
-        in_label = None
-        for cand in c.distinct():
-            if not problem.edge_ok(prev_out, cand):
-                continue
-            if c.count(cand) >= (2 if cand == state.out_label else 1):
-                in_label = cand
-                break
+        c, out = graph.table.states[idx].config, graph.table.states[idx].out_label
+        # the smallest in-label that edges with prev_out and leaves room for out
+        fits = (b for b in c.distinct() if problem.edge_ok(prev_out, b) and c.count(b) > (b == out))
+        in_label = next(fits, None)
         if in_label is None:
             raise InternalError("path witness backtrack picked an inadmissible state")
-        rest = c.minus(in_label, state.out_label)
-        witness.append((c, (in_label, state.out_label) + rest))
-        prev_out = state.out_label
+        witness.append((c, (in_label, out) + c.minus(in_label, out)))
+        prev_out = out
     return witness
 
 
@@ -427,17 +449,10 @@ class ClassificationReport:
 def classify(problem: LclProblem, max_subsets: int = 4096) -> ClassificationReport:
     result = find_ell_full_set(problem, max_subsets)
     if result.subset is not None:
-        names = tuple(
-            tuple(problem.name_of(x) for x in c) for c in result.subset
-        )
+        names = tuple(tuple(map(problem.name_of, c)) for c in result.subset)
         return ClassificationReport(
-            VERDICT_LOGN,
-            names,
-            result.ell,
-            result.certificate,
-            True,
-            result.subsets_examined,
-            max_subsets,
+            VERDICT_LOGN, names, result.ell, result.certificate, True,
+            result.subsets_examined, max_subsets,
         )
     verdict = VERDICT_NOT if result.exhaustive else VERDICT_INCONCLUSIVE
     return ClassificationReport(
@@ -446,37 +461,21 @@ def classify(problem: LclProblem, max_subsets: int = 4096) -> ClassificationRepo
 
 
 def serialize_report(report: ClassificationReport) -> str:
-    doc = {
-        "verdict": report.verdict,
-        "subset": [list(c) for c in report.subset] if report.subset is not None else None,
-        "minimal_ell": report.minimal_ell,
-        "certificate": (
-            {"index": report.certificate.index, "period": report.certificate.period}
-            if report.certificate is not None
-            else None
-        ),
-        "exhaustive": report.exhaustive,
-        "subsets_examined": report.subsets_examined,
-        "budget": report.budget,
-    }
+    # the keys in field order, the certificate as {"index", "period"}
+    cert = report.certificate
+    doc = {**vars(report), "certificate": vars(cert) if cert is not None else None}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_report(text: str) -> ClassificationReport:
     doc = json.loads(text)
-    cert = doc["certificate"]
+    subset, cert = doc["subset"], doc["certificate"]
     return ClassificationReport(
-        verdict=doc["verdict"],
-        subset=(
-            tuple(tuple(c) for c in doc["subset"]) if doc["subset"] is not None else None
-        ),
-        minimal_ell=doc["minimal_ell"],
-        certificate=(
-            PeriodicityCertificate(cert["index"], cert["period"]) if cert else None
-        ),
-        exhaustive=doc["exhaustive"],
-        subsets_examined=doc["subsets_examined"],
-        budget=doc["budget"],
+        doc["verdict"],
+        tuple(map(tuple, subset)) if subset is not None else None,
+        doc["minimal_ell"],
+        PeriodicityCertificate(cert["index"], cert["period"]) if cert else None,
+        doc["exhaustive"], doc["subsets_examined"], doc["budget"],
     )
 
 

@@ -154,6 +154,14 @@ class LclProblem:
         return (a, b) in self._edge_pairs
 
     @cached_property
+    def partner_masks(self) -> tuple[int, ...]:
+        """partner_masks[a] has bit b set when labels a and b may share an edge."""
+        masks = [0] * self.num_labels
+        for a, b in self._edge_pairs:
+            masks[a] |= 1 << b
+        return tuple(masks)
+
+    @cached_property
     def edge_matrix(self) -> np.ndarray:
         """edge_matrix[a, b] holds when labels a and b may share an edge."""
         m = np.zeros((self.num_labels, self.num_labels), dtype=bool)

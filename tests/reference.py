@@ -18,7 +18,10 @@ Then three pieces as they stood before smaller versions replaced them:
 the subset search that builds a state graph for every subset it examines
 (with the classify that wraps it), the command-line parser that adds every
 subcommand's arguments whatever the command line names, and ordered_path,
-the walk that lists a block's vertices from its smaller-id endpoint.
+the walk that lists a block's vertices from its smaller-id endpoint.  With
+the search, extend_path as it stood before the state graph moved to label
+masks: reach vectors by boolean matrix products over the graph's step
+matrix, and a backtrack that takes np.argmax of each candidate vector.
 
 Then solve_toast as it stood before it labeled through the solver's
 array passes: each region component walked from its root, one vertex at a
@@ -735,6 +738,53 @@ def ref_classify(problem: LclProblem, max_subsets: int = 4096) -> Classification
     return ClassificationReport(
         verdict, None, None, None, result.exhaustive, result.subsets_examined, max_subsets
     )
+
+
+def ref_extend_path(
+    problem: LclProblem,
+    subset: Iterable[VertexConfig],
+    a1: int,
+    c1: VertexConfig,
+    a2: int,
+    c2: VertexConfig,
+    k: int,
+) -> Optional[list[tuple[VertexConfig, tuple[int, ...]]]]:
+    """extend_path's witness for endpoints it accepts, on the decoded matrices."""
+    graph = build_state_graph(problem, subset)
+    if k == 2:
+        return [] if problem.edge_ok(a1, a2) else None
+    step = graph.step.astype(np.int32)
+    reach = [graph.entry_row(a1)]
+    for _ in range(k - 3):
+        reach.append((reach[-1].astype(np.int32) @ step) > 0)
+    final_ok = reach[-1] & graph.exit_vector(a2)
+    if not final_ok.any():
+        return None
+
+    picks = [int(np.argmax(final_ok))]
+    for t in range(k - 3, 0, -1):
+        options = reach[t - 1] & graph.step[:, picks[-1]]
+        picks.append(int(np.argmax(options)))
+    picks.reverse()
+
+    witness = []
+    prev_out = a1
+    for idx in picks:
+        state = graph.states[idx]
+        c = state.config
+        in_label = None
+        for cand in c.distinct():
+            if not problem.edge_ok(prev_out, cand):
+                continue
+            if c.count(cand) >= (2 if cand == state.out_label else 1):
+                in_label = cand
+                break
+        if in_label is None:
+            raise InternalError("path witness backtrack picked an inadmissible state")
+        rest = c.minus(in_label, state.out_label)
+        witness.append((c, (in_label, state.out_label) + rest))
+        prev_out = state.out_label
+    return witness
 
 
 def ref_build_parser() -> argparse.ArgumentParser:

@@ -4,14 +4,14 @@ one-walk verify_toast, the whole-layer
 rake-and-compress layering and labeling, the extendability tables with
 their one-mask pole-free subtrees and shared census steps, the subtree
 splice on edge columns, the trimmed
-subset search and the command-line parser against the versions kept in
-tests/reference.py."""
+subset search with its path witnesses and the command-line parser against
+the versions kept in tests/reference.py."""
 
 import contextlib
 import io
 import json
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from random import Random
 
 import pytest
@@ -25,8 +25,12 @@ from lcltrees.pathstates import (
     VERDICT_INCONCLUSIVE,
     VERDICT_LOGN,
     VERDICT_NOT,
+    build_state_graph,
     classify,
+    extend_path,
+    find_ell_full_set,
     serialize_report,
+    verify_periodicity,
 )
 from lcltrees.problems import (
     EdgeConfig,
@@ -69,6 +73,8 @@ from reference import (
     ref_build_parser,
     ref_class_census,
     ref_classify,
+    ref_extend_path,
+    ref_find_ell_full_set,
     ref_gen_tree,
     ref_h_table,
     ref_decompose,
@@ -85,6 +91,7 @@ from reference import (
 )
 import test_equivalence
 from test_equivalence import induced_copy, replacement_sweep
+from test_pathstates import _RefGraph
 
 MODELS = ("path", "caterpillar", "uniform-attachment-capped", "star")
 SIZES = (1, 2, 3, 4, 5, 6, 17, 100, 641, 2000)
@@ -1094,6 +1101,65 @@ def test_classify_reports_match_the_exhaustive_search(num_labels):
                 assert serialize_report(report) == serialize_report(ref_classify(problem, budget))
                 verdicts.append(report.verdict)
     assert {VERDICT_LOGN, VERDICT_NOT, VERDICT_INCONCLUSIVE} <= set(verdicts)
+
+
+def eight_label_problem(seed: int) -> LclProblem:
+    """12 random configs over eight labels at delta 3, with 6 random edge pairs."""
+    rng = Random(seed)
+    every = [VertexConfig(c) for c in combinations_with_replacement(range(8), 3)]
+    pairs = [EdgeConfig((i, j)) for i in range(8) for j in range(i, 8)]
+    labels = tuple(Label(i, x) for i, x in enumerate("abcdefgh"))
+    return LclProblem(3, labels, frozenset(rng.sample(every, 12)), frozenset(rng.sample(pairs, 6)))
+
+
+def eight_cycle_problem() -> LclProblem:
+    """Every config over eight labels, edges around a cycle: 288 states, past 64 bits."""
+    labels = tuple(Label(i, x) for i, x in enumerate("abcdefgh"))
+    every = frozenset(VertexConfig(c) for c in combinations_with_replacement(range(8), 3))
+    return LclProblem(3, labels, every, frozenset(EdgeConfig.of(i, (i + 1) % 8) for i in range(8)))
+
+
+def test_the_search_matches_the_exhaustive_search_on_a_stress_corpus():
+    problems = [
+        random_problem(seed, num_labels=5, max_vertex_configs=16) for seed in range(1000, 1060)
+    ]
+    problems += [
+        random_problem(seed, delta=4, num_labels=5, max_vertex_configs=15)
+        for seed in range(2000, 2040)
+    ]
+    # seed 0 settles on 6 of 12 configs after 2,357 subsets; seed 8 is a NOT
+    problems += [eight_label_problem(0), eight_label_problem(8), eight_cycle_problem()]
+    found = 0
+    for problem in problems:
+        result = find_ell_full_set(problem)
+        assert result == ref_find_ell_full_set(problem)
+        if result.subset is None:
+            continue
+        found += 1
+        # the matrix-product check, and the graph built pair by pair
+        assert verify_periodicity(build_state_graph(problem, result.subset), result.certificate)
+        pairwise = _RefGraph(problem, result.subset)
+        assert (pairwise.cert, pairwise.minimal_ell()) == (result.certificate, result.ell)
+    assert 0 < found < len(problems)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [three_coloring(), two_coloring(), perfect_matching()]
+    + [random_problem(seed) for seed in range(20)],
+)
+def test_path_witnesses_match_the_matrix_backtrack(problem):
+    configs = problem.sorted_configs()
+    for size in range(len(configs), 0, -1):
+        for subset in combinations(configs, size):
+            labels = sorted({a for c in subset for a in c})
+            for a1, a2 in product(labels, repeat=2):
+                c1 = next(c for c in subset if a1 in c)
+                c2 = next(c for c in subset if a2 in c)
+                for k in range(2, 13):
+                    assert extend_path(problem, subset, a1, c1, a2, c2, k) == ref_extend_path(
+                        problem, subset, a1, c1, a2, c2, k
+                    ), (subset, a1, a2, k)
 
 
 # --- the command-line parser ---------------------------------------------------------

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import combinations, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,6 @@ from lcltrees.pathstates import (
 from lcltrees.problems import (
     EdgeConfig,
     HalfEdgeLabeling,
-    InternalError,
     Label,
     LclProblem,
     VertexConfig,
@@ -261,19 +264,35 @@ def test_extend_path_k2_edge_cases(matching):
     assert extend_path(matching, [MUU], 0, MUU, 1, MUU, 2) is None
 
 
-def test_extend_path_raises_when_backtrack_breaks_the_step_relation(matching, monkeypatch):
-    # an all-true step lets the backtrack put (MUU, M) after (MUU, M), which
-    # no in-label admits; that must raise even under python -O
-    build = pathstates.build_state_graph
+_CORRUPT_MOVES = (
+    "import lcltrees.pathstates as pathstates\n"
+    "from lcltrees.fixtures import perfect_matching\n"
+    "from lcltrees.problems import InternalError, VertexConfig\n"
+    "build = pathstates.build_state_graph\n"
+    "def corrupted(problem, subset):\n"
+    "    g = build(problem, subset)\n"
+    "    g.moves = tuple((senders, g.mask) for senders, _ in g.moves)\n"
+    "    return g\n"
+    "pathstates.build_state_graph = corrupted\n"
+    "muu = VertexConfig.of([0, 1, 1])\n"
+    "try:\n"
+    "    pathstates.extend_path(perfect_matching(), [muu], 0, muu, 0, muu, 5)\n"
+    "except InternalError as e:\n"
+    "    print(e)\n"
+)
 
-    def corrupted(problem, subset):
-        g = build(problem, subset)
-        g.step = np.ones_like(g.step)
-        return g
 
-    monkeypatch.setattr(pathstates, "build_state_graph", corrupted)
-    with pytest.raises(InternalError, match="inadmissible"):
-        extend_path(matching, [MUU], 0, MUU, 0, MUU, 5)
+def test_extend_path_raises_when_backtrack_breaks_the_step_relation():
+    # moves in which every state takes every label in make the step all-true,
+    # so the backtrack puts (MUU, M) after (MUU, M), which no in-label
+    # admits; that must raise even under python -O, which strips asserts
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_MOVES], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "inadmissible" in proc.stdout
 
 
 def test_classify_builds_a_state_graph_only_inside_the_fixpoint(monkeypatch):
