@@ -11,7 +11,6 @@ from lcltrees import (
     gen_tree,
     is_valid_labeling,
     post_process,
-    round_report,
     solve_log,
 )
 from lcltrees.fixtures import perfect_matching
@@ -37,7 +36,8 @@ def main():
 
     ell_prime = max(1, report.minimal_ell - 2)
     decomp = post_process(tree, ell_prime)
-    print(round_report(problem, tree, decomp).describe())
+    print(f"rake-and-compress depth {decomp.depth}; layer sizes, rake and compress in turn:")
+    print("  " + " ".join(str(len(layer)) for layer in decomp.layers))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,10 @@ decomposition (pumping_decompose).
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -91,8 +90,10 @@ class HTable:
             key = tuple(sorted(interface))
             if len(key) != size:
                 raise ValueError(f"interface {key} has size != {size}")
-            idx = idx * len(_multisets(self.num_labels, size))
-            idx += _multiset_index(self.num_labels, size)[key]
+            pos = _multiset_index(self.num_labels, size).get(key)
+            if pos is None:
+                raise ValueError(f"interface {key} has a label outside 0..{self.num_labels - 1}")
+            idx = idx * len(_multisets(self.num_labels, size)) + pos
         return idx
 
     def lookup(self, *interfaces: Iterable[int]) -> bool:
@@ -159,7 +160,7 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
             polar.add(v)
             v = parent[v]
 
-    step = _shared_steps.get(id(problem)) or _VertexStep(problem)
+    step = problem.vertex_step
     kid_ok = step.kid_ok
     every = (1 << nl) - 1
     # reach[v]: the up-label mask of a pole-free subtree, or for a polar
@@ -225,31 +226,10 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
     return HTable(nl, arities, bits)
 
 
-# id(problem) -> the _VertexStep every table of a running class_census shares
-_shared_steps: dict[int, _VertexStep] = {}
-
-
-@contextmanager
-def _sharing_steps(problem: LclProblem) -> Iterator[None]:
-    """Let every h_table on problem inside the block share one _VertexStep.
-
-    Its memo depends only on the problem, so sharing changes no table; the
-    step is dropped when the block ends, so no memo outlives the call that
-    opened it.
-    """
-    key, step = id(problem), _VertexStep(problem)
-    if _shared_steps.setdefault(key, step) is not step:  # another block shares one
-        yield
-        return
-    try:
-        yield
-    finally:
-        del _shared_steps[key]
-
-
 class _VertexStep:
-    """The per-vertex step of h_table, memoized for the length of one call,
-    or of one class_census, whose tables share it.
+    """The per-vertex step of h_table, built once per problem
+    (problem.vertex_step) and shared by every table of it, since its memo
+    depends only on the problem.
 
     Called with the label sets each child edge admits on this vertex's side
     (fixed child labels already applied), the wanted virtual multiset of a
@@ -573,20 +553,19 @@ def class_census(
     # first-seen order; HTable is frozen, so hashable
     class1: dict[HTable, None] = {}
     cumulative = []
-    with _sharing_steps(problem):
-        for size in range(1, max_size + 1):
-            for i in range(samples_per_size):
-                spec = TreeGenSpec(
-                    n=size,
-                    delta=problem.delta,
-                    seed=seed * 100_003 + size * 101 + i,
-                    model="uniform-attachment-capped",
-                )
-                tree = gen_tree(spec)
-                for v in range(size):
-                    if tree.real_degree(v) < tree.delta:
-                        class1[h_table(problem, PoledTree(tree, (v,)))] = None
-            cumulative.append(len(class1))
+    for size in range(1, max_size + 1):
+        for i in range(samples_per_size):
+            spec = TreeGenSpec(
+                n=size,
+                delta=problem.delta,
+                seed=seed * 100_003 + size * 101 + i,
+                model="uniform-attachment-capped",
+            )
+            tree = gen_tree(spec)
+            for v in range(size):
+                if tree.real_degree(v) < tree.delta:
+                    class1[h_table(problem, PoledTree(tree, (v,)))] = None
+        cumulative.append(len(class1))
     wide = [t for t in class1 if t.arities[0] >= 2]
     class2 = {concat_bipolar(problem, [t1, t2]): None for t1 in wide for t2 in wide}
     return CensusReport(

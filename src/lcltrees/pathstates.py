@@ -18,7 +18,10 @@ the per-label step identity step(M) = OR{admit[l] : M & outmask[l]} & P,
 at most |labels| int operations however many states there are.  Row i of
 step^m (m >= 1) is step^(m-1)(admit[l] & P) for the label l state i sends,
 so the powers are tuples of one row per sent label and repeat exactly when
-those tuples do.  The ell-full test makes one pass over the power cycle,
+those tuples do.  A graph holds masks only: connects asks whether
+entry(a1) . step^(k-3) meets exitmask[a2], and verify_periodicity, the
+independent check, builds its bool matrix from the definitions rather than
+from the masks.  The ell-full test makes one pass over the power cycle,
 recording for each exponent m up to index + period - 1 whether every entry
 row stepped m times meets every exit mask; every ell is decided from the
 all-true suffix of those flags.
@@ -147,15 +150,14 @@ class StateTable:
 
 
 class PathStateGraph:
-    """States (config, out_label) over a config subset, with step relation.
+    """States (config, out_label) over a config subset, held as masks.
 
     mask holds the subset's states in the problem's StateTable, labels the
     labels they send (ascending), and moves the pairs (outmask[l] & mask,
-    admit[l] & mask) for those labels.  step[(c, a) -> (c', a')] holds when
-    some in-label of c' matches a across an edge and leaves room for a' in
-    c'; entry rows put the endpoint's facing label in place of a, and exit
-    checks the edge relation against the far endpoint's facing label.  All
-    of these, and power(m), are read-only bool arrays decoded from masks.
+    admit[l] & mask) for those labels: state (c', a') may follow a state
+    that sends a when some in-label of c' edges with a and leaves room for
+    a' in c'.  reach(a, m) is the mask entry(a) . step^m, the states a walk
+    entered by facing label a can be at after m steps.
     """
 
     def __init__(self, problem: LclProblem, subset: Iterable[VertexConfig]):
@@ -169,33 +171,12 @@ class PathStateGraph:
                 raise ValueError(f"config {c.labels} not in the problem")
             mask |= held
         self.mask = mask
-        self.picked = _members(mask)
-        self.states = tuple(table.states[i] for i in self.picked)
+        self.states = tuple(table.states[i] for i in _members(mask))
         self.labels = tuple(l for l, senders in enumerate(table.outmask) if senders & mask)
         self.moves = tuple((table.outmask[l] & mask, table.admit[l] & mask) for l in self.labels)
         # _reach[m][j]: the states entry . step^m reaches from labels[j]
         self._reach: Optional[list[tuple[int, ...]]] = None
         self._cert: Optional[PeriodicityCertificate] = None
-
-    @cached_property
-    def index(self) -> dict[tuple[VertexConfig, int], int]:
-        return {(s.config, s.out_label): i for i, s in enumerate(self.states)}
-
-    def _decode(self, masks: list[int]) -> np.ndarray:
-        rows = np.array([[m >> i & 1 for i in self.picked] for m in masks], dtype=bool)
-        rows = rows.reshape(len(masks), len(self.picked))
-        rows.flags.writeable = False
-        return rows
-
-    @cached_property
-    def step(self) -> np.ndarray:
-        return self._decode([_step(self.moves, 1 << i) for i in self.picked])
-
-    def entry_row(self, a1: int) -> np.ndarray:
-        return self._decode([self.table.admit[a1] & self.mask])[0]
-
-    def exit_vector(self, a2: int) -> np.ndarray:
-        return self._decode([self.table.exitmask[a2] & self.mask])[0]
 
     def certificate(self) -> PeriodicityCertificate:
         if self._cert is None:
@@ -217,17 +198,15 @@ class PathStateGraph:
         self._cert = PeriodicityCertificate(seen[rows], len(reach) - seen[rows])
         self._reach = reach
 
-    def power(self, m: int) -> np.ndarray:
-        """step^m, reduced through the periodicity certificate."""
+    def reach(self, a: int, m: int) -> int:
+        """entry(a) . step^m for a label a in labels, m reduced through the
+        periodicity certificate."""
         if m < 0:
-            raise ValueError("matrix power must be nonnegative")
+            raise ValueError("step count must be nonnegative")
         cert = self.certificate()
         if m >= cert.index + cert.period:
             m = cert.index + (m - cert.index) % cert.period
-        rows = [1 << i for i in self.picked]
-        for _ in range(m):
-            rows = [_step(self.moves, r) for r in rows]
-        return self._decode(rows)
+        return self._reach[m][self.labels.index(a)]
 
 
 def build_state_graph(problem: LclProblem, subset: Iterable[VertexConfig]) -> PathStateGraph:
@@ -243,9 +222,25 @@ def verify_periodicity(graph: PathStateGraph, cert: PeriodicityCertificate) -> b
 
     Nothing in the package calls it: it is the independent reference that
     certificates from compute_periodicity and classify are checked against.
+    It reads only the graph's problem and subset, not its masks: the states
+    are (c, a) for c in the subset and a in c.distinct(), and (c, a) steps
+    to (c', a') when some in-label b of c' has edge_ok(a, b) and
+    c'.count(b) > (b == a').
     """
-    step = graph.step.astype(np.int32)
-    a = np.eye(len(graph.states), dtype=bool)
+    if cert.index < 0 or cert.period < 1:
+        return False
+    states = [(c, a) for c in graph.subset for a in c.distinct()]
+    step = np.array(
+        [
+            [
+                any(graph.problem.edge_ok(a, b) and c.count(b) > (b == out) for b in c.distinct())
+                for c, out in states
+            ]
+            for _, a in states
+        ],
+        dtype=np.int32,
+    ).reshape(len(states), len(states))
+    a = np.eye(len(states), dtype=bool)
     prefix = []
     for _ in range(cert.index + cert.period):
         prefix.append(a)
@@ -277,8 +272,7 @@ def connects(
         raise ValueError("paths need at least two vertices")
     if k == 2:
         return graph.problem.edge_ok(a1, a2)
-    reach = graph.power(k - 3)[graph.entry_row(a1)].any(axis=0)
-    return bool(np.any(reach & graph.exit_vector(a2)))
+    return bool(graph.reach(a1, k - 3) & graph.table.exitmask[a2])
 
 
 def _ell_scan(graph: PathStateGraph) -> tuple[bool, int]:

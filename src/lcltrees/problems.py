@@ -30,6 +30,7 @@ from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Se
 import numpy as np
 
 if TYPE_CHECKING:
+    from .equivalence import _VertexStep
     from .pathstates import StateTable
 
 
@@ -176,6 +177,13 @@ class LclProblem:
         from .pathstates import StateTable  # pathstates imports this module
 
         return StateTable(self)
+
+    @cached_property
+    def vertex_step(self) -> "_VertexStep":
+        """h_table's memoized vertex step, shared by every table of the problem."""
+        from .equivalence import _VertexStep  # equivalence imports this module
+
+        return _VertexStep(self)
 
     def sorted_configs(self) -> list[VertexConfig]:
         return sorted(self.vertex_configs)

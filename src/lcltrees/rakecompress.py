@@ -302,17 +302,6 @@ def _cut_blocks(res: _Forest, ell_prime: int) -> tuple[np.ndarray, np.ndarray]:
     return verts, sizes
 
 
-# accounts for the constant number of communication rounds a distributed
-# implementation spends per layer promoting ids (a ruling-set style pass)
-PROMOTION_ROUNDS = 4
-
-
-def simulated_rounds(decomp: LayeredDecomposition) -> int:
-    """Analytic round count: one rake pass, ell' run-scanning passes, and a
-    constant promotion pass per layer."""
-    return (1 + decomp.ell_prime + PROMOTION_ROUNDS) * decomp.depth
-
-
 # read_blocks' fault codes; 0 is a sound block
 NOT_A_PATH, BAD_CONTACTS = 1, 2
 

@@ -14,7 +14,6 @@ ell-full, and both only ever read the subset, never the full config list.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from typing import Iterable, Optional
@@ -23,9 +22,7 @@ import numpy as np
 
 from .pathstates import extend_path
 from .problems import HalfEdgeLabeling, InternalError, LclProblem, VertexConfig
-from .rakecompress import (
-    NOT_A_PATH, LayeredDecomposition, post_process, read_blocks, simulated_rounds
-)
+from .rakecompress import NOT_A_PATH, LayeredDecomposition, post_process, read_blocks
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
 from .trees import (
@@ -311,42 +308,6 @@ def solve_on_decomposition(
         else:
             asg.rake(decomp.layers[j])
     return asg.result()
-
-
-# --- rounds accounting --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundsReport:
-    n: int
-    depth: int
-    ell_prime: int
-    simulated_rounds: int
-    ratio: Optional[float]
-
-    def describe(self) -> str:
-        head = (
-            f"n={self.n} depth={self.depth} ell'={self.ell_prime} "
-            f"rounds={self.simulated_rounds}"
-        )
-        if self.ratio is None:
-            return head
-        return f"{head} rounds/log2(n)={self.ratio:.2f}"
-
-
-def round_report(
-    problem: LclProblem, tree: PortTree, decomposition: LayeredDecomposition
-) -> RoundsReport:
-    """Distributed cost model: each layer spends one rake round, ell' rounds
-    scanning runs, and a constant promotion pass."""
-    if problem.delta != tree.delta:
-        raise ValueError("problem and tree disagree on delta")
-    if decomposition.tree != tree:
-        raise ValueError("decomposition was built on a different tree")
-    n = tree.n
-    rounds = simulated_rounds(decomposition)
-    ratio = rounds / math.log2(n) if n >= 2 else None
-    return RoundsReport(n, decomposition.depth, decomposition.ell_prime, rounds, ratio)
 
 
 # --- toasts -------------------------------------------------------------------

@@ -19,9 +19,12 @@ the subset search that builds a state graph for every subset it examines
 (with the classify that wraps it), the command-line parser that adds every
 subcommand's arguments whatever the command line names, and ordered_path,
 the walk that lists a block's vertices from its smaller-id endpoint.  With
-the search, extend_path as it stood before the state graph moved to label
-masks: reach vectors by boolean matrix products over the graph's step
-matrix, and a backtrack that takes np.argmax of each candidate vector.
+the search, the state graph as it stood before it moved to a per-problem
+table of label masks (RefStateGraph): a step matrix filled pair by pair
+from the definitions, its own power sequence, and connects and ell-fullness
+read from those powers; and extend_path as it stood then: reach vectors by
+boolean matrix products over that step matrix, and a backtrack that takes
+np.argmax of each candidate vector.  Neither reads the package's masks.
 
 Then solve_toast as it stood before it labeled through the solver's
 array passes: each region component walked from its root, one vertex at a
@@ -74,6 +77,8 @@ from lcltrees.pathstates import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT,
     ClassificationReport,
+    PathState,
+    PeriodicityCertificate,
     SubsetSearchResult,
     _minimal_ell,
     build_state_graph,
@@ -740,17 +745,94 @@ def ref_classify(problem: LclProblem, max_subsets: int = 4096) -> Classification
     )
 
 
+def ref_admits(problem: LclProblem, prev_out: int, state: PathState) -> bool:
+    """May state follow a vertex that sent prev_out: does some in-label of
+    its config edge with prev_out and leave room for its out-label?"""
+    c = state.config
+    for a_in in c.distinct():
+        if not problem.edge_ok(prev_out, a_in):
+            continue
+        need = 2 if a_in == state.out_label else 1
+        if c.count(a_in) >= need:
+            return True
+    return False
+
+
+class RefStateGraph:
+    """The state graph built pair by pair, with its own power sequence."""
+
+    def __init__(self, problem: LclProblem, subset: Iterable[VertexConfig]):
+        self.problem = problem
+        self.states = tuple(
+            PathState(c, a) for c in sorted(set(subset)) for a in c.distinct()
+        )
+        n = len(self.states)
+        self.step = np.zeros((n, n), dtype=bool)
+        for j, s in enumerate(self.states):
+            for i in range(n):
+                self.step[i, j] = ref_admits(problem, self.states[i].out_label, s)
+        self.powers = [np.eye(n, dtype=bool)]
+        seen = {self.powers[0].tobytes(): 0}
+        while True:
+            nxt = (self.powers[-1].astype(int) @ self.step.astype(int)) > 0
+            if nxt.tobytes() in seen:
+                first = seen[nxt.tobytes()]
+                self.cert = PeriodicityCertificate(first, len(self.powers) - first)
+                break
+            seen[nxt.tobytes()] = len(self.powers)
+            self.powers.append(nxt)
+
+    def power(self, m: int) -> np.ndarray:
+        if m < len(self.powers):
+            return self.powers[m]
+        k, p = self.cert.index, self.cert.period
+        return self.powers[k + (m - k) % p]
+
+    def entry_row(self, a1: int) -> np.ndarray:
+        return np.array([ref_admits(self.problem, a1, s) for s in self.states], dtype=bool)
+
+    def exit_vector(self, a2: int) -> np.ndarray:
+        return np.array(
+            [self.problem.edge_ok(s.out_label, a2) for s in self.states], dtype=bool
+        )
+
+    def connects(self, a1: int, a2: int, k: int) -> bool:
+        """Is there a k-vertex path with facing labels a1, a2?"""
+        if k == 2:
+            return self.problem.edge_ok(a1, a2)
+        reach = (self.entry_row(a1).astype(int) @ self.power(k - 3).astype(int)) > 0
+        return bool((reach & self.exit_vector(a2)).any())
+
+    def is_ell_full(self, ell: int) -> bool:
+        labels = sorted({s.out_label for s in self.states})
+        if not labels:
+            return True
+        if ell == 2 and not all(
+            self.problem.edge_ok(a1, a2) for a1 in labels for a2 in labels
+        ):
+            return False
+        entry = np.stack([self.entry_row(a) for a in labels]).astype(int)
+        exit_ = np.stack([self.exit_vector(a) for a in labels], axis=1).astype(int)
+        k, p = self.cert.index, self.cert.period
+        m0 = max(0, ell - 3)
+        for m in range(m0, max(k + p - 1, m0 + p - 1) + 1):
+            if not ((entry @ self.power(m).astype(int) @ exit_) > 0).all():
+                return False
+        return True
+
+    def minimal_ell(self) -> Optional[int]:
+        for ell in range(2, self.cert.index + self.cert.period + 3):
+            if self.is_ell_full(ell):
+                return ell
+        return None
+
+
 def ref_extend_path(
-    problem: LclProblem,
-    subset: Iterable[VertexConfig],
-    a1: int,
-    c1: VertexConfig,
-    a2: int,
-    c2: VertexConfig,
-    k: int,
+    graph: RefStateGraph, a1: int, a2: int, k: int
 ) -> Optional[list[tuple[VertexConfig, tuple[int, ...]]]]:
-    """extend_path's witness for endpoints it accepts, on the decoded matrices."""
-    graph = build_state_graph(problem, subset)
+    """extend_path's witness for endpoints it accepts, on the reference
+    graph's matrices."""
+    problem = graph.problem
     if k == 2:
         return [] if problem.edge_ok(a1, a2) else None
     step = graph.step.astype(np.int32)

@@ -2,7 +2,7 @@
 labelings with their check and the scan route of parse_labeling, the
 one-walk verify_toast, the whole-layer
 rake-and-compress layering and labeling, the extendability tables with
-their one-mask pole-free subtrees and shared census steps, the subtree
+their one-mask pole-free subtrees and per-problem vertex steps, the subtree
 splice on edge columns, the trimmed
 subset search with its path witnesses and the command-line parser against
 the versions kept in tests/reference.py."""
@@ -69,6 +69,7 @@ from lcltrees.trees import (
 from conftest import PADDINGS, SMALL_NOT_PADDING, json_documents, padded_two_coloring
 from reference import (
     RefPortTree,
+    RefStateGraph,
     blocks_of,
     ref_build_parser,
     ref_class_census,
@@ -91,7 +92,6 @@ from reference import (
 )
 import test_equivalence
 from test_equivalence import induced_copy, replacement_sweep
-from test_pathstates import _RefGraph
 
 MODELS = ("path", "caterpillar", "uniform-attachment-capped", "star")
 SIZES = (1, 2, 3, 4, 5, 6, 17, 100, 641, 2000)
@@ -1138,7 +1138,7 @@ def test_the_search_matches_the_exhaustive_search_on_a_stress_corpus():
         found += 1
         # the matrix-product check, and the graph built pair by pair
         assert verify_periodicity(build_state_graph(problem, result.subset), result.certificate)
-        pairwise = _RefGraph(problem, result.subset)
+        pairwise = RefStateGraph(problem, result.subset)
         assert (pairwise.cert, pairwise.minimal_ell()) == (result.certificate, result.ell)
     assert 0 < found < len(problems)
 
@@ -1152,13 +1152,14 @@ def test_path_witnesses_match_the_matrix_backtrack(problem):
     configs = problem.sorted_configs()
     for size in range(len(configs), 0, -1):
         for subset in combinations(configs, size):
+            ref = RefStateGraph(problem, subset)
             labels = sorted({a for c in subset for a in c})
             for a1, a2 in product(labels, repeat=2):
                 c1 = next(c for c in subset if a1 in c)
                 c2 = next(c for c in subset if a2 in c)
                 for k in range(2, 13):
                     assert extend_path(problem, subset, a1, c1, a2, c2, k) == ref_extend_path(
-                        problem, subset, a1, c1, a2, c2, k
+                        ref, a1, a2, k
                     ), (subset, a1, a2, k)
 
 

@@ -4,7 +4,6 @@ replacement splicing, pumping decompositions, and the sampled class census."""
 
 import random
 from collections import Counter
-from contextlib import nullcontext
 from itertools import permutations, product
 
 import pytest
@@ -376,6 +375,16 @@ def test_interface_indexing_round_trips(coloring3):
         table.lookup((0, 0, 0), (1, 1))
 
 
+def test_interface_labels_outside_the_problem_raise_value_error(coloring3):
+    rooted = h_table(coloring3, PoledTree(path_tree(1), (0,)))
+    two_poles = h_table(coloring3, PoledTree(path_tree(2), (0, 1)))
+    for bad in ((5, 0, 0), (-1, 1, 2)):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            rooted.lookup(bad)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        two_poles.lookup((0, 1), (3, 1))
+
+
 def test_tables_with_different_pole_shapes_never_compare_equal(coloring3):
     rooted = h_table(coloring3, PoledTree(single_vertex(), (0,)))
     leaf = h_table(coloring3, PoledTree(path_tree(2), (0,)))
@@ -651,11 +660,9 @@ def test_census_saturates_on_three_rooted_classes(make_problem, max_size):
     assert "empirical ell_pump bound: 5" in text
 
 
-@pytest.mark.parametrize("make_problem", FIXTURES + [lambda: random_problem(4)])
-def test_census_computes_each_vertex_step_once(make_problem, monkeypatch):
-    """Every table of a census shares one _VertexStep, whose memo depends
-    only on the problem: no step is computed twice, and the step is gone
-    once the census returns."""
+@pytest.fixture
+def computed_steps(monkeypatch):
+    """The key of every vertex step _VertexStep computes, in order."""
     computed = []
     compute = equivalence._VertexStep._compute
 
@@ -664,28 +671,25 @@ def test_census_computes_each_vertex_step_once(make_problem, monkeypatch):
         return compute(self, *key)
 
     monkeypatch.setattr(equivalence._VertexStep, "_compute", counting_compute)
-    problem = make_problem()
-    report = class_census(problem, max_size=7, seed=1, samples_per_size=4)
+    return computed
+
+
+@pytest.mark.parametrize("make_problem", FIXTURES + [lambda: random_problem(4)])
+def test_census_computes_each_vertex_step_once(make_problem, computed_steps):
+    """Every table of a census shares the problem's _VertexStep, whose memo
+    depends only on the problem: no step is computed twice."""
+    report = class_census(make_problem(), max_size=7, seed=1, samples_per_size=4)
     assert report.class1_count > 0
-    assert set(Counter(computed).values()) == {1}
-    assert not equivalence._shared_steps
-
-    # with a step per table, the same census computes some keys again
-    computed.clear()
-    monkeypatch.setattr(equivalence, "_sharing_steps", lambda _problem: nullcontext())
-    class_census(problem, max_size=7, seed=1, samples_per_size=4)
-    assert max(Counter(computed).values()) > 1
+    assert set(Counter(computed_steps).values()) == {1}
 
 
-def test_census_drops_its_shared_step_when_a_table_fails(coloring3, monkeypatch):
-    def failing(*_args):
-        assert len(equivalence._shared_steps) == 1
-        raise RuntimeError("table failed")
-
-    monkeypatch.setattr(equivalence, "h_table", failing)
-    with pytest.raises(RuntimeError, match="table failed"):
-        class_census(coloring3, 3)
-    assert not equivalence._shared_steps
+def test_standalone_tables_share_the_problems_vertex_step(coloring3, computed_steps):
+    # the second path repeats the first's far end, so its table meets steps
+    # the first one computed
+    for n in (6, 9):
+        h_table(coloring3, PoledTree(path_tree(n), (0,)))
+    assert computed_steps
+    assert set(Counter(computed_steps).values()) == {1}
 
 
 def test_census_validates_sizes(coloring3):

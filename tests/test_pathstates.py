@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from lcltrees.pathstates import (
     VERDICT_LOGN,
     VERDICT_NOT,
     ClassificationReport,
-    PathState,
     PeriodicityCertificate,
     build_state_graph,
     classify,
@@ -42,6 +41,7 @@ from lcltrees.problems import (
 )
 
 from conftest import PADDINGS, SMALL_NOT_PADDING, padded_two_coloring, path_tree
+from reference import RefStateGraph
 
 AAA = VertexConfig.of([0, 0, 0])
 BBB = VertexConfig.of([1, 1, 1])
@@ -56,14 +56,15 @@ def all_nonempty_subsets(problem):
         yield from combinations(cfgs, r)
 
 
-def test_state_graph_is_sorted_and_indexed(coloring3):
+def test_state_graph_is_sorted(coloring3):
     g = build_state_graph(coloring3, coloring3.vertex_configs)
     assert [s.config for s in g.states] == [AAA, BBB, CCC]
     assert [s.out_label for s in g.states] == [0, 1, 2]
-    assert g.index[(BBB, 1)] == 1
+    assert g.labels == (0, 1, 2)
     # proper coloring steps exactly between distinct colors
-    expected = ~np.eye(3, dtype=bool)
-    assert np.array_equal(g.step, expected)
+    ref = RefStateGraph(coloring3, coloring3.vertex_configs)
+    assert np.array_equal(ref.step, ~np.eye(3, dtype=bool))
+    _assert_connects_like_reference(g, ref)
 
 
 def test_state_graph_rejects_foreign_config(coloring3):
@@ -87,7 +88,9 @@ def test_periodicity_two_coloring(coloring2):
 
 def test_periodicity_matching(matching):
     g = build_state_graph(matching, [MUU])
-    assert g.step.tolist() == [[False, True], [True, True]]
+    ref = RefStateGraph(matching, [MUU])
+    assert ref.step.tolist() == [[False, True], [True, True]]
+    _assert_connects_like_reference(g, ref)
     cert = compute_periodicity(g)
     assert cert == PeriodicityCertificate(index=2, period=1)
     assert verify_periodicity(g, cert)
@@ -104,6 +107,27 @@ def test_verify_periodicity_rejects_wrong_certificate(coloring2):
     assert not verify_periodicity(g, PeriodicityCertificate(index=1, period=2))
 
 
+def test_verify_periodicity_rejects_impossible_certificates(coloring3):
+    g = build_state_graph(coloring3, coloring3.vertex_configs)
+    for index, period in ((-1, 1), (-3, 4), (2, 0), (0, -1)):
+        assert not verify_periodicity(g, PeriodicityCertificate(index, period))
+    # a report read back from JSON carries whatever certificate it holds
+    text = serialize_report(classify(coloring3)).replace('"index": 2', '"index": -1')
+    cert = parse_report(text).certificate
+    assert cert == PeriodicityCertificate(-1, 1)
+    assert not verify_periodicity(g, cert)
+
+
+def test_verify_periodicity_reads_the_definitions_not_the_masks(coloring3):
+    # moves in which every label's takers are the whole subset make the
+    # step all-true, so the masks certify (1, 1) where the graph has (2, 1)
+    g = build_state_graph(coloring3, coloring3.vertex_configs)
+    g.moves = tuple((senders, g.mask) for senders, _ in g.moves)
+    assert g.certificate() == PeriodicityCertificate(1, 1)
+    assert not verify_periodicity(g, g.certificate())
+    assert verify_periodicity(g, PeriodicityCertificate(2, 1))
+
+
 def test_connects_validates_inputs(coloring3):
     g = build_state_graph(coloring3, [AAA, BBB])
     with pytest.raises(ValueError, match="not in subset"):
@@ -112,6 +136,18 @@ def test_connects_validates_inputs(coloring3):
         connects(g, 1, AAA, 0, AAA, 4)
     with pytest.raises(ValueError, match="at least two"):
         connects(g, 0, AAA, 0, AAA, 1)
+
+
+def test_reach_reduces_through_the_certificate(matching):
+    g = build_state_graph(matching, [MUU])
+    assert g.certificate() == PeriodicityCertificate(2, 1)
+    # only (MUU, U) takes a facing M in, and an in-label U leaves room for
+    # either out-label, so both states are reachable from one step on
+    first = [g.reach(0, m) for m in range(4)]
+    assert first == [0b10, 0b11, 0b11, 0b11]
+    assert g.reach(0, 10**9) == first[2]
+    with pytest.raises(ValueError, match="nonnegative"):
+        g.reach(0, -1)
 
 
 def test_connects_matches_oracle_on_all_fixture_grids(
@@ -410,91 +446,26 @@ def test_report_mentions_certificate(matching):
     assert "index 2" in human and "period 1" in human
 
 
-# --- reference: the per-pair state graph and per-ell scan the table replaced ---
+# --- against the state graph built pair by pair (tests/reference.py) ---
 
 
-def _ref_admits(problem, prev_out, state):
-    c = state.config
-    for a_in in c.distinct():
-        if not problem.edge_ok(prev_out, a_in):
-            continue
-        need = 2 if a_in == state.out_label else 1
-        if c.count(a_in) >= need:
-            return True
-    return False
-
-
-class _RefGraph:
-    """The state graph built pair by pair, with its own power sequence."""
-
-    def __init__(self, problem, subset):
-        self.problem = problem
-        self.states = tuple(
-            PathState(c, a) for c in sorted(set(subset)) for a in c.distinct()
-        )
-        n = len(self.states)
-        self.step = np.zeros((n, n), dtype=bool)
-        for j, s in enumerate(self.states):
-            for i in range(n):
-                self.step[i, j] = _ref_admits(problem, self.states[i].out_label, s)
-        self.powers = [np.eye(n, dtype=bool)]
-        seen = {self.powers[0].tobytes(): 0}
-        while True:
-            nxt = (self.powers[-1].astype(int) @ self.step.astype(int)) > 0
-            if nxt.tobytes() in seen:
-                first = seen[nxt.tobytes()]
-                self.cert = PeriodicityCertificate(first, len(self.powers) - first)
-                break
-            seen[nxt.tobytes()] = len(self.powers)
-            self.powers.append(nxt)
-
-    def power(self, m):
-        if m < len(self.powers):
-            return self.powers[m]
-        k, p = self.cert.index, self.cert.period
-        return self.powers[k + (m - k) % p]
-
-    def entry_row(self, a1):
-        return np.array([_ref_admits(self.problem, a1, s) for s in self.states], dtype=bool)
-
-    def exit_vector(self, a2):
-        return np.array(
-            [self.problem.edge_ok(s.out_label, a2) for s in self.states], dtype=bool
-        )
-
-    def is_ell_full(self, ell):
-        labels = sorted({s.out_label for s in self.states})
-        if not labels:
-            return True
-        if ell == 2 and not all(
-            self.problem.edge_ok(a1, a2) for a1 in labels for a2 in labels
-        ):
-            return False
-        entry = np.stack([self.entry_row(a) for a in labels]).astype(int)
-        exit_ = np.stack([self.exit_vector(a) for a in labels], axis=1).astype(int)
-        k, p = self.cert.index, self.cert.period
-        m0 = max(0, ell - 3)
-        for m in range(m0, max(k + p - 1, m0 + p - 1) + 1):
-            if not ((entry @ self.power(m).astype(int) @ exit_) > 0).all():
-                return False
-        return True
-
-    def minimal_ell(self):
-        for ell in range(2, self.cert.index + self.cert.period + 3):
-            if self.is_ell_full(ell):
-                return ell
-        return None
+def _assert_connects_like_reference(g, ref):
+    """connects agrees with the reference's powers for every pair of subset
+    labels and every k in 2..K+P+3, past the certificate's cycle."""
+    k_max = ref.cert.index + ref.cert.period + 3
+    for a1, a2 in product(g.labels, repeat=2):
+        c1 = next(c for c in g.subset if a1 in c)
+        c2 = next(c for c in g.subset if a2 in c)
+        for k in range(2, k_max + 1):
+            assert connects(g, a1, c1, a2, c2, k) == ref.connects(a1, a2, k), (a1, a2, k)
 
 
 def _assert_matches_reference(problem, subset):
     g = build_state_graph(problem, subset)
-    ref = _RefGraph(problem, subset)
+    ref = RefStateGraph(problem, subset)
     assert g.states == ref.states
-    assert np.array_equal(g.step, ref.step)
-    for a in range(problem.num_labels):
-        assert np.array_equal(g.entry_row(a), ref.entry_row(a)), a
-        assert np.array_equal(g.exit_vector(a), ref.exit_vector(a)), a
     assert g.certificate() == ref.cert
+    _assert_connects_like_reference(g, ref)
     k, p = ref.cert.index, ref.cert.period
     for ell in range(2, k + p + 4):
         assert is_ell_full(problem, subset, ell) == ref.is_ell_full(ell), ell
@@ -521,8 +492,8 @@ def test_table_belongs_to_its_problem_not_to_its_configs():
             for subset in all_nonempty_subsets(problem):
                 _assert_matches_reference(problem, subset)
         full = proper.sorted_configs()
-        assert not np.array_equal(
-            build_state_graph(proper, full).step, build_state_graph(loose, full).step
-        )
+        assert not np.array_equal(RefStateGraph(proper, full).step, RefStateGraph(loose, full).step)
+        assert build_state_graph(proper, full).certificate() == PeriodicityCertificate(2, 1)
+        assert build_state_graph(loose, full).certificate() == PeriodicityCertificate(1, 1)
         assert minimal_ell(proper, full) == 3
         assert minimal_ell(loose, full) == 2

@@ -19,7 +19,6 @@ from lcltrees.rakecompress import (
     check_layered_invariants,
     decompose,
     post_process,
-    simulated_rounds,
 )
 from lcltrees.solver import NotEllFullError, solve_on_decomposition
 from lcltrees.trees import PortTree, TreeGenSpec, components, gen_tree
@@ -592,15 +591,12 @@ def test_checker_and_solver_agree_on_mutated_layerings(n, model, seed, ell_prime
     assert_checker_and_solver_agree(three_coloring(), layering(decomp.tree, ell_prime, rake, blocks))
 
 
-# --- depth and rounds -----------------------------------------------------------
+# --- depth -----------------------------------------------------------------------
 
 
-def test_simulated_rounds_formula():
-    decomp = post_process(path_tree(10), 4)
-    assert simulated_rounds(decomp) == (1 + 4 + 4) * 2 == 18
-    single = post_process(path_tree(1), 1)
-    assert single.depth == 1
-    assert simulated_rounds(single) == 6
+def test_short_paths_take_one_and_two_rake_layers():
+    assert post_process(path_tree(1), 1).depth == 1
+    assert post_process(path_tree(10), 4).depth == 2
 
 
 def test_complete_binary_tree_depth():

@@ -1,7 +1,6 @@
 """Constructive solvers: decomposition-driven labeling, certified
-refutations, rounds accounting, and the toast extension algorithm."""
+refutations, and the toast extension algorithm."""
 
-import math
 import random
 
 import numpy as np
@@ -26,7 +25,6 @@ from lcltrees.solver import (
     build_partner_table,
     build_toast,
     piece_boundary,
-    round_report,
     solve_log,
     solve_on_decomposition,
     solve_toast,
@@ -367,46 +365,6 @@ def test_differential_sweep_over_random_problems():
                 assert brute_force_solve(restricted, tree).status == "found"
             solved += 1
     assert solved == 45 * 25
-
-
-# --- rounds accounting ------------------------------------------------------------
-
-
-def test_round_report_single_vertex(coloring3):
-    tree = path_tree(1)
-    decomp = post_process(tree, 1)
-    report = round_report(coloring3, tree, decomp)
-    assert report.depth == 1
-    assert report.n == 1
-    assert report.ratio is None
-
-
-def test_round_report_path_ten(coloring3):
-    tree = path_tree(10)
-    decomp = post_process(tree, 4)
-    report = round_report(coloring3, tree, decomp)
-    assert report.depth == 2
-    assert report.simulated_rounds == 18
-    assert report.ratio == pytest.approx(18 / math.log2(10))
-    assert "rounds=18" in report.describe()
-
-
-def test_round_report_validates_inputs(coloring3):
-    tree = path_tree(10)
-    decomp = post_process(tree, 4)
-    with pytest.raises(ValueError, match="delta"):
-        round_report(three_coloring(delta=4), tree, decomp)
-    with pytest.raises(ValueError, match="different tree"):
-        round_report(coloring3, path_tree(11), decomp)
-
-
-def test_round_ratio_bounded_on_doubling_family(coloring3):
-    ratios = []
-    for k in range(7, 12):
-        tree = uniform_tree(2**k, seed=0)
-        decomp = post_process(tree, 4)
-        ratios.append(round_report(coloring3, tree, decomp).ratio)
-    assert all(r <= 25 for r in ratios)
 
 
 # --- toast structure --------------------------------------------------------------
