@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -227,7 +227,7 @@ def verify_periodicity(graph: PathStateGraph, cert: PeriodicityCertificate) -> b
     to (c', a') when some in-label b of c' has edge_ok(a, b) and
     c'.count(b) > (b == a').
     """
-    if cert.index < 0 or cert.period < 1:
+    if {type(cert.index), type(cert.period)} != {int} or cert.index < 0 or cert.period < 1:
         return False
     states = [(c, a) for c in graph.subset for a in c.distinct()]
     step = np.array(
@@ -462,14 +462,26 @@ def serialize_report(report: ClassificationReport) -> str:
 
 
 def parse_report(text: str) -> ClassificationReport:
-    doc = json.loads(text)
-    subset, cert = doc["subset"], doc["certificate"]
+    """The report serialize_report wrote; ValueError names the first key
+    that is missing or holds a value of another type."""
+    doc, none = json.loads(text), type(None)
+
+    def get(d: object, key: str, *types: type) -> Any:
+        if not isinstance(d, dict) or key not in d:
+            raise ValueError(f"report has no key {key!r}")
+        if type(d[key]) not in types:
+            raise ValueError(f"report key {key!r} holds a {type(d[key]).__name__}")
+        return d[key]
+
+    verdict, subset = get(doc, "verdict", str), get(doc, "subset", list, none)
+    if any(type(c) is not list or not set(map(type, c)) <= {str} for c in subset or ()):
+        raise ValueError("report key 'subset' holds a config that is no list of names")
+    ell, cert = get(doc, "minimal_ell", int, none), get(doc, "certificate", dict, none)
+    if cert is not None:
+        cert = PeriodicityCertificate(get(cert, "index", int), get(cert, "period", int))
     return ClassificationReport(
-        doc["verdict"],
-        tuple(map(tuple, subset)) if subset is not None else None,
-        doc["minimal_ell"],
-        PeriodicityCertificate(cert["index"], cert["period"]) if cert else None,
-        doc["exhaustive"], doc["subsets_examined"], doc["budget"],
+        verdict, tuple(map(tuple, subset)) if subset is not None else None, ell, cert,
+        get(doc, "exhaustive", bool), get(doc, "subsets_examined", int), get(doc, "budget", int),
     )
 
 

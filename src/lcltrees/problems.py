@@ -349,10 +349,10 @@ def _label_array(rows: tuple[tuple[int, ...], ...], size: int, num_labels: int) 
 #
 # parse_labeling gets a labeling by one of two routes.  Text in exactly the
 # layout serialize_labeling writes (json.dumps(doc, indent=2) plus a
-# newline, vertex ids of at most 18 digits, in any order) is scanned: one
-# record regex per problem checks the layout slice by slice, the vertex ids
-# become an int64 array in one numpy pass per slice, and each distinct ports
-# list is decoded once.  Any other text, valid or not, goes through
+# newline, vertex ids of at most 18 digits, in any order) is scanned: each
+# slice is split at its vertex ids, one int64 array per slice, and each
+# distinct text between ids is decoded once and checked against what the
+# writer renders for its row.  Any other text, valid or not, goes through
 # json.loads and the record-by-record checks, which alone raise messages.
 #
 # Tree and labeling documents are read and written in slices, so that a
@@ -565,21 +565,19 @@ def parse_labeling(doc: Document, problem: LclProblem) -> HalfEdgeLabeling:
 
 # a cut marker between two records
 _CUT = "},\n  {\n"
-_VERTEX, _PORTS, _CLOSE = '  {\n    "vertex": ', ',\n    "ports": ', "\n  }"
+_OPEN, _PORTS, _CLOSE = "  {\n    ", ',\n    "ports": ', "\n  }"
+_VERTEX, _NEXT = _OPEN + '"vertex": ', ",\n" + _OPEN
+_FIRST, _SEP, _LAST = "[\n      ", ",\n      ", "\n    ]"
+_ID = re.compile('"vertex": ([0-9]*)')
+# the least canonical id of each digit count from 1 to 18
+_LEAST = np.array([0] + [10**k for k in range(1, 18)], np.int64)
 
 
-def _record_pattern(problem: LclProblem) -> re.Pattern:
-    """One record of serialize_labeling's layout, its vertex id and its
-    ports list as groups, and after it the ",\n" that joins it to the next
-    record or, for the last, the end of the slice.  A port is a label name
-    as json.dumps writes it, and no such name is a prefix of another: only
-    the closing quote is an unescaped one."""
-    name = "(?:{})".format("|".join(re.escape(json.dumps(lab.name)) for lab in problem.labels))
-    ports = f"\\[\n      {name}(?:,\n      {name}){{{problem.delta - 1}}}\n    \\]"
-    head, middle, tail = map(re.escape, (_VERTEX, _PORTS, _CLOSE))
-    # a joining ",\n" is never the slice's last text
-    after = "(?:,\n(?!\\Z)|\\Z)"
-    return re.compile(f"{head}({_NUMBER}){middle}({ports}){tail}{after}")
+def _tail(names: list[str], row: Sequence[int]) -> str:
+    """A record's text after its vertex id, as the writer renders the row;
+    names[x] is label x as json.dumps writes it."""
+    listed = _SEP.join(names[x] for x in row)
+    return f"{_PORTS}{_FIRST}{listed}{_LAST}{_CLOSE}" if row else f"{_PORTS}[]{_CLOSE}"
 
 
 def _scan_labeling(doc: Document, problem: LclProblem) -> Optional[HalfEdgeLabeling]:
@@ -587,30 +585,35 @@ def _scan_labeling(doc: Document, problem: LclProblem) -> Optional[HalfEdgeLabel
     with at least one record and vertex ids 0..n-1 in any order; None for
     any other text.
 
-    Splitting a slice at the records leaves the text around and between
-    them, which is empty exactly when the records tile the slice.  The
-    pieces are strings only, which the garbage collector does not track,
-    and each distinct ports list is decoded once.
+    A slice, with the next record's head appended, splits at the vertex ids
+    into the head of its first record, then after each id that record's
+    tail and the next one's head.  The ids must be canonical decimals of at
+    most 18 digits.  Each distinct tail is decoded once, at the separators
+    between names (a name as json.dumps writes it holds no newline), and
+    kept only if it is byte for byte what _tail renders for its row.
     """
     read = _reader(doc)
     text = read(_SLICE)
     if not text.startswith("[\n"):
         return None
-    record = _record_pattern(problem)
-    row_ids: dict[str, int] = {}  # ports list -> index into rows
+    row_ids: dict[str, int] = {}  # a tail and the next head -> index into rows
     vertices, row_of = [], []
     for block in _slices(read, _SLICE, text[2:], _CUT, "\n]\n"):
         if block is None:
             return None
-        # around and between the records, then each record's id and list
-        pieces = record.split(block)
-        if len(pieces) == 1 or any(pieces[::3]):
+        pieces = _ID.split(block + _NEXT)
+        if pieces[0] != _OPEN:  # also when no id splits the slice
             return None
-        vertices.append(np.fromstring(" ".join(pieces[1::3]), np.int64, sep=" "))
-        lists = pieces[2::3]
-        for ports in dict.fromkeys(lists):
-            row_ids.setdefault(ports, len(row_ids))
-        row_of.append(np.fromiter(map(row_ids.__getitem__, lists), np.int64, len(lists)))
+        ids, tails = pieces[1::2], pieces[2::2]
+        digits = np.fromiter(map(len, ids), np.int64, len(ids))
+        if digits.min() < 1 or digits.max() > 18:
+            return None
+        vertices.append(np.fromstring(" ".join(ids), np.int64, sep=" "))
+        if (vertices[-1] < _LEAST[digits - 1]).any():  # a leading zero
+            return None
+        for piece in dict.fromkeys(tails):
+            row_ids.setdefault(piece, len(row_ids))
+        row_of.append(np.fromiter(map(row_ids.__getitem__, tails), np.int64, len(tails)))
     vertex = np.concatenate(vertices)
     n = len(vertex)
     if vertex.max() >= n:
@@ -619,12 +622,17 @@ def _scan_labeling(doc: Document, problem: LclProblem) -> Optional[HalfEdgeLabel
     listed[vertex] = True
     if not listed.all():
         return None
-    rows = tuple(
-        tuple(problem.label_by_name(name).id for name in json.loads(ports)) for ports in row_ids
-    )
+    names = [json.dumps(lab.name) for lab in problem.labels]
+    by_name = {name: x for x, name in enumerate(names)}
+    rows, listing = [], slice(len(_PORTS + _FIRST), -len(_LAST + _CLOSE + _NEXT))
+    for piece in row_ids:
+        row = tuple(map(by_name.get, piece[listing].split(_SEP)))
+        if len(row) != problem.delta or None in row or _tail(names, row) + _NEXT != piece:
+            return None
+        rows.append(row)
     ordered = np.empty(n, np.int64)
     ordered[vertex] = np.concatenate(row_of)
-    return HalfEdgeLabeling._of_rows(rows, ordered)
+    return HalfEdgeLabeling._of_rows(tuple(rows), ordered)
 
 
 def labeling_chunks(labeling: HalfEdgeLabeling, problem: LclProblem) -> Iterator[str]:
@@ -633,11 +641,7 @@ def labeling_chunks(labeling: HalfEdgeLabeling, problem: LclProblem) -> Iterator
     each distinct row rendered once, and each vertex's record is one
     f-string.  The rows are rendered before the first piece is asked for."""
     names = [json.dumps(lab.name) for lab in problem.labels]
-    tails = []
-    for row in labeling.rows:
-        listed = ",\n      ".join(names[x] for x in row)
-        tails.append(f"{_PORTS}[\n      {listed}\n    ]{_CLOSE}" if row else f"{_PORTS}[]{_CLOSE}")
-    return _labeling_pieces(tails, labeling.row_of)
+    return _labeling_pieces([_tail(names, row) for row in labeling.rows], labeling.row_of)
 
 
 def _labeling_pieces(tails: list[str], row_of: np.ndarray) -> Iterator[str]:

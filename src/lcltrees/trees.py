@@ -391,8 +391,9 @@ def inward_ports(tree: PortTree, verts: np.ndarray) -> np.ndarray:
 # checks them with the same array checks.  Text in exactly the layout
 # serialize_tree writes (json.dumps(doc, indent=2) plus a newline, integers
 # of at most 18 digits) is scanned: regexes check the layout slice by slice
-# as problems._slices reads it, and every digit run of a slice becomes an
-# integer in one numpy pass.  Any other text, valid or not, is read whole
+# as problems._slices reads it, and numpy reads a slice's integers in one
+# pass from its colon projection, the ":" before each number and the digits,
+# about a quarter of the text.  Any other text, valid or not, is read whole
 # and goes through json.loads.
 
 
@@ -409,8 +410,10 @@ _TAIL = "\n  ]\n}\n"
 # a cut marker between two edges
 _CUT = "},\n    {\n"
 _INT32_MAX = np.iinfo(np.int32).max
-# every byte but an ASCII digit to a space
-_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+# the colon projection: every byte but an ASCII digit or ":" deleted, and
+# ":" made a space, leaves a space before each field's number
+_COLON_TO_SPACE = bytes.maketrans(b":", b" ")
+_NOT_DIGIT_OR_COLON = bytes(c for c in range(256) if not 48 <= c <= 58)
 
 
 def _scan_edges(doc: Document) -> Optional[tuple[int, int, np.ndarray]]:
@@ -432,8 +435,8 @@ def _scan_edges(doc: Document) -> Optional[tuple[int, int, np.ndarray]]:
         for block in _slices(read, _SLICE, text[1:], _CUT, _TAIL):
             if block is None or _EDGES.fullmatch(block) is None:
                 return None
-            digits = block.encode("ascii").translate(_DIGITS_ONLY)
-            part = np.fromstring(digits, np.int64, sep=" ")
+            numbers = block.encode("ascii").translate(_COLON_TO_SPACE, _NOT_DIGIT_OR_COLON)
+            part = np.fromstring(numbers, np.int64, sep=" ")
             # int32 unless a field is too large for it, which concatenate keeps
             columns.append(part.astype(np.int32) if part.max() <= _INT32_MAX else part)
     return int(head[1]), int(head[2]), np.concatenate(columns).reshape(-1, 4)

@@ -634,11 +634,19 @@ def test_arbitrary_bytes_in_any_input_file_exit_2(tmp_path, kind, data):
         assert "Traceback" not in text
 
 
-def test_module_entry_point_runs():
+@pytest.mark.parametrize("module", ("lcltrees.cli", "lcltrees"))
+def test_module_entry_point_runs(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "lcltrees.cli", "classify", "--problem", "three-coloring"],
+        [sys.executable, "-m", module, "classify", "--problem", "three-coloring"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert "minimal ell: 3" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "classify", "--problem", "no-such-problem"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +400,7 @@ def near_gen_layout():
         "exponent": number("1e0"),
         "true": number("true"),
         "tab": text.replace('"v": 1', '"v":\t1'),
+        "no space after a colon": text.replace('"u": 3', '"u":3'),
         "extra key": indented(dict(doc, extra=1)),
     }
 
@@ -670,7 +672,17 @@ def near_labeling_layout():
         "no final newline": (text[:-1], False),
         "trailing spaces": (text.replace(",\n", ",  \n", 1), False),
         "leading zero": (number("01"), False),
+        "leading zero, same id": (number("02"), False),
+        "blank line first": ("[\n\n" + text[2:], False),
+        "two ports": (text.replace(',\n      "U"\n    ]', "\n    ]", 1), False),
+        "four ports": (text.replace('"U"\n    ]', '"U",\n      "U"\n    ]', 1), False),
         "19 digits": (number("1" + "0" * 18), False),
+        "18 digits": (number("1" + "0" * 17), False),
+        "minus sign": (number("-2"), False),
+        "plus sign": (number("+2"), False),
+        "space before the comma": (number("2 "), False),
+        "vertex twice": (text.replace(vertex, f'{vertex}\n    {vertex}'), False),
+        "vertex twice, then another id": (text.replace(vertex, f'{vertex}\n    "vertex": 7,'), False),
         "5,000 digits": (number("7" * 5000), False),
         "trailing comma": (text[:-3] + ",\n]\n", False),
         "trailing comma and newline": (text[:-3] + ",\n\n]\n", False),
@@ -718,6 +730,17 @@ def test_a_labeling_fault_in_a_later_slice_beside_a_split_cut_marker_parses_like
     assert_parses_alike(faulty, problem)
 
 
+@pytest.mark.parametrize("name", ("vertex", 'vertex": 12', '"vertex": 3,', '": 45'))
+def test_label_names_like_the_id_marker_take_the_scan_route(name):
+    labels = tuple(Label(i, s) for i, s in enumerate((name, "x", "y")))
+    problem = LclProblem(
+        3, labels, frozenset({VertexConfig.of([0, 1, 2])}), frozenset({EdgeConfig.of(0, 1)})
+    )
+    text = serialize_labeling(random_labeling(problem, 40, Random(name)), problem)
+    assert takes_scan_route(text, problem)
+    assert_parses_alike(text, problem)
+
+
 FUZZ_CHARS = '0123456789 ,:"[]{}\n\\MUabvertxpos-'
 
 
@@ -735,6 +758,51 @@ def test_one_changed_character_parses_like_the_reference(change, at, char, which
     tail = text[i:] if change == "insert" else text[i + 1 :]
     text = text[:i] + ("" if change == "delete" else char) + tail
     assert_parses_alike(text, problem)
+
+
+def tree_outcome(parse, doc):
+    """The tree's ports, or the format error's message."""
+    try:
+        tree = parse(doc)
+    except TreeFormatError as e:
+        return str(e)
+    return tree.n, tree.delta, tree.ports
+
+
+# what the scans split and read at: digits, signs, and the JSON punctuation
+SCAN_FUZZ_CHARS = '0123456789":, \n[]\\-'
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(("delete", "insert", "replace")),
+    st.integers(0, 10**6),
+    st.sampled_from(SCAN_FUZZ_CHARS),
+    st.sampled_from(("labeling", "tree")),
+)
+def test_one_changed_character_in_a_written_document_parses_like_the_reference(
+    change, at, char, kind
+):
+    problem = odd_names_problem()
+    text = (
+        serialize_labeling(random_labeling(problem, 12, Random(3)), problem)
+        if kind == "labeling"
+        else serialize_tree(gen_tree(TreeGenSpec(n=12, delta=3, seed=3)))
+    )
+    i = at % (len(text) + (change == "insert"))
+    tail = text[i:] if change == "insert" else text[i + 1 :]
+    text = text[:i] + ("" if change == "delete" else char) + tail
+    if kind == "labeling":
+        assert_parses_alike(text, problem)
+        return
+    want = tree_outcome(ref_parse_tree, text)
+    with mock.patch.object(trees, "_scan_edges", lambda doc: None):
+        read_whole = tree_outcome(parse_tree, text)
+    # the reference checks edge by edge, so of two faults it may name another;
+    # both routes must give what the document read whole gives
+    assert type(read_whole) is type(want) and (isinstance(want, str) or read_whole == want)
+    for doc in both_routes(text):
+        assert tree_outcome(parse_tree, doc) == read_whole
 
 
 # --- toasts ---------------------------------------------------------------------

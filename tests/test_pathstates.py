@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -110,6 +111,9 @@ def test_verify_periodicity_rejects_wrong_certificate(coloring2):
 def test_verify_periodicity_rejects_impossible_certificates(coloring3):
     g = build_state_graph(coloring3, coloring3.vertex_configs)
     for index, period in ((-1, 1), (-3, 4), (2, 0), (0, -1)):
+        assert not verify_periodicity(g, PeriodicityCertificate(index, period))
+    # only plain ints: (2, 1) holds, so each of these differs from it in type alone
+    for index, period in ((1.5, 1), ("2", 1), (2, True), (2.0, 1), (None, 1), (2, "1")):
         assert not verify_periodicity(g, PeriodicityCertificate(index, period))
     # a report read back from JSON carries whatever certificate it holds
     text = serialize_report(classify(coloring3)).replace('"index": 2', '"index": -1')
@@ -438,6 +442,34 @@ def test_report_roundtrip(coloring3, coloring2, matching):
         assert parse_report(text) == report
         human = render_report(report)
         assert report.verdict in human
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("verdict", None),
+        ("subset", "abc"),
+        ("subset", [["a", 1]]),
+        ("minimal_ell", 3.0),
+        ("certificate", [2, 1]),
+        ("index", 1.5),
+        ("index", "2"),
+        ("period", True),
+        ("period", None),
+        ("exhaustive", 1),
+        ("subsets_examined", False),
+        ("budget", "4096"),
+    ],
+)
+def test_parse_report_names_a_missing_or_mistyped_key(coloring3, key, value):
+    doc = json.loads(serialize_report(classify(coloring3)))
+    owner = doc["certificate"] if key in ("index", "period") else doc
+    owner[key] = value
+    with pytest.raises(ValueError, match=f"report key '{key}'"):
+        parse_report(json.dumps(doc))
+    del owner[key]
+    with pytest.raises(ValueError, match=f"report has no key '{key}'"):
+        parse_report(json.dumps(doc))
 
 
 def test_report_mentions_certificate(matching):
