@@ -38,7 +38,7 @@ from .problems import (
     serialize_labeling,  # noqa: F401  (bench/worker.py wraps it here)
 )
 from .rakecompress import decompose
-from .solver import NotEllFullError, _solve_toast, build_toast, solve_log
+from .solver import NotEllFullError, _coerce_config, _solve_toast, build_toast, solve_log
 from .trees import (
     TreeFormatError,
     TreeGenSpec,
@@ -103,25 +103,11 @@ def load_subset(path: str, problem: LclProblem) -> tuple[VertexConfig, ...]:
     doc = load_json(_read(path))
     if not isinstance(doc, list) or not doc or any(not isinstance(r, list) for r in doc):
         raise ValueError("subset file must be a nonempty JSON array of label-name arrays")
-    return tuple(_config_of_names(row, problem) for row in doc)
-
-
-def _config_of_names(names: Sequence[str], problem: LclProblem) -> VertexConfig:
-    try:
-        return VertexConfig.of(problem.label_by_name(x).id for x in names)
-    except KeyError as e:
-        raise ValueError(str(e.args[0])) from e
+    return tuple(_coerce_config(problem, row) for row in doc)
 
 
 def _parse_config_arg(text: str, problem: LclProblem) -> VertexConfig:
-    return _config_of_names([x.strip() for x in text.split(",")], problem)
-
-
-def _label_id(name: str, problem: LclProblem) -> int:
-    try:
-        return problem.label_by_name(name).id
-    except KeyError as e:
-        raise ValueError(str(e.args[0])) from e
+    return _coerce_config(problem, [x.strip() for x in text.split(",")])
 
 
 def _subset_budget(value: Optional[int]) -> int:
@@ -132,10 +118,6 @@ def _subset_budget(value: Optional[int]) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
-
-
-def _named_subset(problem: LclProblem, report_subset) -> tuple[VertexConfig, ...]:
-    return tuple(_config_of_names(row, problem) for row in report_subset)
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -186,7 +168,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_VIOLATION
-        subset = _named_subset(problem, report.subset)
+        subset = report.subset
         ell = report.minimal_ell
         print(f"auto-classified: {report.verdict}, ell={ell}")
 
@@ -263,8 +245,8 @@ def cmd_oracle_connects(args: argparse.Namespace) -> int:
         subset = problem.vertex_configs
     c1 = _parse_config_arg(args.c1, problem)
     c2 = _parse_config_arg(args.c2, problem)
-    a1 = _label_id(args.a1, problem)
-    a2 = _label_id(args.a2, problem)
+    (a1,) = _coerce_config(problem, [args.a1])
+    (a2,) = _coerce_config(problem, [args.a2])
     budget = OracleBudget(max_vertices=args.max_vertices, max_steps=args.budget)
     answer = brute_force_connects(problem, subset, a1, c1, a2, c2, args.k, budget)
     if answer is UNKNOWN:

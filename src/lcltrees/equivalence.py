@@ -10,11 +10,10 @@ decomposition (pumping_decompose).
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,13 +110,6 @@ class HTable:
         )
 
 
-@dataclass(frozen=True)
-class EquivClass:
-    """Equality of poled trees up to replacement: exactly table equality."""
-
-    table: HTable
-
-
 def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
     """Extendability of every pole-interface choice, in one bottom-up pass.
 
@@ -193,7 +185,7 @@ def h_table(problem: LclProblem, poled: PoledTree) -> HTable:
             wants = [
                 (want, j * strides[i])
                 for j, want in enumerate(spaces[i])
-                if _contains(Counter(want), Counter(need))
+                if _less(want, need) is not None
             ]
         else:
             wants = [(None, 0)]
@@ -240,7 +232,7 @@ class _VertexStep:
     """
 
     def __init__(self, problem: LclProblem):
-        self.configs = [Counter(c.labels) for c in problem.vertex_configs]
+        self.configs = [c.labels for c in problem.vertex_configs]
         self.partners = problem.partner_masks
         self.memo: dict[tuple, int] = {}
         self.kid_ok_memo: dict[int, int] = {}
@@ -271,52 +263,44 @@ class _VertexStep:
         return ups
 
     def _compute(self, kid_ok, want, need, is_root) -> int:
-        choices = [
-            [m for m in range(mask.bit_length()) if mask >> m & 1] for mask in kid_ok
-        ]
-        want_c = Counter(want) if want is not None else None
-        need_c = Counter(need)
+        # a pole's virtual ports take exactly want, any other vertex's keep at
+        # least need; the child and parent edges draw their labels from the
+        # rest, which at a pole they use up, as the arities add up to delta
         ups = 0
         for config in self.configs:
-            pool = Counter(config)
+            pool = _less(config, need if want is None else want)
+            if pool is None:
+                continue
             if is_root:
-                if _assign_children(pool, choices, 0, want_c, need_c):
+                if _fits(kid_ok, pool):
                     return 1
                 continue
-            for up in config:
-                if ups >> up & 1:
-                    continue
-                pool[up] -= 1
-                if _assign_children(pool, choices, 0, want_c, need_c):
+            for up in pool:
+                if not ups >> up & 1 and _fits(kid_ok, _less(pool, (up,))):
                     ups |= 1 << up
-                pool[up] += 1
         return ups
 
 
-def _contains(big: Counter, small: Counter) -> bool:
-    return all(big[k] >= n for k, n in small.items())
+def _less(big: Sequence[int], small: Iterable[int]) -> Optional[list[int]]:
+    """The multiset big less small, order kept, or None if small is not in big."""
+    rest = list(big)
+    for label in small:
+        if label not in rest:
+            return None
+        rest.remove(label)
+    return rest
 
 
-def _assign_children(
-    pool: Counter,
-    choices: list[list[int]],
-    j: int,
-    want_virtual: Optional[Counter],
-    need_virtual: Counter,
-) -> bool:
-    """Give each child edge a label from pool; leftovers are the virtuals."""
-    if j == len(choices):
-        leftover = +pool
-        if want_virtual is not None:
-            return leftover == want_virtual
-        return _contains(leftover, need_virtual)
-    for m in choices[j]:
-        if pool[m] > 0:
-            pool[m] -= 1
-            if _assign_children(pool, choices, j + 1, want_virtual, need_virtual):
-                pool[m] += 1
+def _fits(kid_ok: Sequence[int], pool: list[int]) -> bool:
+    """Whether each child edge can take its own label of the sorted pool
+    that its mask admits."""
+    if not kid_ok:
+        return True
+    first, rest = kid_ok[0], kid_ok[1:]
+    for i, label in enumerate(pool):
+        if first >> label & 1 and (i == 0 or pool[i - 1] != label):
+            if _fits(rest, pool[:i] + pool[i + 1:]):
                 return True
-            pool[m] += 1
     return False
 
 
@@ -333,6 +317,21 @@ def concat_bipolar(problem: LclProblem, tables: Sequence[HTable]) -> HTable:
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one rooted table")
+    for table in _prefix_tables(problem, tables):
+        pass
+    return table
+
+
+def _prefix_tables(problem: LclProblem, tables: list[HTable]) -> Iterator[HTable]:
+    """The table of each prefix of the path, the first piece's own first.
+
+    Every table is checked before the first is yielded.  The fold keeps,
+    per interface of the first pole, the mask of labels the path so far may
+    show the next piece across the joining edge; kid_ok steps that mask over
+    the edge.  A piece that takes label y there ends the path with its
+    interfaces less y, or passes on any other label x of them to the next
+    edge, the rest of its interface being free padding.
+    """
     nl = problem.num_labels
     for t in tables:
         if len(t.arities) != 1:
@@ -343,49 +342,48 @@ def concat_bipolar(problem: LclProblem, tables: Sequence[HTable]) -> HTable:
             raise ValueError(
                 f"root arity {t.arities[0]} cannot host a path edge and a pole"
             )
-    if len(tables) == 1:
-        return tables[0]
+    if not tables:
+        return
+    yield tables[0]
+    kid_ok = problem.vertex_step.kid_ok
+    s_size = tables[0].arities[0] - 1
+    index = _multiset_index(nl, s_size)
+    shows = [0] * len(index)
+    for y, rest in _splits(tables[0]):
+        shows[index[rest]] |= 1 << y
+    for t in tables[1:]:
+        t_size = t.arities[0] - 1
+        index = _multiset_index(nl, t_size)
+        ends, passes = [0] * nl, [0] * nl  # by the label y taken on the edge in
+        for y, rest in _splits(t):
+            ends[y] |= 1 << index[rest]
+            for x in rest:
+                passes[y] |= 1 << x
+        takes = [kid_ok(show) for show in shows]
+        bits = 0
+        for i, take in enumerate(takes):
+            bits |= _gather(ends, take) << i * len(index)
+        yield HTable(nl, (s_size, t_size), bits)
+        shows = [_gather(passes, take) for take in takes]
 
-    edge_ok = [
-        [problem.edge_ok(a, b) for b in range(nl)] for a in range(nl)
-    ]
-    # interior piece i admits (incoming y, outgoing x) iff some padding of
-    # free leftovers makes its rooted table say yes
-    interior: list[list[list[bool]]] = []
-    for t in tables[1:-1]:
-        spare = t.arities[0] - 2
-        rel = [[False] * nl for _ in range(nl)]
-        for y in range(nl):
-            for x in range(nl):
-                rel[y][x] = any(
-                    t.lookup(sorted((y, x) + r)) for r in _multisets(nl, spare)
-                )
-        interior.append(rel)
 
-    first, last = tables[0], tables[-1]
-    s_size, t_size = first.arities[0] - 1, last.arities[0] - 1
-    result = HTable(nl, (s_size, t_size), 0)
-    bits = 0
-    for i_s in _multisets(nl, s_size):
-        forward = [first.lookup(sorted(i_s + (x,))) for x in range(nl)]
-        for rel in interior:
-            forward = [
-                any(
-                    forward[xp] and edge_ok[xp][y] and rel[y][x]
-                    for xp in range(nl)
-                    for y in range(nl)
-                )
-                for x in range(nl)
-            ]
-        for i_t in _multisets(nl, t_size):
-            ok = any(
-                forward[x] and edge_ok[x][y] and last.lookup(sorted(i_t + (y,)))
-                for x in range(nl)
-                for y in range(nl)
-            )
-            if ok:
-                bits |= 1 << result.index_of((i_s, i_t))
-    return HTable(nl, (s_size, t_size), bits)
+def _splits(table: HTable) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(y, the interface less y) for each yes interface of a rooted table
+    and each distinct label y in it."""
+    for i, interface in enumerate(_multisets(table.num_labels, table.arities[0])):
+        if table.bits >> i & 1:
+            for j, y in enumerate(interface):
+                if j == 0 or interface[j - 1] != y:
+                    yield y, interface[:j] + interface[j + 1:]
+
+
+def _gather(by_label: list[int], mask: int) -> int:
+    """The union of by_label[y] over the labels y in mask."""
+    out = 0
+    for y, m in enumerate(by_label):
+        if mask >> y & 1:
+            out |= m
+    return out
 
 
 # --- replacement ------------------------------------------------------------------
@@ -502,14 +500,11 @@ def pumping_decompose(
     so any result has 2 <= a < b and splits the list into X, Y, Z with Y
     pumpable.
     """
-    tables = list(tables)
-    prefixes = [
-        concat_bipolar(problem, tables[:j]) for j in range(1, len(tables) + 1)
-    ]
-    for b in range(2, len(tables) + 1):
-        for a in range(1, b):
-            if prefixes[a - 1] == prefixes[b - 1]:
-                return (a, b)
+    seen: dict[HTable, int] = {}
+    for b, table in enumerate(_prefix_tables(problem, list(tables)), start=1):
+        a = seen.setdefault(table, b)
+        if a != b:
+            return (a, b)
     return None
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .problems import (
     HalfEdgeLabeling,
@@ -95,22 +95,31 @@ def brute_force_solve(
                 return False
         return True
 
-    def search(i: int) -> Optional[HalfEdgeLabeling]:
-        if i == len(order):
-            return HalfEdgeLabeling(tuple(assigned[v] for v in range(tree.n)))
-        v = order[i]
-        for ports in arrangements:
-            counter.tick()
-            if consistent(v, ports):
-                assigned[v] = ports
-                found = search(i + 1)
-                if found is not None:
-                    return found
-                del assigned[v]
-        return None
+    def search() -> Optional[HalfEdgeLabeling]:
+        # depth-first over order, tried[i] counting the arrangements taken at
+        # depth i; a loop rather than recursion, as trees outgrow the stack
+        tried = [0] * len(order)
+        i = 0
+        while i < len(order):
+            v = order[i]
+            while tried[i] < len(arrangements):
+                ports = arrangements[tried[i]]
+                tried[i] += 1
+                counter.tick()
+                if consistent(v, ports):
+                    assigned[v] = ports
+                    i += 1
+                    break
+            else:
+                if i == 0:
+                    return None
+                tried[i] = 0
+                i -= 1
+                del assigned[order[i]]
+        return HalfEdgeLabeling(tuple(assigned[v] for v in range(tree.n)))
 
     try:
-        labeling = search(0)
+        labeling = search()
     except _OutOfBudget:
         return OracleResult("unknown")
     if labeling is None:
@@ -134,7 +143,8 @@ def brute_force_connects(
 
     Interior vertices take configs from the subset, spending one label on
     each path edge; endpoint configs c1, c2 only assert a1 in c1, a2 in c2.
-    Searches all interior assignments recursively, first success wins.
+    Searches all interior assignments depth first, first success wins;
+    paths longer than budget.max_vertices answer UNKNOWN.
     """
     for c in (c1, c2):
         if c not in subset:
@@ -143,27 +153,33 @@ def brute_force_connects(
         raise ValueError("endpoint label not in its config")
     if k < 2:
         raise ValueError("paths need at least two vertices")
+    if k > budget.max_vertices:
+        return UNKNOWN
     if k == 2:
         return problem.edge_ok(a1, a2)
 
     configs = sorted(subset)
     counter = _Counter(budget.max_steps)
 
-    def search(position: int, prev_out: int) -> bool:
-        if position == k - 1:
-            return problem.edge_ok(prev_out, a2)
+    def outs(prev_out: int) -> Iterator[int]:
+        """The out labels of the next vertex that can face prev_out."""
         for c in configs:
             for in_label in c.distinct():
                 counter.tick()
-                if not problem.edge_ok(prev_out, in_label):
-                    continue
-                rest = c.minus(in_label)
-                for out_label in sorted(set(rest)):
-                    if search(position + 1, out_label):
-                        return True
-        return False
+                if problem.edge_ok(prev_out, in_label):
+                    yield from sorted(set(c.minus(in_label)))
 
+    # stack[j] yields the choices of interior vertex j+1, depth first
+    stack = [outs(a1)]
     try:
-        return search(1, a1)
+        while stack:
+            out_label = next(stack[-1], None)
+            if out_label is None:
+                stack.pop()
+            elif len(stack) < k - 2:
+                stack.append(outs(out_label))
+            elif problem.edge_ok(out_label, a2):
+                return True
     except _OutOfBudget:
         return UNKNOWN
+    return False

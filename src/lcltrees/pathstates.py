@@ -296,25 +296,18 @@ def _ell_scan(graph: PathStateGraph) -> tuple[bool, int]:
     return pairs_ok, 0
 
 
-def _is_ell_full(graph: PathStateGraph, ell: int) -> bool:
+def is_ell_full(problem: LclProblem, subset: Iterable[VertexConfig], ell: int) -> bool:
+    least = minimal_ell(problem, subset)
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    pairs_ok, start = _ell_scan(graph)
-    if ell == 2 and not pairs_ok:
-        return False
-    # the exponents m >= max(0, ell-3) reach exactly the powers from
-    # min(ell-3, K) to the end of the cycle, since m >= K repeats K..K+P-1
-    return min(max(0, ell - 3), graph.certificate().index) >= start
-
-
-def is_ell_full(problem: LclProblem, subset: Iterable[VertexConfig], ell: int) -> bool:
-    return _is_ell_full(build_state_graph(problem, subset), ell)
+    # ell-fullness is monotone in ell, so it holds from the minimal ell on
+    return least is not None and least <= ell
 
 
 def _minimal_ell(graph: PathStateGraph) -> Optional[int]:
-    # the smallest ell that _is_ell_full accepts: ell = 2 needs the whole
-    # cycle and every edge pair, ell >= 3 needs ell-3 >= start, and no ell
-    # does once the suffix misses the cycle's start K
+    # ell = 2 needs every edge pair and the whole cycle all-true; ell >= 3
+    # needs the powers from min(ell-3, K) on (m >= K repeats K..K+P-1) in the
+    # all-true suffix, so ell-3 >= start, and no ell does once start > K
     pairs_ok, start = _ell_scan(graph)
     if start == 0 and pairs_ok:
         return 2

@@ -72,7 +72,7 @@ def _coerce_config(problem: LclProblem, item) -> VertexConfig:
     if isinstance(item, VertexConfig):
         return item
     try:
-        return VertexConfig.of(problem.label_by_name(str(name)).id for name in item)
+        return VertexConfig.of(problem.label_by_name(name).id for name in item)
     except KeyError as e:
         raise ValueError(str(e.args[0])) from e
 

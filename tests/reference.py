@@ -37,7 +37,12 @@ writer's layout got a scan route: json.loads, then one record at a time.
 
 Then h_table and class_census as they stood before a pole-free subtree
 became one label mask: every vertex holds its up-label sets as a dict of
-offsets, and every table of a census builds its own vertex step.
+offsets, and every table of a census builds its own vertex step.  That
+step (RefVertexStep) is the one from before label sets became int masks:
+each configuration a Counter, the child edges given labels from it one by
+one.  With them, concat_bipolar and pumping_decompose as they stood before
+both became one fold over the pieces: boolean relations over an edge_ok
+matrix, and pumping that concatenates every prefix afresh.
 
 Then the subtree splice behind check_replacement as it stood before it
 built its edge columns directly: a builder fed edge by edge, each boundary
@@ -67,10 +72,7 @@ from lcltrees.equivalence import (
     CensusReport,
     HTable,
     PoledTree,
-    _contains,
     _multisets,
-    _VertexStep,
-    concat_bipolar,
 )
 from lcltrees.pathstates import (
     VERDICT_LOGN,
@@ -1033,7 +1035,7 @@ def ref_h_table(problem: LclProblem, poled: PoledTree) -> HTable:
     for v in order[1:]:
         children[parent[v]].append(v)
 
-    step = _VertexStep(problem)
+    step = RefVertexStep(problem)
     every = (1 << nl) - 1
     # reach[v]: feasible up-label mask -> offsets of the interfaces giving it
     reach: dict[int, dict[int, list[int]]] = {}
@@ -1086,6 +1088,162 @@ def ref_h_table(problem: LclProblem, poled: PoledTree) -> HTable:
     return HTable(nl, arities, bits)
 
 
+class RefVertexStep:
+    """h_table's vertex step with its label multisets held as Counters."""
+
+    def __init__(self, problem: LclProblem):
+        self.configs = [Counter(c.labels) for c in problem.vertex_configs]
+        self.partners = problem.partner_masks
+        self.memo: dict[tuple, int] = {}
+        self.kid_ok_memo: dict[int, int] = {}
+
+    def kid_ok(self, child_ups: int) -> int:
+        ok = self.kid_ok_memo.get(child_ups)
+        if ok is None:
+            ok = 0
+            for b, partners in enumerate(self.partners):
+                if child_ups >> b & 1:
+                    ok |= partners
+            self.kid_ok_memo[child_ups] = ok
+        return ok
+
+    def __call__(
+        self,
+        kid_ok: tuple[int, ...],
+        want: Optional[tuple[int, ...]],
+        need: tuple[int, ...],
+        is_root: bool,
+    ) -> int:
+        key = (kid_ok, want, need, is_root)
+        ups = self.memo.get(key)
+        if ups is None:
+            ups = self._compute(kid_ok, want, need, is_root)
+            self.memo[key] = ups
+        return ups
+
+    def _compute(self, kid_ok, want, need, is_root) -> int:
+        choices = [
+            [m for m in range(mask.bit_length()) if mask >> m & 1] for mask in kid_ok
+        ]
+        want_c = Counter(want) if want is not None else None
+        need_c = Counter(need)
+        ups = 0
+        for config in self.configs:
+            pool = Counter(config)
+            if is_root:
+                if _assign_children(pool, choices, 0, want_c, need_c):
+                    return 1
+                continue
+            for up in config:
+                if ups >> up & 1:
+                    continue
+                pool[up] -= 1
+                if _assign_children(pool, choices, 0, want_c, need_c):
+                    ups |= 1 << up
+                pool[up] += 1
+        return ups
+
+
+def _contains(big: Counter, small: Counter) -> bool:
+    return all(big[k] >= n for k, n in small.items())
+
+
+def _assign_children(
+    pool: Counter,
+    choices: list[list[int]],
+    j: int,
+    want_virtual: Optional[Counter],
+    need_virtual: Counter,
+) -> bool:
+    """Give each child edge a label from pool; leftovers are the virtuals."""
+    if j == len(choices):
+        leftover = +pool
+        if want_virtual is not None:
+            return leftover == want_virtual
+        return _contains(leftover, need_virtual)
+    for m in choices[j]:
+        if pool[m] > 0:
+            pool[m] -= 1
+            if _assign_children(pool, choices, j + 1, want_virtual, need_virtual):
+                pool[m] += 1
+                return True
+            pool[m] += 1
+    return False
+
+
+def ref_concat_bipolar(problem: LclProblem, tables: Sequence[HTable]) -> HTable:
+    tables = list(tables)
+    if not tables:
+        raise ValueError("need at least one rooted table")
+    nl = problem.num_labels
+    for t in tables:
+        if len(t.arities) != 1:
+            raise ValueError("concatenation takes rooted (single-pole) tables")
+        if t.num_labels != nl:
+            raise ValueError("table label count differs from problem")
+        if t.arities[0] < 2:
+            raise ValueError(
+                f"root arity {t.arities[0]} cannot host a path edge and a pole"
+            )
+    if len(tables) == 1:
+        return tables[0]
+
+    edge_ok = [
+        [problem.edge_ok(a, b) for b in range(nl)] for a in range(nl)
+    ]
+    # interior piece i admits (incoming y, outgoing x) iff some padding of
+    # free leftovers makes its rooted table say yes
+    interior: list[list[list[bool]]] = []
+    for t in tables[1:-1]:
+        spare = t.arities[0] - 2
+        rel = [[False] * nl for _ in range(nl)]
+        for y in range(nl):
+            for x in range(nl):
+                rel[y][x] = any(
+                    t.lookup(sorted((y, x) + r)) for r in _multisets(nl, spare)
+                )
+        interior.append(rel)
+
+    first, last = tables[0], tables[-1]
+    s_size, t_size = first.arities[0] - 1, last.arities[0] - 1
+    result = HTable(nl, (s_size, t_size), 0)
+    bits = 0
+    for i_s in _multisets(nl, s_size):
+        forward = [first.lookup(sorted(i_s + (x,))) for x in range(nl)]
+        for rel in interior:
+            forward = [
+                any(
+                    forward[xp] and edge_ok[xp][y] and rel[y][x]
+                    for xp in range(nl)
+                    for y in range(nl)
+                )
+                for x in range(nl)
+            ]
+        for i_t in _multisets(nl, t_size):
+            ok = any(
+                forward[x] and edge_ok[x][y] and last.lookup(sorted(i_t + (y,)))
+                for x in range(nl)
+                for y in range(nl)
+            )
+            if ok:
+                bits |= 1 << result.index_of((i_s, i_t))
+    return HTable(nl, (s_size, t_size), bits)
+
+
+def ref_pumping_decompose(
+    problem: LclProblem, tables: Sequence[HTable]
+) -> Optional[tuple[int, int]]:
+    tables = list(tables)
+    prefixes = [
+        ref_concat_bipolar(problem, tables[:j]) for j in range(1, len(tables) + 1)
+    ]
+    for b in range(2, len(tables) + 1):
+        for a in range(1, b):
+            if prefixes[a - 1] == prefixes[b - 1]:
+                return (a, b)
+    return None
+
+
 def ref_class_census(
     problem: LclProblem,
     max_size: int,
@@ -1115,7 +1273,7 @@ def ref_class_census(
     class2: list[HTable] = []
     for t1 in wide:
         for t2 in wide:
-            table = concat_bipolar(problem, [t1, t2])
+            table = ref_concat_bipolar(problem, [t1, t2])
             if table not in class2:
                 class2.append(table)
     return CensusReport(

@@ -414,6 +414,33 @@ def test_oracle_connects_exit_codes(capsys):
     assert (code, "unknown" in out) == (3, True)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connects", "--problem", "two-coloring", "--a1", "a", "--c1", "a,a,a",
+         "--a2", "b", "--c2", "b,b,b", "--k", "1500"],
+        ["connects", "--problem", "two-coloring", "--a1", "a", "--c1", "a,a,a",
+         "--a2", "b", "--c2", "b,b,b", "--k", "1500", "--max-vertices", "2000"],
+        ["solve", "--problem", "perfect-matching", "--tree", "PATH",
+         "--max-vertices", "5000"],
+    ],
+    ids=["connects-over-budget", "connects-long", "solve-long"],
+)
+def test_oracle_answers_long_paths_without_a_traceback(tmp_path, capsys, argv):
+    """Paths far longer than the interpreter's recursion limit."""
+    tree = tmp_path / "path.json"
+    run_cli(capsys, "gen", "--n", "3000", "--model", "path", "--output", str(tree))
+    argv = [str(tree) if a == "PATH" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcltrees.cli", "oracle", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode in (0, 1, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("oracle: ")
+
+
 # --- hostile input files ------------------------------------------------------------
 
 

@@ -20,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcltrees import cli, problems, trees
-from lcltrees.equivalence import PoledTree, _splice, check_replacement, class_census, h_table
+from lcltrees.equivalence import (
+    PoledTree,
+    _splice,
+    check_replacement,
+    class_census,
+    concat_bipolar,
+    h_table,
+    pumping_decompose,
+)
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
 from lcltrees.pathstates import (
     VERDICT_INCONCLUSIVE,
@@ -30,6 +38,7 @@ from lcltrees.pathstates import (
     classify,
     extend_path,
     find_ell_full_set,
+    is_ell_full,
     serialize_report,
     verify_periodicity,
 )
@@ -67,7 +76,7 @@ from lcltrees.trees import (
     serialize_tree,
 )
 
-from conftest import PADDINGS, SMALL_NOT_PADDING, json_documents, padded_two_coloring
+from conftest import PADDINGS, SMALL_NOT_PADDING, json_documents, padded_two_coloring, path_tree
 from reference import (
     RefPortTree,
     RefStateGraph,
@@ -75,6 +84,7 @@ from reference import (
     ref_build_parser,
     ref_class_census,
     ref_classify,
+    ref_concat_bipolar,
     ref_extend_path,
     ref_find_ell_full_set,
     ref_gen_tree,
@@ -85,6 +95,7 @@ from reference import (
     ref_parse_tree,
     ref_piece_boundary,
     ref_post_process,
+    ref_pumping_decompose,
     ref_solve_on_decomposition,
     ref_check_replacement,
     ref_solve_toast,
@@ -1023,6 +1034,88 @@ def test_random_problem_censuses_match_the_reference():
         )
 
 
+def concat_problems():
+    """The fixtures, then random problems at 3 labels (delta 3) and at 4
+    labels (delta 3 and 4), the latter giving roots of arity 2 to 4."""
+    yield from (three_coloring(), two_coloring(), perfect_matching())
+    for seed in range(8):
+        yield random_problem(seed, num_labels=3, max_vertex_configs=6)
+        yield random_problem(50 + seed, num_labels=4, max_vertex_configs=8)
+        yield random_problem(90 + seed, delta=4, num_labels=4, max_vertex_configs=8)
+
+
+def rooted_tables(problem, rng):
+    """The distinct tables of small trees rooted at an open vertex of arity >= 2."""
+    tables = {}
+    for n in range(1, 8):
+        for _ in range(3):
+            spec = TreeGenSpec(
+                n=n, delta=problem.delta, seed=rng.randrange(10**6),
+                model="uniform-attachment-capped",
+            )
+            tree = gen_tree(spec)
+            for v in range(n):
+                if tree.delta - tree.real_degree(v) >= 2:
+                    tables[h_table(problem, PoledTree(tree, (v,)))] = None
+    return list(tables)
+
+
+def concat_outcome(run, problem, tables):
+    """The result, or the type and text of the error run raises."""
+    try:
+        return run(problem, tables)
+    except ValueError as e:
+        return (ValueError, str(e))
+
+
+def test_concatenations_and_pumping_match_the_reference():
+    rng = Random(24)
+    arities, pumped = set(), 0
+    for problem in concat_problems():
+        pool = rooted_tables(problem, rng)
+        arities |= {t.arities[0] for t in pool}
+        for k in range(1, 7):
+            for _ in range(4):
+                tables = [rng.choice(pool) for _ in range(k)]
+                want = ref_concat_bipolar(problem, tables)
+                assert concat_bipolar(problem, tables) == want, (problem, tables)
+        for length in range(1, 13):
+            # two or three distinct pieces, so that prefixes come to repeat
+            few = rng.sample(pool, min(len(pool), rng.randint(2, 3)))
+            tables = [rng.choice(few) for _ in range(length)]
+            want = ref_pumping_decompose(problem, tables)
+            assert pumping_decompose(problem, tables) == want, (problem, tables)
+            pumped += want is not None
+    assert arities == {2, 3, 4}
+    assert pumped >= 100
+
+
+def test_concatenation_errors_match_the_reference():
+    problem = three_coloring()
+    wide = h_table(problem, PoledTree(path_tree(2), (0,)))
+    narrow = h_table(problem, PoledTree(path_tree(3), (1,)))
+    bipolar = h_table(problem, PoledTree(path_tree(2), (0, 1)))
+    foreign = h_table(random_problem(3, num_labels=4), PoledTree(path_tree(2), (0,)))
+    cases = [
+        [],
+        [narrow],
+        [wide, narrow],
+        [bipolar, wide],
+        [wide, foreign],
+        [wide] * 10 + [narrow],  # the bad piece comes after the first repeat
+        [wide] * 10 + [foreign],
+    ]
+    for tables in cases:
+        for run, ref in (
+            (concat_bipolar, ref_concat_bipolar),
+            (pumping_decompose, ref_pumping_decompose),
+        ):
+            want = concat_outcome(ref, problem, tables)
+            assert concat_outcome(run, problem, tables) == want, (run, tables)
+            # every case is an error but an empty pumping list, which has no repeat
+            assert want is None if (run, tables) == (pumping_decompose, []) else want[0] is ValueError
+
+
 # --- subtree replacement ------------------------------------------------------------
 
 
@@ -1209,6 +1302,26 @@ def test_the_search_matches_the_exhaustive_search_on_a_stress_corpus():
         pairwise = RefStateGraph(problem, result.subset)
         assert (pairwise.cert, pairwise.minimal_ell()) == (result.certificate, result.ell)
     assert 0 < found < len(problems)
+
+
+def test_ell_fullness_matches_the_reference_at_every_ell():
+    """is_ell_full reads the minimal ell, ell-fullness being monotone in ell;
+    the reference tests each ell on its own power sequence."""
+    problems = [three_coloring(), two_coloring(), perfect_matching()]
+    problems += [random_problem(seed, num_labels=3) for seed in range(60)]
+    problems += [random_problem(seed, num_labels=4) for seed in range(40)]
+    pairs = held = 0
+    for problem in problems:
+        configs = problem.sorted_configs()
+        for size in range(len(configs), 0, -1):
+            for subset in combinations(configs, size):
+                ref = RefStateGraph(problem, subset)
+                for ell in range(2, ref.cert.index + ref.cert.period + 6):
+                    full = is_ell_full(problem, subset, ell)
+                    assert full == ref.is_ell_full(ell), (problem, subset, ell)
+                    pairs += 1
+                    held += full
+    assert pairs > 8000 and 0 < held < pairs
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,15 @@ def test_connects_unknown_on_tiny_budget(coloring3):
     assert brute_force_connects(coloring3, sub, 0, aaa, 0, aaa, 9, tiny) is UNKNOWN
 
 
+def test_connects_unknown_past_the_vertex_budget(coloring2):
+    aaa, bbb = VertexConfig.of([0, 0, 0]), VertexConfig.of([1, 1, 1])
+    sub = frozenset({aaa, bbb})
+    assert brute_force_connects(coloring2, sub, 0, aaa, 1, bbb, 12) is True
+    assert brute_force_connects(coloring2, sub, 0, aaa, 1, bbb, 13) is UNKNOWN
+    short = OracleBudget(max_vertices=1)
+    assert brute_force_connects(coloring2, sub, 0, aaa, 1, bbb, 2, short) is UNKNOWN
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=1, max_value=8),
