@@ -224,12 +224,20 @@ def cmd_classes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _stopped_by(name: str, size: int, budget: OracleBudget) -> str:
+    """The bound that stopped an oracle search of size vertices at unknown."""
+    if size > budget.max_vertices:
+        return f" ({name} {size} exceeds --max-vertices {budget.max_vertices})"
+    return f" (--budget {budget.max_steps} steps ran out)"
+
+
 def cmd_oracle_solve(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     tree = _parse_file(parse_tree, args.tree)
     budget = OracleBudget(max_vertices=args.max_vertices, max_steps=args.budget)
     result = brute_force_solve(problem, tree, budget)
-    print(f"oracle: {result.status}")
+    why = _stopped_by("n", tree.n, budget) if result.status == "unknown" else ""
+    print(f"oracle: {result.status}{why}")
     if result.status == "found" and args.output is not None:
         _write(args.output, labeling_chunks(result.labeling, problem))
     if result.status == "found":
@@ -250,7 +258,7 @@ def cmd_oracle_connects(args: argparse.Namespace) -> int:
     budget = OracleBudget(max_vertices=args.max_vertices, max_steps=args.budget)
     answer = brute_force_connects(problem, subset, a1, c1, a2, c2, args.k, budget)
     if answer is UNKNOWN:
-        print("oracle: unknown (budget exhausted)")
+        print("oracle: unknown" + _stopped_by("k", args.k, budget))
         return EXIT_INCONCLUSIVE
     print(f"oracle: {'yes' if answer else 'no'}")
     return EXIT_OK if answer else EXIT_VIOLATION

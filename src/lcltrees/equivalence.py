@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .problems import LclProblem
-from .trees import PortTree, TreeGenSpec, _tree_of_columns, bfs_tree, gen_tree, inward_ports
+from .trees import (
+    PortTree, TreeGenSpec, _tree_of_columns, bfs_tree, fold_ports, gen_tree, inward_ports
+)
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +427,7 @@ def _splice(
 
     verts = np.array(sorted(u_set), np.int64)
     inward = inward_ports(tree, verts)
-    inside_deg = inward.sum(axis=1) - (tree.nbr[verts] < 0).sum(axis=1)
+    inside_deg = fold_ports(np.add, inward & (tree.nbr[verts] >= 0), np.int64)
     # a forest on |u| vertices is one tree when it has |u| - 1 edges
     if inside_deg.sum() != 2 * (len(verts) - 1):
         raise ValueError("u must induce a connected subtree")

@@ -22,9 +22,10 @@ compress_layers, the layers as vertex sets, are views built on first read.
 
 Both processes run on one residual forest held as arrays over the tree's
 port arrays, a whole layer per step: a rake layer is one mask over the
-residual degrees, and the runs are ranked by pointer doubling over their
-half-edges (Miller and Reif's tree contraction), after which post_process
-cuts every run's blocks by arithmetic on the positions.
+residual degrees, and the runs are ranked by pointer jumping over their
+half-edges (Miller and Reif's tree contraction), each pass a gather over
+all of them, after which post_process cuts every run's blocks by
+arithmetic on the positions; trees.fold_ports reduces over ports.
 
 The solver and check_layered_invariants read a compress layer's blocks
 through one function, read_blocks, so they judge a layering alike.
@@ -37,7 +38,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .trees import PortTree
+from .trees import PortTree, fold_ports
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class _Forest:
         # one extra slot, always False, answers the -1 of a virtual port
         self.mask = np.ones(tree.n + 1, bool)
         self.mask[-1] = False
-        self.deg = np.count_nonzero(tree.nbr >= 0, axis=1)
+        self.deg = fold_ports(np.add, tree.nbr >= 0, np.int64)
 
     def low_degree(self, cap: int) -> np.ndarray:
         return self.alive[self.deg[self.alive] <= cap]
@@ -168,9 +169,10 @@ class _Forest:
         run's smaller-id and larger-id endpoints, then its distance from the
         smaller-id endpoint and its run's length.
 
-        Each run is ranked by pointer doubling over its half-edges: a
-        half-edge jumps to the end of its direction in O(log length) passes,
-        counting the hops, which gives every vertex its distance to both ends.
+        Each run is ranked by pointer jumping over its half-edges, every
+        pass over the whole array: a half-edge jumps to the last of its
+        direction in O(log length) passes, counting the hops, which gives
+        every vertex its distance to both ends.
         """
         pool = self.low_degree(2)
         k = pool.size
@@ -178,29 +180,28 @@ class _Forest:
         index[pool] = np.arange(k)
         rows = index[self.tree.nbr[pool]]
         # side 0 holds a vertex's larger-index run neighbor, side 1 the other
-        # one; -1 where there is none
-        side0 = rows.max(axis=1, initial=-1)
-        side1 = np.where(rows >= 0, rows, k).min(axis=1, initial=k)
+        # one; -1 where there is none (viewed unsigned, -1 is the largest)
+        side0 = fold_ports(np.maximum, rows)
+        side1 = fold_ports(np.minimum, rows.view(np.uint64)).view(np.int64)
         sides = np.stack([side0, np.where(side1 < side0, side1, -1)], axis=1)
         # half-edge 2i + s leaves vertex i on side s and continues through
-        # its target on the side that does not lead back; a jump to 2k has
-        # reached the end.  A missing half-edge ends where it starts.
+        # its target on the side that does not lead back.  The last of a
+        # direction, and a missing half-edge, jump to themselves with no
+        # hops; the last hop, onto the end, is added after.
         target = sides.ravel()
         source = np.arange(2 * k) >> 1
         real = target >= 0
         at = np.where(real, target, 0)
         onward = 2 * at + (sides[at, 0] == source)
-        goes_on = real & (sides[onward >> 1, onward & 1] >= 0)
-        jump = np.where(goes_on, onward, 2 * k)
-        hops = real.astype(np.int64)
-        end = np.where(real, target, source)
-        active = np.flatnonzero(goes_on)
-        while active.size:
-            via = jump[active]
-            hops[active] += hops[via]
-            end[active] = end[via]
-            jump[active] = jump[via]
-            active = active[jump[active] < 2 * k]
+        going = real & (target[onward] >= 0)
+        jump = np.where(going, onward, np.arange(2 * k))
+        hops = going.astype(np.int64)
+        del index, rows, side0, side1, at, onward  # free them before the passes
+        while not np.array_equal(up := jump[jump], jump):
+            hops += hops[jump]
+            jump = up
+        hops += real[jump]
+        end = np.where(real, target, source)[jump]
         end0, end1 = end[0::2], end[1::2]
         pos = np.where(end0 < end1, hops[0::2], hops[1::2])
         length = hops[0::2] + hops[1::2] + 1
@@ -250,7 +251,7 @@ def post_process(tree: PortTree, ell_prime: int) -> LayeredDecomposition:
         low = res.low_degree(1)
         rows = tree.nbr[low]
         # a candidate's one alive neighbor, -1 if it has none
-        partner = np.where(res.mask[rows], rows, -1).max(axis=1, initial=-1)
+        partner = fold_ports(np.maximum, np.where(res.mask[rows], rows, -1))
         waits = (partner >= 0) & (partner < low) & (res.deg[partner] <= 1)
         raked = low[~waits]
         res.remove(raked)
@@ -332,10 +333,10 @@ def read_blocks(
     # a tree has no chords, so distinct vertices each adjacent to the next
     # induce a path
     fault = np.where(sizes > 0, 0, NOT_A_PATH)
-    fault[of[ahead[~hit.any(axis=1)]]] = NOT_A_PATH
+    fault[of[ahead[~fold_ports(np.logical_or, hit)]]] = NOT_A_PATH
     # no block vertex is later, so every later neighbor lies outside
     seen = later[rows]
-    count = seen.sum(axis=1)
+    count = fold_ports(np.add, seen, np.int64)
     path = np.flatnonzero(fault == 0)
     first = (np.cumsum(sizes) - sizes)[path]
     last = first + sizes[path] - 1
@@ -369,7 +370,7 @@ def check_layered_invariants(decomp: LayeredDecomposition) -> list[str]:
             for v, u in zip(verts[at].tolist(), nbr[at, port].tolist()):
                 if v < u:
                     bad.append(f"rake layer {i} not independent: edge {v} -- {u}")
-            count = (seen > r).sum(axis=1)
+            count = fold_ports(np.add, seen > r, np.int64)
             for v, k in zip(verts[count > 1].tolist(), count[count > 1].tolist()):
                 bad.append(f"vertex {v} in rake layer {i} has {k} later neighbors")
             continue

@@ -26,7 +26,7 @@ from .rakecompress import NOT_A_PATH, LayeredDecomposition, post_process, read_b
 # unused here; kept because bench/worker.py wraps solver.decompose when tracing
 from .rakecompress import decompose  # noqa: F401
 from .trees import (
-    PortTree, ball, bfs_tree, capped_distances, components, distances, inward_ports
+    PortTree, ball, bfs_tree, capped_distances, components, distances, fold_ports, inward_ports
 )
 
 class NotEllFullError(Exception):
@@ -205,7 +205,7 @@ class _Assigner:
         if inside[nbr].any():
             raise InternalError("rake layer must be an independent set")
         done = self.row[nbr] >= 0
-        count = done.sum(axis=1)
+        count = fold_ports(np.add, done, np.int64)
         if (count > 1).any():
             raise InternalError("rake vertex sees several labeled neighbors")
         self.place_answers(verts, np.where(count > 0, done.argmax(axis=1), -1))
@@ -237,20 +237,24 @@ class _Assigner:
             # an end's labeled neighbor u: u's label facing the end, u's config
             u = tree.nbr[v, p]
             columns += [self._labels(u, tree.back[v, p]), config[self.row[u]]]
-        keys = np.stack(columns + [sizes[:stop] + 2], axis=1)
-        distinct, seen_at, key_of = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
-        witness = np.empty(len(distinct), np.int64)
+        columns.append(sizes[:stop] + 2)
+        # each block's key (a1, c1, a2, c2, k) ranked as one int64, a column
+        # at a time: the rank so far is a label or below the block count, so
+        # no product overflows
+        key_of = columns[0]
+        for col in columns[1:]:
+            key_of = np.unique(key_of * (col.max(initial=0) + 1) + col, return_inverse=True)[1]
+        _, seen_at = np.unique(key_of, return_index=True)
+        witness = np.empty(len(seen_at), np.int64)
         for d in np.argsort(seen_at):
-            witness[d] = self._witness(tuple(distinct[d].tolist()))
+            witness[d] = self._witness(tuple(int(col[seen_at[d]]) for col in columns))
         if stop < sizes.size:
             if fault[stop] == NOT_A_PATH:
                 raise InternalError("compress block must induce a path")
             raise InternalError(
                 "compress block must touch exactly two labeled vertices, one at each end"
             )
-        w = np.repeat(witness[key_of.ravel()], sizes)
+        w = np.repeat(witness[key_of], sizes)
         j = np.arange(flat.size) - np.repeat(starts, sizes)
         code = ((w * sizes.max() + j) * tree.delta + before) * tree.delta + after
         _, one, row_of = np.unique(code, return_index=True, return_inverse=True)
@@ -334,7 +338,7 @@ def piece_boundary(tree: PortTree, piece: frozenset[int]) -> frozenset[int]:
     if outside:
         raise ValueError(f"vertex {min(outside)} is outside the tree")
     verts = np.fromiter(piece, np.int64, len(piece))
-    return frozenset(verts[~inward_ports(tree, verts).all(axis=1)].tolist())
+    return frozenset(verts[~fold_ports(np.logical_and, inward_ports(tree, verts))].tolist())
 
 
 def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
@@ -358,7 +362,7 @@ def verify_toast(tree: PortTree, toast: Toast) -> list[str]:
         inward = inward_ports(tree, verts)
         if inward.sum() - (tree.nbr[verts] < 0).sum() != 2 * len(verts) - 2:
             bad.append(f"piece {idx} is disconnected")
-        boundaries.append(verts[~inward.all(axis=1)])
+        boundaries.append(verts[~fold_ports(np.logical_and, inward)])
     if frozenset(range(tree.n)) not in pieces:
         bad.append("no piece covers the whole tree, so some pair is uncovered")
     near = [capped_distances(tree, bd, toast.q) for bd in boundaries[:-1]]

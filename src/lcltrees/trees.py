@@ -42,6 +42,7 @@ import numpy as np
 
 from .problems import (
     _BLOCK,
+    _LEAST,
     _NUMBER,
     _SLICE,
     Document,
@@ -184,7 +185,7 @@ class PortTree:
     @cached_property
     def _offsets(self) -> list[int]:
         """Where each vertex's neighbors start in _adjacent, and the end."""
-        return [0] + np.cumsum(np.count_nonzero(self.nbr >= 0, axis=1)).tolist()
+        return [0] + np.cumsum(fold_ports(np.add, self.nbr >= 0, np.int64)).tolist()
 
     def neighbors(self, v: int) -> list[int]:
         return self._adjacent[self._offsets[v] : self._offsets[v + 1]]
@@ -382,6 +383,15 @@ def inward_ports(tree: PortTree, verts: np.ndarray) -> np.ndarray:
     return inside[tree.nbr[verts]]
 
 
+def fold_ports(ufunc: np.ufunc, rows: np.ndarray, dtype: Optional[type] = None) -> np.ndarray:
+    """Each row's ufunc reduction, in dtype (by default rows'), as one pass per
+    column of the (m, delta) array: numpy reduces along axis 1 row by row."""
+    out = rows[:, 0].astype(dtype or rows.dtype)
+    for p in range(1, rows.shape[1]):
+        ufunc(out, rows[:, p], out=out)
+    return out
+
+
 # --- file format -------------------------------------------------------------
 #
 # {"n": N, "delta": D, "edges": [{"u": u, "pu": pu, "v": v, "pv": pv}, ...]}
@@ -391,10 +401,11 @@ def inward_ports(tree: PortTree, verts: np.ndarray) -> np.ndarray:
 # checks them with the same array checks.  Text in exactly the layout
 # serialize_tree writes (json.dumps(doc, indent=2) plus a newline, integers
 # of at most 18 digits) is scanned: regexes check the layout slice by slice
-# as problems._slices reads it, and numpy reads a slice's integers in one
-# pass from its colon projection, the ":" before each number and the digits,
-# about a quarter of the text.  Any other text, valid or not, is read whole
-# and goes through json.loads.
+# as problems._slices reads it, taking any digits for a number, and numpy
+# reads a slice's integers in one pass from its colon projection, the ":"
+# before each number and the digits, about a quarter of the text; digit
+# counts rule out leading zeros.  Any other text, valid or not, is read
+# whole and goes through json.loads.
 
 
 _EDGE_KEYS = ("u", "pu", "v", "pv")
@@ -402,7 +413,7 @@ _edge_fields = itemgetter(*_EDGE_KEYS)
 
 _HEAD = re.compile(f'\\{{\n  "n": ({_NUMBER}),\n  "delta": ({_NUMBER}),\n  "edges": \\[')
 _EDGE = "    \\{{\n{}\n    \\}}".format(
-    ",\n".join(f'      "{key}": {_NUMBER}' for key in _EDGE_KEYS)
+    ",\n".join(f'      "{key}": [0-9]++' for key in _EDGE_KEYS)
 )
 _EDGES = re.compile(f"{_EDGE}(?:,\n{_EDGE})*")
 _NO_EDGES = "]\n}\n"
@@ -437,6 +448,10 @@ def _scan_edges(doc: Document) -> Optional[tuple[int, int, np.ndarray]]:
                 return None
             numbers = block.encode("ascii").translate(_COLON_TO_SPACE, _NOT_DIGIT_OR_COLON)
             part = np.fromstring(numbers, np.int64, sep=" ")
+            # canonical: as many digits as the values need, 18 at most (_LEAST
+            # stops there; a number beyond int64 reads as int64's largest)
+            if np.searchsorted(_LEAST, part, "right").sum() != len(numbers) - part.size:
+                return None
             # int32 unless a field is too large for it, which concatenate keeps
             columns.append(part.astype(np.int32) if part.max() <= _INT32_MAX else part)
     return int(head[1]), int(head[2]), np.concatenate(columns).reshape(-1, 4)

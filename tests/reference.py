@@ -12,7 +12,8 @@ stood before both moved to whole-layer array passes: a residual forest of
 Python sets walked vertex by vertex, decompose, post_process, and
 solve_on_decomposition placing one vertex at a time.  The only change
 beyond names is that the assigner keeps no witness memo, so it asks
-extend_path once per compress block.
+extend_path once per compress block.  With them, ref_runs: a residual
+forest's runs ranked by walking each one, vertex by vertex, from an end.
 
 Then three pieces as they stood before smaller versions replaced them:
 the subset search that builds a state graph for every subset it examines
@@ -404,6 +405,32 @@ class _RefResidual:
                 runs.append(run)
         runs.sort(key=min)
         return runs
+
+
+def ref_runs(tree: PortTree, alive: Collection[int]) -> list[tuple[int, int, int, int, int]]:
+    """Each vertex of the alive set's degree-<=2 subgraph, ascending, with
+    its run's smaller-id and larger-id ends, its distance from the
+    smaller-id end and its run's length, found by walking every run from an
+    end one neighbor at a time."""
+    alive = set(alive)
+    pool = {v for v in alive if sum(u in alive for u in tree.neighbors(v)) <= 2}
+    ranked = {}
+    for v in sorted(pool):
+        inner = [u for u in tree.neighbors(v) if u in pool]
+        if v in ranked or len(inner) > 1:
+            continue
+        run, prev = [v], None
+        while True:
+            step = [u for u in tree.neighbors(run[-1]) if u in pool and u != prev]
+            if not step:
+                break
+            prev = run[-1]
+            run.append(step[0])
+        if run[-1] < run[0]:
+            run.reverse()
+        for i, u in enumerate(run):
+            ranked[u] = (u, run[0], run[-1], i, len(run))
+    return [ranked[v] for v in sorted(pool)]
 
 
 def ref_decompose(tree: PortTree, gamma: int, ell: int) -> RawDecomposition:

@@ -414,6 +414,31 @@ def test_oracle_connects_exit_codes(capsys):
     assert (code, "unknown" in out) == (3, True)
 
 
+CONNECTS = ["connects", "--problem", "two-coloring", "--a1", "a", "--c1", "a,a,a",
+            "--a2", "b", "--c2", "b,b,b"]
+
+
+@pytest.mark.parametrize(
+    "argv,n,said",
+    [
+        (["solve", "--problem", "perfect-matching", "--tree", "TREE"], 20,
+         "unknown (n 20 exceeds --max-vertices 12)"),
+        (["solve", "--problem", "perfect-matching", "--tree", "TREE", "--budget", "1"], 6,
+         "unknown (--budget 1 steps ran out)"),
+        ([*CONNECTS, "--k", "1500"], None, "unknown (k 1500 exceeds --max-vertices 12)"),
+        ([*CONNECTS, "--k", "9", "--budget", "1"], None, "unknown (--budget 1 steps ran out)"),
+    ],
+    ids=["solve-vertices", "solve-budget", "connects-vertices", "connects-budget"],
+)
+def test_oracle_unknown_names_the_bound_that_stopped_it(tmp_path, capsys, argv, n, said):
+    tree = tmp_path / "tree.json"
+    if n is not None:
+        run_cli(capsys, "gen", "--n", str(n), "--model", "path", "--output", str(tree))
+    argv = [str(tree) if a == "TREE" else a for a in argv]
+    code, out, _ = run_cli(capsys, "oracle", *argv)
+    assert (code, out) == (3, f"oracle: {said}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

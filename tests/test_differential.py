@@ -386,7 +386,8 @@ def test_a_fault_in_a_later_slice_beside_a_split_cut_marker_raises_the_reference
 
 
 def near_gen_layout():
-    """Valid JSON that differs from gen's layout: each takes the JSON route."""
+    """Texts near gen's layout, each with whether the column route takes
+    it; every other one takes the JSON route."""
     doc = _path_doc(5)
     text = indented(doc)
     edge = '"v": 1,'
@@ -395,31 +396,41 @@ def near_gen_layout():
     def number(value):
         return text.replace(edge, f'"v": {value},')
 
+    def leading_zero(key):
+        return text.replace(f'"{key}": 0', f'"{key}": 00', 1)
+
     reordered = dict(doc, edges=[dict(reversed(e.items())) for e in doc["edges"]])
     return {
-        "crlf": text.replace("\n", "\r\n"),
-        "no final newline": text[:-1],
-        "compact": json.dumps(doc),
-        "reordered keys": indented(reordered),
-        "reordered header": indented({"delta": 3, "n": 5, "edges": doc["edges"]}),
-        "leading zero": number("01"),
-        "minus zero": number("-0"),
-        "negative": number("-1"),
-        "19 digits": number("1" + "0" * 18),
-        "beyond int64": number("9" * 19),
-        "5,000 digits": number("1" * 5000),
-        "exponent": number("1e0"),
-        "true": number("true"),
-        "tab": text.replace('"v": 1', '"v":\t1'),
-        "no space after a colon": text.replace('"u": 3', '"u":3'),
-        "extra key": indented(dict(doc, extra=1)),
+        "crlf": (text.replace("\n", "\r\n"), False),
+        "no final newline": (text[:-1], False),
+        "compact": (json.dumps(doc), False),
+        "reordered keys": (indented(reordered), False),
+        "reordered header": (indented({"delta": 3, "n": 5, "edges": doc["edges"]}), False),
+        "leading zero": (number("01"), False),
+        "leading zero in u": (leading_zero("u"), False),
+        "leading zero in pu": (leading_zero("pu"), False),
+        "leading zero in pv": (leading_zero("pv"), False),
+        "minus zero": (number("-0"), False),
+        "negative": (number("-1"), False),
+        "18 digits": (number("1" + "0" * 17), True),
+        "10**18 - 1": (number(10**18 - 1), True),
+        "19 digits": (number("1" + "0" * 18), False),
+        "beyond int64": (number("9" * 19), False),
+        "5,000 digits": (number("1" * 5000), False),
+        "exponent": (number("1e0"), False),
+        "true": (number("true"), False),
+        "tab": (text.replace('"v": 1', '"v":\t1'), False),
+        "no space after a colon": (text.replace('"u": 3', '"u":3'), False),
+        "extra key": (indented(dict(doc, extra=1)), False),
+        "digit in a key": (text.replace('"pu"', '"p1u"', 1), False),
+        "digit in the indentation": (text.replace('      "v"', '   1  "v"', 1), False),
     }
 
 
 @pytest.mark.parametrize("name", sorted(near_gen_layout()))
 def test_near_gen_layout_gives_the_json_route_result(name):
-    text = near_gen_layout()[name]
-    assert not takes_column_route(text)
+    text, scanned = near_gen_layout()[name]
+    assert takes_column_route(text) == scanned
     if name == "5,000 digits":
         with pytest.raises(ValueError, match="integer string conversion"):
             ref_parse_tree(text)

@@ -3,6 +3,7 @@ layered form, its structural invariants, and the depth bounds."""
 
 import hashlib
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from reference import (
     layering,
     ref_ordered_path,
     ref_post_process,
+    ref_runs,
     ref_solve_on_decomposition,
 )
 
@@ -261,7 +263,7 @@ def test_equal_decompositions_hash_equal():
     assert len({a, b, narrow, post_process(path_tree(10), 3), post_process(path_tree(11), 2)}) == 3
 
 
-# --- runs by pointer doubling ------------------------------------------------------
+# --- runs by pointer jumping -------------------------------------------------------
 
 
 def built_tree(n, edges, delta=3):
@@ -271,12 +273,56 @@ def built_tree(n, edges, delta=3):
     return PortTree(delta, b.build().ports)
 
 
-def runs_of(tree):
+def runs_of(tree, forest=None):
     """Each run vertex with its run's smaller-id and larger-id ends, its
-    distance from the smaller-id end and its run's length."""
-    pool, first, last, pos, length = _Forest(tree).runs()
+    distance from the smaller-id end and its run's length, in the forest
+    (by default the whole tree)."""
+    pool, first, last, pos, length = (forest or _Forest(tree)).runs()
     columns = (pool, pool[first], pool[last], pos, length)
     return list(zip(*(column.tolist() for column in columns)))
+
+
+def shuffled(tree, rng):
+    """The tree with its vertex ids permuted at random, every port kept."""
+    perm = np.array(rng.sample(range(tree.n), tree.n))
+    nbr, back = np.full_like(tree.nbr, -1), np.full_like(tree.back, -1)
+    nbr[perm] = np.where(tree.nbr >= 0, perm[tree.nbr], -1)
+    back[perm] = tree.back
+    return PortTree._of_arrays(tree.delta, nbr, back)
+
+
+def assert_runs_match_the_walk(tree, rakes=3):
+    """runs agrees with the sequential walk on the tree and on the forests
+    each of up to rakes whole rake steps leaves."""
+    forest = _Forest(tree)
+    for _ in range(rakes + 1):
+        assert runs_of(tree, forest) == ref_runs(tree, forest.alive.tolist())
+        if not forest.alive.size:
+            break
+        forest.remove(forest.low_degree(1))
+
+
+@pytest.mark.parametrize("delta", (3, 4, 5))
+@pytest.mark.parametrize("seed", range(4))
+def test_runs_match_a_sequential_walk_on_random_forests(delta, seed):
+    rng = Random(seed)
+    for n in (1, 2, 3, 4, 10, 100, 700):
+        tree = gen_tree(TreeGenSpec(n=n, delta=delta, seed=rng.randrange(1000)))
+        assert_runs_match_the_walk(tree)
+        assert_runs_match_the_walk(shuffled(tree, rng))
+
+
+@pytest.mark.parametrize("model", ("path", "caterpillar"))
+def test_runs_match_a_sequential_walk_on_long_runs(model):
+    tree = gen_tree(TreeGenSpec(n=10_000, delta=3, seed=0, model=model))
+    assert_runs_match_the_walk(tree, rakes=1)
+    assert_runs_match_the_walk(shuffled(tree, Random(model)), rakes=1)
+
+
+def test_runs_of_a_lone_vertex_and_a_two_vertex_run_match_the_walk():
+    for n in (1, 2):
+        assert_runs_match_the_walk(path_tree(n))
+    assert_runs_match_the_walk(built_tree(2, [(1, 0)]))
 
 
 # lone leaves 1, 2, 7, 10, 11 (residual degree 1), a run 3-4-5 whose two

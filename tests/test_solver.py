@@ -284,6 +284,82 @@ def test_witness_memo_remembers_a_missing_witness(monkeypatch, coloring2):
     assert len(calls) == 1
 
 
+# --- block keys --------------------------------------------------------------------
+
+
+def two_label_problem():
+    """Labels x and y, every config over them and every edge, so every block
+    key has a witness."""
+    labels = (Label(0, "x"), Label(1, "y"))
+    configs = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+    edges = frozenset(EdgeConfig.of(a, b) for a in range(2) for b in range(2))
+    return LclProblem(3, labels, frozenset(map(VertexConfig.of, configs)), edges)
+
+
+def compress_two_blocks(problem, ends, sizes):
+    """On the path s0, block 1, s1, s2, block 2, s3, label each s with the
+    (label facing its block, config) that ends lists for it, then label the
+    two blocks as one compress layer; returns the assigner."""
+    k1, k2 = sizes
+    tree = path_tree(k1 + k2 + 4)
+    s = (0, k1 + 1, k1 + 2, k1 + k2 + 3)
+    toward = (1, k1, k1 + 3, k1 + k2 + 2)
+    asg = _Assigner(problem, tree, full_subset(problem))
+    for v, u, (label, config) in zip(s, toward, ends):
+        asg.row[v] = asg._row({tree.port_to(v, u): label}, VertexConfig.of(config))
+    flat = np.r_[1 : k1 + 1, k1 + 3 : k1 + k2 + 3]
+    asg.compress(flat, np.array(sizes))
+    return asg
+
+
+BASE_ENDS = ((0, (0, 0, 1)), (1, (0, 1, 1)))  # block 1's two ends
+
+
+@pytest.mark.parametrize(
+    "column,second",
+    [
+        ("a1", ((1, (0, 0, 1)), BASE_ENDS[1])),
+        ("c1", ((0, (0, 1, 1)), BASE_ENDS[1])),
+        ("a2", (BASE_ENDS[0], (0, (0, 1, 1)))),
+        ("c2", (BASE_ENDS[0], (1, (1, 1, 1)))),
+        ("k", BASE_ENDS),
+    ],
+)
+def test_blocks_whose_keys_differ_in_one_column_get_their_own_witnesses(
+    monkeypatch, column, second
+):
+    calls = count_witness_calls(monkeypatch)
+    sizes = (3, 4 if column == "k" else 3)
+    asg = compress_two_blocks(two_label_problem(), BASE_ENDS + second, sizes)
+    want = [
+        (a1, VertexConfig.of(c1), a2, VertexConfig.of(c2), k + 2)
+        for ((a1, c1), (a2, c2)), k in zip((BASE_ENDS, second), sizes)
+    ]
+    assert calls == want
+    assert sorted(asg.witnesses.values()) == [0, 1]
+    assert (asg.row[: asg.tree.n] >= 0).all()
+
+
+def test_blocks_with_equal_keys_share_one_witness_call(monkeypatch):
+    calls = count_witness_calls(monkeypatch)
+    asg = compress_two_blocks(two_label_problem(), BASE_ENDS + BASE_ENDS, (3, 3))
+    assert len(calls) == 1 and len(asg.witnesses) == 1
+    assert asg.row[1:4].tolist() == asg.row[6:9].tolist()
+
+
+@pytest.mark.parametrize("first_label", (0, 1))
+def test_the_first_block_without_a_witness_in_layer_order_is_named(coloring2, first_label):
+    # both blocks join two equal colors across an even path, which no
+    # witness does; the first block's key sorts before or after the second's
+    other = 1 - first_label
+    ends = ((first_label, (first_label,) * 3),) * 2 + ((other, (other,) * 3),) * 2
+    with pytest.raises(NotEllFullError) as err:
+        compress_two_blocks(coloring2, ends, (2, 2))
+    assert err.value.kind == "path-extension"
+    assert (err.value.detail["a1"], err.value.detail["a2"]) == (first_label, first_label)
+    assert err.value.detail["k"] == 4
+
+
 def test_solve_log_labels_without_per_vertex_walks(monkeypatch, matching):
     # the layering and the labeling read the port arrays a layer at a time
     tree = uniform_tree(10_000, seed=3)

@@ -18,6 +18,7 @@ from lcltrees.trees import (
     components,
     distance,
     distances,
+    fold_ports,
     gen_tree,
     parse_tree,
     serialize_tree,
@@ -220,6 +221,26 @@ def test_neighbors_are_fresh_lists_in_port_order():
         assert got == expect and t.real_degree(v) == len(expect)
         got.append(-1)  # a caller's edit must not reach the tree
         assert t.neighbors(v) == expect
+
+
+@pytest.mark.parametrize("delta", (3, 64))
+@pytest.mark.parametrize("m", (0, 1, 300))
+def test_fold_ports_matches_the_reductions_along_axis_one(delta, m):
+    rng = np.random.default_rng(delta * 1000 + m)
+    ports = rng.integers(-1, 4, (m, delta)).astype(np.int32)
+    mask = ports >= 0
+    pairs = [
+        (fold_ports(np.maximum, ports), ports.max(axis=1)),
+        (fold_ports(np.minimum, ports), ports.min(axis=1)),
+        (fold_ports(np.add, ports, np.int64), ports.sum(axis=1, dtype=np.int64)),
+        (fold_ports(np.add, mask, np.int64), mask.sum(axis=1)),
+        (fold_ports(np.add, mask, np.int64), np.count_nonzero(mask, axis=1)),
+        (fold_ports(np.logical_or, mask), mask.any(axis=1)),
+        (fold_ports(np.logical_and, mask), mask.all(axis=1)),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == (m,)
+        assert np.array_equal(got, want)
 
 
 def test_port_tree_rejects_asymmetry_and_disconnection():
