@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .equivalence import class_census
 from .fixtures import perfect_matching, three_coloring, two_coloring
-from .oracle import UNKNOWN, OracleBudget, brute_force_connects, brute_force_solve
+from .oracle import OracleBudget, OracleResult, brute_force_solve, connects_result
 from .pathstates import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT,
@@ -224,11 +224,14 @@ def cmd_classes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stopped_by(name: str, size: int, budget: OracleBudget) -> str:
-    """The bound that stopped an oracle search of size vertices at unknown."""
-    if size > budget.max_vertices:
-        return f" ({name} {size} exceeds --max-vertices {budget.max_vertices})"
-    return f" (--budget {budget.max_steps} steps ran out)"
+def _answer(result: OracleResult, words: dict[str, str], size: str, budget: OracleBudget) -> int:
+    """Print the oracle's answer, naming the bound that stopped an unknown; its exit code."""
+    why = {
+        "max_vertices": f" ({size} exceeds --max-vertices {budget.max_vertices})",
+        "max_steps": f" (--budget {budget.max_steps} steps ran out)",
+    }.get(result.stopped_by, "")
+    print(f"oracle: {words.get(result.status, result.status)}{why}")
+    return {"found": EXIT_OK, "none": EXIT_VIOLATION, "unknown": EXIT_INCONCLUSIVE}[result.status]
 
 
 def cmd_oracle_solve(args: argparse.Namespace) -> int:
@@ -236,13 +239,9 @@ def cmd_oracle_solve(args: argparse.Namespace) -> int:
     tree = _parse_file(parse_tree, args.tree)
     budget = OracleBudget(max_vertices=args.max_vertices, max_steps=args.budget)
     result = brute_force_solve(problem, tree, budget)
-    why = _stopped_by("n", tree.n, budget) if result.status == "unknown" else ""
-    print(f"oracle: {result.status}{why}")
     if result.status == "found" and args.output is not None:
         _write(args.output, labeling_chunks(result.labeling, problem))
-    if result.status == "found":
-        return EXIT_OK
-    return EXIT_VIOLATION if result.status == "none" else EXIT_INCONCLUSIVE
+    return _answer(result, {}, f"n {tree.n}", budget)
 
 
 def cmd_oracle_connects(args: argparse.Namespace) -> int:
@@ -256,12 +255,8 @@ def cmd_oracle_connects(args: argparse.Namespace) -> int:
     (a1,) = _coerce_config(problem, [args.a1])
     (a2,) = _coerce_config(problem, [args.a2])
     budget = OracleBudget(max_vertices=args.max_vertices, max_steps=args.budget)
-    answer = brute_force_connects(problem, subset, a1, c1, a2, c2, args.k, budget)
-    if answer is UNKNOWN:
-        print("oracle: unknown" + _stopped_by("k", args.k, budget))
-        return EXIT_INCONCLUSIVE
-    print(f"oracle: {'yes' if answer else 'no'}")
-    return EXIT_OK if answer else EXIT_VIOLATION
+    result = connects_result(problem, subset, a1, c1, a2, c2, args.k, budget)
+    return _answer(result, {"found": "yes", "none": "no"}, f"k {args.k}", budget)
 
 
 # --- parser -----------------------------------------------------------------------

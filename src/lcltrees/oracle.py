@@ -46,6 +46,7 @@ class OracleBudget:
 class OracleResult:
     status: str  # "found" | "none" | "unknown"
     labeling: Optional[HalfEdgeLabeling] = None
+    stopped_by: str = ""  # for "unknown", the OracleBudget field that ran out
 
 
 class _OutOfBudget(Exception):
@@ -71,7 +72,7 @@ def brute_force_solve(
     if tree.delta != problem.delta:
         raise ValueError("tree delta differs from problem delta")
     if tree.n > budget.max_vertices:
-        return OracleResult("unknown")
+        return OracleResult("unknown", stopped_by="max_vertices")
 
     arrangements = sorted(
         {perm for c in problem.vertex_configs for perm in permutations(c.labels)}
@@ -121,7 +122,7 @@ def brute_force_solve(
     try:
         labeling = search()
     except _OutOfBudget:
-        return OracleResult("unknown")
+        return OracleResult("unknown", stopped_by="max_steps")
     if labeling is None:
         return OracleResult("none")
     if not is_valid_labeling(problem, tree, labeling).ok:
@@ -129,7 +130,12 @@ def brute_force_solve(
     return OracleResult("found", labeling)
 
 
-def brute_force_connects(
+def brute_force_connects(*args, **kwargs) -> OracleAnswer:
+    """connects_result's answer to the same arguments: True, False or UNKNOWN."""
+    return {"found": True, "none": False}.get(connects_result(*args, **kwargs).status, UNKNOWN)
+
+
+def connects_result(
     problem: LclProblem,
     subset: frozenset[VertexConfig],
     a1: int,
@@ -138,13 +144,13 @@ def brute_force_connects(
     c2: VertexConfig,
     k: int,
     budget: OracleBudget = OracleBudget(),
-) -> OracleAnswer:
+) -> OracleResult:
     """Can a k-vertex path carry the endpoints' facing labels a1, a2?
 
     Interior vertices take configs from the subset, spending one label on
     each path edge; endpoint configs c1, c2 only assert a1 in c1, a2 in c2.
-    Searches all interior assignments depth first, first success wins;
-    paths longer than budget.max_vertices answer UNKNOWN.
+    Searches all interior assignments depth first, first success wins:
+    "found", "none", or "unknown" past budget.max_vertices or max_steps.
     """
     for c in (c1, c2):
         if c not in subset:
@@ -154,9 +160,9 @@ def brute_force_connects(
     if k < 2:
         raise ValueError("paths need at least two vertices")
     if k > budget.max_vertices:
-        return UNKNOWN
+        return OracleResult("unknown", stopped_by="max_vertices")
     if k == 2:
-        return problem.edge_ok(a1, a2)
+        return OracleResult("found" if problem.edge_ok(a1, a2) else "none")
 
     configs = sorted(subset)
     counter = _Counter(budget.max_steps)
@@ -179,7 +185,7 @@ def brute_force_connects(
             elif len(stack) < k - 2:
                 stack.append(outs(out_label))
             elif problem.edge_ok(out_label, a2):
-                return True
+                return OracleResult("found")
     except _OutOfBudget:
-        return UNKNOWN
-    return False
+        return OracleResult("unknown", stopped_by="max_steps")
+    return OracleResult("none")

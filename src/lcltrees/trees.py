@@ -401,11 +401,10 @@ def fold_ports(ufunc: np.ufunc, rows: np.ndarray, dtype: Optional[type] = None) 
 # checks them with the same array checks.  Text in exactly the layout
 # serialize_tree writes (json.dumps(doc, indent=2) plus a newline, integers
 # of at most 18 digits) is scanned: regexes check the layout slice by slice
-# as problems._slices reads it, taking any digits for a number, and numpy
-# reads a slice's integers in one pass from its colon projection, the ":"
-# before each number and the digits, about a quarter of the text; digit
-# counts rule out leading zeros.  Any other text, valid or not, is read
-# whole and goes through json.loads.
+# as problems._slices reads it, and numpy reads a slice's integers in one
+# pass from its colon projection, the ":" before each number and the digits,
+# about a quarter of the text, then checks them canonical.  Any other text,
+# valid or not, is read whole and goes through json.loads.
 
 
 _EDGE_KEYS = ("u", "pu", "v", "pv")
@@ -413,7 +412,7 @@ _edge_fields = itemgetter(*_EDGE_KEYS)
 
 _HEAD = re.compile(f'\\{{\n  "n": ({_NUMBER}),\n  "delta": ({_NUMBER}),\n  "edges": \\[')
 _EDGE = "    \\{{\n{}\n    \\}}".format(
-    ",\n".join(f'      "{key}": [0-9]++' for key in _EDGE_KEYS)
+    ",\n".join(f'      "{key}": [0-9]+' for key in _EDGE_KEYS)
 )
 _EDGES = re.compile(f"{_EDGE}(?:,\n{_EDGE})*")
 _NO_EDGES = "]\n}\n"
@@ -448,9 +447,9 @@ def _scan_edges(doc: Document) -> Optional[tuple[int, int, np.ndarray]]:
                 return None
             numbers = block.encode("ascii").translate(_COLON_TO_SPACE, _NOT_DIGIT_OR_COLON)
             part = np.fromstring(numbers, np.int64, sep=" ")
-            # canonical: as many digits as the values need, 18 at most (_LEAST
-            # stops there; a number beyond int64 reads as int64's largest)
-            if np.searchsorted(_LEAST, part, "right").sum() != len(numbers) - part.size:
+            # canonical: below 10**18 (an int64 overflow reads as 2**63 - 1), no leading zeros
+            digits = np.searchsorted(_LEAST, part, "right").sum()
+            if part.max() >= 10**18 or digits != len(numbers) - part.size:
                 return None
             # int32 unless a field is too large for it, which concatenate keeps
             columns.append(part.astype(np.int32) if part.max() <= _INT32_MAX else part)

@@ -415,6 +415,9 @@ def near_gen_layout():
         "18 digits": (number("1" + "0" * 17), True),
         "10**18 - 1": (number(10**18 - 1), True),
         "19 digits": (number("1" + "0" * 18), False),
+        "leading zero and 19 digits in one edge": (
+            leading_zero("u").replace(edge, f'"v": {10**18},'), False
+        ),
         "beyond int64": (number("9" * 19), False),
         "5,000 digits": (number("1" * 5000), False),
         "exponent": (number("1e0"), False),
@@ -428,7 +431,7 @@ def near_gen_layout():
 
 
 @pytest.mark.parametrize("name", sorted(near_gen_layout()))
-def test_near_gen_layout_gives_the_json_route_result(name):
+def test_near_gen_layout_takes_the_recorded_route_and_gives_the_json_result(name):
     text, scanned = near_gen_layout()[name]
     assert takes_column_route(text) == scanned
     if name == "5,000 digits":

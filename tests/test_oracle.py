@@ -14,6 +14,7 @@ from lcltrees.oracle import (
     OracleResult,
     brute_force_connects,
     brute_force_solve,
+    connects_result,
 )
 from lcltrees.problems import EdgeConfig, Label, LclProblem, VertexConfig, is_valid_labeling
 from lcltrees.trees import TreeGenSpec, gen_tree
@@ -158,6 +159,18 @@ def test_connects_unknown_past_the_vertex_budget(coloring2):
     assert brute_force_connects(coloring2, sub, 0, aaa, 1, bbb, 13) is UNKNOWN
     short = OracleBudget(max_vertices=1)
     assert brute_force_connects(coloring2, sub, 0, aaa, 1, bbb, 2, short) is UNKNOWN
+
+
+def test_unknown_names_the_budget_field_that_ran_out(coloring2, coloring3):
+    aaa, bbb = VertexConfig.of([0, 0, 0]), VertexConfig.of([1, 1, 1])
+    sub = frozenset({aaa, bbb})
+    tiny = OracleBudget(max_steps=1)
+    assert brute_force_solve(coloring3, path_tree(13)).stopped_by == "max_vertices"
+    assert brute_force_solve(coloring3, path_tree(8), tiny).stopped_by == "max_steps"
+    assert connects_result(coloring2, sub, 0, aaa, 1, bbb, 13).stopped_by == "max_vertices"
+    assert connects_result(coloring2, sub, 0, aaa, 1, bbb, 9, tiny).stopped_by == "max_steps"
+    assert connects_result(coloring2, sub, 0, aaa, 1, bbb, 12) == OracleResult("found")
+    assert connects_result(coloring2, sub, 0, aaa, 0, aaa, 12) == OracleResult("none")
 
 
 @settings(max_examples=40, deadline=None)
