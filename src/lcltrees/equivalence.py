@@ -510,6 +510,39 @@ def pumping_decompose(
     return None
 
 
+def pole_tables(problem: LclProblem, tree: PortTree) -> dict[int, HTable]:
+    """h_table(problem, PoledTree(tree, (v,))) for every vertex v with a
+    spare port, ascending, from one rerooting pass.
+
+    Off a lone pole every subtree is pole-free, so each side of an edge is
+    one label mask: shows[u, v], what u's side shows v, comes bottom-up
+    toward vertex 0 and then top-down, and a pole's table asks of its
+    neighbours' masks whether each interface fits.
+    """
+    if tree.delta != problem.delta:
+        raise ValueError("tree delta differs from problem delta")
+    step, nl = problem.vertex_step, problem.num_labels
+    shows: dict[tuple[int, int], int] = {}
+
+    def oks(v: int, but: Optional[int] = None) -> tuple[int, ...]:
+        return tuple(sorted(step.kid_ok(shows[u, v]) for u in tree.neighbors(v) if u != but))
+
+    order, parent = bfs_tree(tree, [0])
+    for v in reversed(order[1:]):
+        shows[v, parent[v]] = step(oks(v, parent[v]), None, (), False)
+    for v in order:
+        for u in tree.neighbors(v):
+            if u != parent[v]:
+                shows[v, u] = step(oks(v, u), None, (), False)
+    tables = {}
+    for v in range(tree.n):
+        if arity := tree.delta - tree.real_degree(v):
+            fit, wants = oks(v), _multisets(nl, arity)
+            bits = sum(1 << j for j, want in enumerate(wants) if step(fit, want, (), True))
+            tables[v] = HTable(nl, (arity,), bits)
+    return tables
+
+
 # --- census -----------------------------------------------------------------------
 
 
@@ -544,7 +577,8 @@ def class_census(
 ) -> CensusReport:
     """Sample rooted trees up to max_size, with every eligible pole, and
     count distinct tables; bipolar classes come from pairwise concatenation
-    of the rooted tables that can host path edges."""
+    of the rooted tables that can host path edges.  Each tree's poles are
+    tabled in one pass (pole_tables)."""
     if max_size < 1 or samples_per_size < 1:
         raise ValueError("census sizes must be positive")
     # first-seen order; HTable is frozen, so hashable
@@ -558,10 +592,7 @@ def class_census(
                 seed=seed * 100_003 + size * 101 + i,
                 model="uniform-attachment-capped",
             )
-            tree = gen_tree(spec)
-            for v in range(size):
-                if tree.real_degree(v) < tree.delta:
-                    class1[h_table(problem, PoledTree(tree, (v,)))] = None
+            class1.update(dict.fromkeys(pole_tables(problem, gen_tree(spec)).values()))
         cumulative.append(len(class1))
     wide = [t for t in class1 if t.arities[0] >= 2]
     class2 = {concat_bipolar(problem, [t1, t2]): None for t1 in wide for t2 in wide}

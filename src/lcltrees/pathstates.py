@@ -35,16 +35,23 @@ ell-full S joins every pair of its labels by walks of every length k >= ell,
 which start at forward-live and end at backward-live states of graph(S);
 graph(S) is an induced subgraph of graph(T) for every T containing S, so
 those states stay live in T and every ell-full subset lies inside the
-fixpoint.  The search still runs over every subset in the same order and
-charges each to the budget, but settles one outside the fixpoint without a
-state graph.
+fixpoint (StateTable.trim).
+
+The search then peels the fixpoint: each round drops every config holding a
+label not flexible in the round's graph (row a of entry . step^m meets
+exitmask[a] at every m of the certificate's cycle), then trims again, until
+a round drops nothing, leaving F*.  An ell-full S's labels are flexible in
+graph(S), so in every larger graph: S lies inside F*.  Only F*'s subsets
+are walked, in search order, each charged its rank in the order over all
+subsets, so subsets_examined and the budget keep their meaning.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -128,12 +135,14 @@ class StateTable:
         self.exitmask = [_step(sends, partners[l]) for l in ids]
 
     @cached_property
-    def live_configs(self) -> frozenset[VertexConfig]:
-        """The configs the liveness trim keeps: every ell-full subset's superset."""
+    def _config_masks(self) -> list[tuple[int, int]]:
+        """Per config in sorted order, the mask of its states and of its labels."""
+        return [(m, sum(1 << a for a in c.distinct())) for c, m in self.mask_of.items()]
+
+    def trim(self, kept: int) -> int:
+        """The states of the configs the liveness trim keeps, starting from
+        the configs whose states kept holds (whole configs only)."""
         labels = range(len(self.outmask))
-        # each config with the mask of its states and the mask of its labels
-        configs = [(c, m, sum(1 << a for a in c.distinct())) for c, m in self.mask_of.items()]
-        kept = (1 << len(self.states)) - 1
         while True:
             moves = [(self.outmask[l] & kept, self.admit[l] & kept) for l in labels]
             forward = _walks_forever(kept, [(t, s) for s, t in moves])
@@ -143,10 +152,16 @@ class StateTable:
             ok = sum(
                 1 << a for a in labels if self.admit[a] & forward and self.exitmask[a] & backward
             )
-            now = sum(mask for _c, mask, held in configs if mask & kept and not held & ~ok)
+            now = sum(mask for mask, held in self._config_masks if mask & kept and not held & ~ok)
             if now == kept:
-                return frozenset(c for c, mask, _ in configs if mask & kept)
+                return kept
             kept = now
+
+    @cached_property
+    def live_configs(self) -> frozenset[VertexConfig]:
+        """The configs the liveness trim keeps: every ell-full subset's superset."""
+        kept = self.trim((1 << len(self.states)) - 1)
+        return frozenset(c for c, mask in self.mask_of.items() if mask & kept)
 
 
 class PathStateGraph:
@@ -330,6 +345,38 @@ class SubsetSearchResult:
     certificate: Optional[PeriodicityCertificate] = None  # the found subset's
 
 
+def _rank(positions: tuple[int, ...], n: int) -> int:
+    """The 1-based place, in the search order over n configs, of the subset
+    at these ascending positions: every larger subset comes first, then the
+    subsets of its size in combinations order."""
+    k = len(positions)
+    from_k = sum(comb(n, s) for s in range(k, n + 1))
+    return from_k - sum(comb(n - 1 - p, k - j) for j, p in enumerate(positions))
+
+
+def _peel(problem: LclProblem, budget: int) -> tuple[tuple[int, ...], Optional[PathStateGraph]]:
+    """F*'s config positions and its graph.  The peel stops, graphless, at a
+    set ranked past the budget: every ell-full subset lies inside each
+    round's set, and a proper subset comes later in the search order."""
+    table, configs = problem.state_table, problem.sorted_configs()
+    kept = sum(table.mask_of[c] for c in table.live_configs)
+    while True:
+        at = tuple(i for i, c in enumerate(configs) if table.mask_of[c] & kept)
+        if not at or _rank(at, len(configs)) > budget:
+            return at, None
+        graph = build_state_graph(problem, (configs[i] for i in at))
+        start = graph.certificate().index  # fills graph._reach
+        cycle = graph._reach[start:]
+        stuck = sum(
+            1 << a for j, a in enumerate(graph.labels)
+            if not all(rows[j] & table.exitmask[a] for rows in cycle)
+        )
+        if not stuck:
+            return at, graph
+        left = sum(m for m, held in table._config_masks if m & kept and not held & stuck)
+        kept = table.trim(left)
+
+
 def find_ell_full_set(problem: LclProblem, max_subsets: int = 4096) -> SubsetSearchResult:
     """Search nonempty config subsets, largest first, for an ell-full one.
 
@@ -337,30 +384,28 @@ def find_ell_full_set(problem: LclProblem, max_subsets: int = 4096) -> SubsetSea
     or every nonempty subset was ruled out.  A result with no subset and
     exhaustive=False only says the budget ran out.
 
-    Only subsets inside the liveness fixpoint (StateTable.live_configs)
-    can be ell-full (see the module docstring), so only they get a state
-    graph.  subsets_examined still counts every subset settled in search
-    order and charged to the budget, whether or not it needed a graph.
+    Only subsets of F*, the peel's fixpoint, can be ell-full (see the
+    module docstring), so only they are walked, F* itself on the last peel
+    round's graph.  Each is charged its rank in the order over all subsets,
+    so subsets_examined still counts every subset settled in search order
+    and the budget still bounds that count.
     """
     if max_subsets < 1:
         raise ValueError("subset budget must be positive")
     configs = problem.sorted_configs()
-    live = problem.state_table.live_configs
-    examined = 0
-    for size in range(len(configs), 0, -1):
-        for combo in combinations(configs, size):
-            if examined >= max_subsets:
-                return SubsetSearchResult(None, None, False, examined)
-            examined += 1
-            if not live.issuperset(combo):
-                continue
-            graph = build_state_graph(problem, combo)
-            ell = _minimal_ell(graph)
-            if ell is not None:
-                return SubsetSearchResult(
-                    tuple(combo), ell, True, examined, graph.certificate()
-                )
-    return SubsetSearchResult(None, None, True, examined)
+    at, graph = _peel(problem, max_subsets)
+    for combo in chain.from_iterable(combinations(at, k) for k in range(len(at), 0, -1)):
+        rank = _rank(combo, len(configs))
+        if rank > max_subsets:
+            break
+        subset = tuple(configs[i] for i in combo)
+        if combo != at:
+            graph = build_state_graph(problem, subset)
+        ell = _minimal_ell(graph)
+        if ell is not None:
+            return SubsetSearchResult(subset, ell, True, rank, graph.certificate())
+    every = 2 ** len(configs) - 1
+    return SubsetSearchResult(None, None, every <= max_subsets, min(every, max_subsets))
 
 
 def extend_path(

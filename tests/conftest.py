@@ -1,3 +1,6 @@
+from itertools import combinations_with_replacement
+from random import Random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -49,6 +52,19 @@ def padded_two_coloring(names, padding):
     configs = frozenset(VertexConfig.of(id_of[x] for x in c) for c in ("aaa", "bbb") + padding)
     edges = frozenset({EdgeConfig.of(id_of["a"], id_of["b"])})
     return LclProblem(3, tuple(Label(i, x) for i, x in enumerate(names)), configs, edges)
+
+
+def many_label_problem(seed, num_labels, delta=3, max_vertex_configs=12):
+    """Seeded random problem over up to eight labels, past random_problem's
+    five: 1..max_vertex_configs configs and 1..a third of the label pairs
+    as edges, sparse enough that the liveness trim and the peel drop configs."""
+    rng = Random(seed)
+    labels = tuple(Label(i, x) for i, x in enumerate("abcdefgh"[:num_labels]))
+    every = [VertexConfig(c) for c in combinations_with_replacement(range(num_labels), delta)]
+    pairs = [EdgeConfig((i, j)) for i in range(num_labels) for j in range(i, num_labels)]
+    configs = rng.sample(every, rng.randint(1, min(max_vertex_configs, len(every))))
+    edges = rng.sample(pairs, rng.randint(1, len(pairs) // 3))
+    return LclProblem(delta, labels, frozenset(configs), frozenset(edges))
 
 
 def path_tree(n, delta=3):

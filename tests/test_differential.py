@@ -27,6 +27,7 @@ from lcltrees.equivalence import (
     class_census,
     concat_bipolar,
     h_table,
+    pole_tables,
     pumping_decompose,
 )
 from lcltrees.fixtures import perfect_matching, random_problem, three_coloring, two_coloring
@@ -76,7 +77,14 @@ from lcltrees.trees import (
     serialize_tree,
 )
 
-from conftest import PADDINGS, SMALL_NOT_PADDING, json_documents, padded_two_coloring, path_tree
+from conftest import (
+    PADDINGS,
+    SMALL_NOT_PADDING,
+    json_documents,
+    many_label_problem,
+    padded_two_coloring,
+    path_tree,
+)
 from reference import (
     RefPortTree,
     RefStateGraph,
@@ -1046,6 +1054,32 @@ def test_random_problem_censuses_match_the_reference():
         assert class_census(problem, 5, seed=seed, samples_per_size=3) == ref_class_census(
             problem, 5, seed=seed, samples_per_size=3
         )
+        problem = random_problem(seed, delta=4, num_labels=4, max_vertex_configs=8)
+        assert class_census(problem, 5, seed=seed, samples_per_size=2) == ref_class_census(
+            problem, 5, seed=seed, samples_per_size=2
+        )
+
+
+def test_rerooted_pole_tables_match_a_table_per_pole():
+    problems = [three_coloring(), two_coloring(), perfect_matching()]
+    problems += [random_problem(seed, num_labels=3, max_vertex_configs=6) for seed in range(6)]
+    problems += [
+        random_problem(seed, delta=4, num_labels=4, max_vertex_configs=8) for seed in range(6)
+    ]
+    tabled = Counter()
+    for problem in problems:
+        for model in ("uniform-attachment-capped", "path", "caterpillar", "star"):
+            for n in (1, 2, 3, 4, 5, 8, 13, 21, 40):
+                if model == "star" and n > problem.delta + 1:
+                    continue
+                tree = gen_tree(TreeGenSpec(n=n, delta=problem.delta, seed=n, model=model))
+                want = {
+                    v: h_table(problem, PoledTree(tree, (v,)))
+                    for v in range(n) if tree.real_degree(v) < tree.delta
+                }
+                assert pole_tables(problem, tree) == want, (problem, model, n)
+                tabled[problem.delta] += len(want)
+    assert tabled[3] > 1000 and tabled[4] > 500
 
 
 def concat_problems():
@@ -1316,6 +1350,44 @@ def test_the_search_matches_the_exhaustive_search_on_a_stress_corpus():
         pairwise = RefStateGraph(problem, result.subset)
         assert (pairwise.cert, pairwise.minimal_ell()) == (result.certificate, result.ell)
     assert 0 < found < len(problems)
+
+
+def search_corpus():
+    """The fixtures, random problems at 3, 4 and 5 labels and at delta 4,
+    the padded two-colorings up to 14 configs, an edgeless problem and one
+    with no configs."""
+    yield from (three_coloring(), two_coloring(), perfect_matching())
+    for seed in range(60):
+        yield random_problem(seed)
+        yield random_problem(seed, num_labels=4, max_vertex_configs=8)
+        yield random_problem(seed, num_labels=5, max_vertex_configs=10)
+        yield random_problem(seed, delta=4, num_labels=4, max_vertex_configs=8)
+    # 13 and 14 configs: past the default budget of 4,096 subsets
+    for padding in PADDINGS + (PADDINGS[-1] + ("bbp",), PADDINGS[-1] + ("bbp", "aqq")):
+        yield padded_two_coloring("abpq", padding)
+    labels = (Label(0, "a"), Label(1, "b"))
+    configs = frozenset(VertexConfig.of(c) for c in ((0, 0, 0), (0, 0, 1), (1, 1, 1)))
+    yield LclProblem(3, labels, configs, frozenset())
+    yield LclProblem(3, labels, frozenset(), frozenset({EdgeConfig.of(0, 1)}))
+
+
+def many_label_corpus():
+    for seed in range(40):
+        yield many_label_problem(seed, 6)
+        yield many_label_problem(seed, 8)
+
+
+@pytest.mark.parametrize("corpus", (search_corpus, many_label_corpus))
+def test_the_peeled_search_matches_the_whole_walk_at_every_budget(corpus):
+    """The peel and the ranked walk over F*'s subsets report what walking
+    every subset reports, the count of subsets settled included."""
+    outcomes = Counter()
+    for problem in corpus():
+        for budget in (1, 7, 4096):
+            result = find_ell_full_set(problem, budget)
+            assert result == ref_find_ell_full_set(problem, max_subsets=budget), (problem, budget)
+            outcomes[result.subset is not None, result.exhaustive] += 1
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}
 
 
 def test_ell_fullness_matches_the_reference_at_every_ell():

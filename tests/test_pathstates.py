@@ -41,7 +41,13 @@ from lcltrees.problems import (
     is_valid_labeling,
 )
 
-from conftest import PADDINGS, SMALL_NOT_PADDING, padded_two_coloring, path_tree
+from conftest import (
+    PADDINGS,
+    SMALL_NOT_PADDING,
+    many_label_problem,
+    padded_two_coloring,
+    path_tree,
+)
 from reference import RefStateGraph
 
 AAA = VertexConfig.of([0, 0, 0])
@@ -335,40 +341,83 @@ def test_extend_path_raises_when_backtrack_breaks_the_step_relation():
     assert "inadmissible" in proc.stdout
 
 
+def peel_fixpoint(problem):
+    """F*, the configs the peel keeps, under a budget no rank can pass."""
+    at, _graph = pathstates._peel(problem, 2 ** len(problem.vertex_configs))
+    return frozenset(problem.sorted_configs()[i] for i in at)
+
+
+def ref_peel_rounds(problem):
+    """The config set of each peel round and F*, re-derived: flexibility is
+    read off the pair-by-pair graph, and the trim off a problem cut down to
+    the configs left."""
+    rounds = []
+    kept = problem.state_table.live_configs
+    while kept:
+        rounds.append(tuple(sorted(kept)))
+        ref = RefStateGraph(problem, kept)
+        k, p = ref.cert.index, ref.cert.period
+        labels = {a for c in kept for a in c}
+        stuck = {a for a in labels if not all(ref.connects(a, a, m + 3) for m in range(k, k + p))}
+        if not stuck:
+            break
+        left = frozenset(c for c in kept if stuck.isdisjoint(c))
+        kept = LclProblem(problem.delta, problem.labels, left, problem.edge_configs)
+        kept = kept.state_table.live_configs
+    return rounds, kept
+
+
 def test_classify_builds_a_state_graph_only_inside_the_fixpoint(monkeypatch):
     built = []
     build = pathstates.build_state_graph
 
     def counting(problem, subset):
-        built.append(tuple(subset))
+        subset = tuple(subset)
+        built.append(subset)
         return build(problem, subset)
 
     monkeypatch.setattr(pathstates, "build_state_graph", counting)
     problems = [three_coloring(), two_coloring(), perfect_matching()]
-    problems += [random_problem(seed) for seed in range(20)]
+    # seeds 85 and 93 peel in two rounds; 107 and 114 walk past F*
+    problems += [random_problem(seed) for seed in list(range(20)) + [85, 93, 107, 114]]
     problems += [random_problem(seed, num_labels=4, max_vertex_configs=8) for seed in range(20)]
+    # a peel round that a later cycle step decides, and one whose trim drops more
+    problems += [random_problem(110, num_labels=5, max_vertex_configs=10)]
+    problems += [many_label_problem(392, 8, max_vertex_configs=8)]
     verdicts = set()
-    skipped = 0
+    graphs = examined = walked = many = 0
     for problem in problems:
         built.clear()
-        report = classify(problem)
-        verdicts.add(report.verdict)
-        # exactly the examined subsets inside the fixpoint, in search order
+        result = find_ell_full_set(problem)
+        verdicts.add(VERDICT_NOT if result.subset is None else VERDICT_LOGN)
         live = problem.state_table.live_configs
-        examined = list(islice(all_nonempty_subsets(problem), report.subsets_examined))
-        assert built == [s for s in examined if live.issuperset(s)]
-        skipped += report.subsets_examined - len(built)
-        if report.verdict == VERDICT_LOGN:
-            # the certificate is the found subset's, built once during the search
-            assert report.certificate == build(problem, built[-1]).certificate()
+        assert all(live.issuperset(s) for s in built)
+        # the peel rounds, then F*'s proper subsets in search order up to the hit
+        rounds, peeled = ref_peel_rounds(problem)
+        inside = [s for s in all_nonempty_subsets(problem) if peeled > set(s)]
+        if result.subset is not None:
+            assert peeled.issuperset(result.subset)
+            inside = inside[: inside.index(result.subset) + 1 if result.subset in inside else 0]
+        assert built == rounds + inside
+        assert peeled == peel_fixpoint(problem)
+        if result.subset is not None:
+            order = list(all_nonempty_subsets(problem))
+            assert result.subsets_examined == order.index(result.subset) + 1
+            # the certificate is the found subset's, from the last graph built
+            assert result.certificate == build(problem, built[-1]).certificate()
+        graphs += len(built)
+        examined += result.subsets_examined
+        walked += len(inside)
+        many += len(rounds) > 1
     assert verdicts == {VERDICT_LOGN, VERDICT_NOT}
-    assert skipped > 0
+    assert graphs < examined / 4
+    assert walked > 0 and many > 0
 
     built.clear()
     report = classify(padded_two_coloring("abpq", PADDINGS[-1]))
     assert report.verdict == VERDICT_NOT
     assert report.subsets_examined == 2**12 - 1
-    assert len(built) == 3
+    assert len(built) == 1
 
 
 def test_every_ell_full_subset_lies_inside_the_liveness_fixpoint():
@@ -385,6 +434,23 @@ def test_every_ell_full_subset_lies_inside_the_liveness_fixpoint():
     # the check means something only if both sides occur often
     assert found > 1000
     assert trimmed > 30
+
+
+def test_every_ell_full_subset_lies_inside_the_peel_fixpoint():
+    found = empty = 0
+    for num_labels in (3, 4):
+        for seed in range(80):
+            problem = random_problem(seed, num_labels=num_labels, max_vertex_configs=6)
+            peeled = peel_fixpoint(problem)
+            empty += not peeled
+            for subset in all_nonempty_subsets(problem):
+                if pathstates._minimal_ell(build_state_graph(problem, subset)) is not None:
+                    found += 1
+                    # so an empty F* leaves no ell-full subset: a NOT
+                    assert peeled.issuperset(subset)
+    # the check means something only if both sides occur often
+    assert found > 1000
+    assert empty > 30
 
 
 def test_liveness_fixpoint_is_idempotent():
